@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, metrics, runio
-from .core import ParetoArchive
+from .core import ParetoArchive, nondominated_mask
 from .problems import PROBLEM_REGISTRY, get_problem
 
 __all__ = ["main", "cmd_run", "cmd_report", "cmd_bench"]
@@ -113,7 +113,7 @@ def cmd_report(
 
     if reference is None or reference == "union":
         merged = np.vstack(feasible_points)
-        ref_front = _nondominated_front(merged)
+        ref_front = merged[nondominated_mask(merged)]
     else:
         if reference not in final_fronts or not final_fronts[reference].size:
             print(
@@ -165,20 +165,6 @@ def cmd_report(
 
     _emit_table(header, rows, fmt, output)
     return 0
-
-
-def _nondominated_front(points: np.ndarray) -> np.ndarray:
-    from .core import dominates
-
-    keep = []
-    for i in range(points.shape[0]):
-        if not any(
-            dominates(points[j], points[i])
-            for j in range(points.shape[0])
-            if j != i
-        ):
-            keep.append(i)
-    return points[keep]
 
 
 def _emit_table(header, rows, fmt: str, output: str | None) -> None:

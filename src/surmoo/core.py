@@ -26,6 +26,8 @@ __all__ = [
     "RandomStream",
     "is_feasible",
     "dominates",
+    "dominance_matrix",
+    "nondominated_mask",
 ]
 
 
@@ -105,6 +107,39 @@ def dominates(a, b) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
+def dominance_matrix(a, b) -> np.ndarray:
+    """Pairwise dominance between two point sets: ``dom[i, j]`` is True when
+    ``a[i]`` dominates ``b[j]`` in the sense of `dominates`.
+
+    Raises on NaN input or on differing objective counts. One comparison per
+    objective keeps the temporaries at ``len(a) x len(b)``.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if a.shape[1] != b.shape[1]:
+        raise ValueError("objective vectors must have equal length")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("dominance is undefined for NaN objectives")
+    weakly = np.ones((a.shape[0], b.shape[0]), dtype=bool)
+    strictly = np.zeros_like(weakly)
+    for k in range(a.shape[1]):
+        col_a = a[:, k, None]
+        col_b = b[None, :, k]
+        weakly &= col_a <= col_b
+        strictly |= col_a < col_b
+    return weakly & strictly
+
+
+def nondominated_mask(points) -> np.ndarray:
+    """True for each row of ``points`` that no other row dominates.
+
+    Identical rows do not dominate each other, so duplicates of a
+    non-dominated row are all kept.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return ~dominance_matrix(points, points).any(axis=0)
+
+
 @dataclass(frozen=True)
 class EvaluationRecord:
     """One true evaluation: parameters, objectives, constraint outcomes."""
@@ -158,11 +193,14 @@ class ParetoArchive:
     """Cumulative set of feasible, mutually non-dominated records.
 
     Records with identical objective vectors but distinct parameters are
-    mutually non-dominating and both retained.
+    mutually non-dominating and both retained. Members keep their insertion
+    order.
     """
 
     def __init__(self):
         self._records: list[EvaluationRecord] = []
+        # row i is the objective vector of self._records[i]
+        self._objectives = np.empty((0, 0))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -172,9 +210,7 @@ class ParetoArchive:
         return list(self._records)
 
     def objectives(self) -> np.ndarray:
-        if not self._records:
-            return np.empty((0, 0))
-        return np.array([r.objectives for r in self._records])
+        return self._objectives.copy()
 
     def insert(self, rec: EvaluationRecord) -> bool:
         """Insert ``rec`` if feasible, viable, and not dominated.
@@ -184,13 +220,15 @@ class ParetoArchive:
         """
         if not rec.feasible or not rec.viable:
             return False
-        for member in self._records:
-            if dominates(member.objectives, rec.objectives):
+        new = rec.objectives[None, :]
+        if self._records:
+            if dominance_matrix(self._objectives, new).any():
                 return False
-        self._records = [
-            m for m in self._records if not dominates(rec.objectives, m.objectives)
-        ]
+            keep = ~dominance_matrix(new, self._objectives)[0]
+            self._records = [m for m, k in zip(self._records, keep) if k]
+            new = np.vstack([self._objectives[keep], new])
         self._records.append(rec)
+        self._objectives = new
         return True
 
     @classmethod

@@ -1,9 +1,20 @@
 """Multi-objective quality indicators and surrogate accuracy.
 
-Hypervolume is computed exactly by a dimension-sweep recursion (slicing on
-the last objective), practical for up to six objectives. Normalization uses
-a shared nadir: objectives are divided component-wise by the component-wise
-maximum across everything being compared, and the reference point sits at
+Hypervolume is exact. Points are first clipped to the reference point.
+
+- q=2: sort by the first objective (ties by the second), take the running
+  minimum of the second and sum the rectangles between successive first-
+  objective values: O(n log n). Dominated points and duplicates add
+  zero-width or zero-height rectangles, so no filter is needed.
+- q>=3: sweep the last objective. Between successive cut levels the
+  dominated cross-section is the hypervolume of the points at or below the
+  slab in the remaining objectives, computed recursively down to the q=2
+  routine; slabs that recurse further are first reduced to their
+  non-dominated rows. O(n^2 log n) for q=3; practical up to six objectives.
+
+Normalization uses a shared nadir: objectives are divided component-wise by
+the component-wise maximum across everything being compared, after shifting
+any objective that takes negative values, and the reference point sits at
 1.1 in every normalized coordinate, so the theoretical maximum normalized
 hypervolume is 1.1^q.
 """
@@ -15,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import dominates
+from .core import nondominated_mask
 
 __all__ = [
     "NormalizationContext",
@@ -43,16 +54,6 @@ def _as_front(points) -> np.ndarray:
     return front
 
 
-def _nondominated(points: np.ndarray) -> np.ndarray:
-    keep = []
-    for i, p in enumerate(points):
-        if not any(
-            dominates(points[j], p) for j in range(points.shape[0]) if j != i
-        ):
-            keep.append(i)
-    return points[keep]
-
-
 def hypervolume(front, reference) -> float:
     """Exact Lebesgue measure of the region dominated by ``front`` up to
     ``reference``. Points beyond the reference are clipped to it first; an
@@ -70,28 +71,37 @@ def hypervolume(front, reference) -> float:
             f"exact hypervolume supports up to {HV_MAX_OBJECTIVES} objectives"
         )
     front = np.minimum(front, reference)
-    return _hv_recursive(np.unique(front, axis=0), reference)
-
-
-def _hv_recursive(points: np.ndarray, reference: np.ndarray) -> float:
-    q = points.shape[1]
-    if points.shape[0] == 0:
-        return 0.0
     if q == 1:
-        return float(reference[0] - points[:, 0].min())
-    # sweep the last objective: between successive cut levels the dominated
-    # cross-section is that of the points at or below the slab
+        return float(reference[0] - front[:, 0].min())
+    if q == 2:
+        return _hv2d(front, reference)
+    return _hv_sweep(np.unique(front, axis=0), reference)
+
+
+def _hv2d(points: np.ndarray, reference: np.ndarray) -> float:
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    f1 = points[order, 0]
+    lowest_f2 = np.minimum.accumulate(points[order, 1])
+    widths = np.diff(f1, append=reference[0])
+    return float(np.sum(widths * (reference[1] - lowest_f2)))
+
+
+def _hv_sweep(points: np.ndarray, reference: np.ndarray) -> float:
+    q = points.shape[1]
+    if q == 2:
+        return _hv2d(points, reference)
     order = np.argsort(points[:, -1], kind="stable")
     pts = points[order]
-    levels = pts[:, -1]
+    levels = np.append(pts[:, -1], reference[-1])
     volume = 0.0
     for i in range(pts.shape[0]):
-        upper = levels[i + 1] if i + 1 < pts.shape[0] else reference[-1]
-        thickness = upper - levels[i]
+        thickness = levels[i + 1] - levels[i]
         if thickness <= 0.0:
             continue
-        slab = _nondominated(pts[: i + 1, :-1])
-        volume += thickness * _hv_recursive(slab, reference[:-1])
+        slab = pts[: i + 1, :-1]
+        if q > 3:
+            slab = slab[nondominated_mask(slab)]
+        volume += thickness * _hv_sweep(slab, reference[:-1])
     return volume
 
 
@@ -99,9 +109,10 @@ def _hv_recursive(points: np.ndarray, reference: np.ndarray) -> float:
 class NormalizationContext:
     """Shared-nadir normalization state.
 
-    ``shift`` is zero unless some nadir component was non-positive, in which
-    case objectives are first shifted by their observed component minimum so
-    every value is non-negative before dividing.
+    ``shift`` is zero for an objective whose observed values are all
+    non-negative with a positive maximum. Any other objective (one with a
+    negative value, or a non-positive nadir) is first shifted by its
+    observed minimum, so every normalized value lies in [0, 1].
     """
 
     nadir: np.ndarray
@@ -120,16 +131,15 @@ class NormalizationContext:
 
 def shared_normalization(fronts) -> NormalizationContext:
     """Build the normalization context across all compared fronts: the nadir
-    is the component-wise maximum over every point supplied."""
+    is the component-wise maximum over every point supplied, after the
+    shift described on `NormalizationContext`."""
     stacked = np.vstack([_as_front(f) for f in fronts if np.size(f)])
     if stacked.size == 0:
         raise ValueError("no points to normalize against")
     nadir = stacked.max(axis=0)
-    shift = np.zeros_like(nadir)
-    if np.any(nadir <= 0.0):
-        mins = stacked.min(axis=0)
-        shift = np.where(nadir <= 0.0, mins, 0.0)
-        nadir = (stacked - shift).max(axis=0)
+    mins = stacked.min(axis=0)
+    shift = np.where((nadir <= 0.0) | (mins < 0.0), mins, 0.0)
+    nadir = (stacked - shift).max(axis=0)
     return NormalizationContext(nadir, shift)
 
 
@@ -180,11 +190,8 @@ def set_coverage(a_front, b_front) -> float:
     counts as covered)."""
     a = _as_front(a_front)
     b = _as_front(b_front)
-    le_all = np.all(a[:, None, :] <= b[None, :, :], axis=2)
-    lt_any = np.any(a[:, None, :] < b[None, :, :], axis=2)
-    equal = np.all(a[:, None, :] == b[None, :, :], axis=2)
-    covered = np.any(le_all & (lt_any | equal), axis=0)
-    return float(covered.mean())
+    weakly = np.all(a[:, None, :] <= b[None, :, :], axis=2)
+    return float(np.any(weakly, axis=0).mean())
 
 
 def nrmse(true_values, predicted) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParameterSpace, Population
+from .core import ParameterSpace, Population, dominance_matrix
 
 __all__ = [
     "DistributionIndices",
@@ -63,18 +63,11 @@ def fast_nondominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
     Returns index arrays; F_i is the non-dominated set once F_0..F_{i-1}
     are removed. NaN objectives are an error here (filter upstream).
     """
-    objs = np.asarray(objectives, dtype=float)
-    if objs.ndim != 2:
-        objs = np.atleast_2d(objs)
-    if np.any(np.isnan(objs)):
-        raise ValueError("non-dominated sorting is undefined for NaN objectives")
+    objs = np.atleast_2d(np.asarray(objectives, dtype=float))
     n = objs.shape[0]
     if n == 0:
         return []
-    # dom[i, j] = point i dominates point j
-    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-    dom = le & lt
+    dom = dominance_matrix(objs, objs)
     counts = dom.sum(axis=0)
     fronts: list[np.ndarray] = []
     assigned = np.zeros(n, dtype=bool)

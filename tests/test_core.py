@@ -9,11 +9,13 @@ from surmoo.core import (
     ParetoArchive,
     RandomStream,
     RunHistory,
+    dominance_matrix,
     dominates,
     is_feasible,
+    nondominated_mask,
 )
 
-from conftest import oracle_nondominated_indices
+from conftest import oracle_dominates, oracle_nondominated_indices
 
 
 def make_record(objectives, constraints=(), params=None, epoch=0):
@@ -69,6 +71,52 @@ class TestDominance:
             assert dominates(a, c)
 
 
+class TestDominanceKernel:
+    @given(st.integers(0, 10_000), st.integers(0, 12), st.integers(0, 12), st.integers(1, 4))
+    @settings(max_examples=60)
+    def test_matrix_matches_pairwise(self, seed, n, m, q):
+        gen = np.random.default_rng(seed)
+        a = gen.integers(0, 3, size=(n, q)).astype(float)
+        b = gen.integers(0, 3, size=(m, q)).astype(float)
+        dom = dominance_matrix(a, b)
+        assert dom.shape == (n, m)
+        for i in range(n):
+            for j in range(m):
+                assert dom[i, j] == oracle_dominates(a[i], b[j])
+
+    @given(st.integers(0, 10_000), st.integers(1, 30), st.integers(1, 4))
+    @settings(max_examples=60)
+    def test_mask_matches_brute_force(self, seed, count, q):
+        gen = np.random.default_rng(seed)
+        objs = gen.integers(0, 4, size=(count, q)).astype(float)
+        got = np.nonzero(nondominated_mask(objs))[0].tolist()
+        assert got == oracle_nondominated_indices(objs)
+
+    def test_duplicates_kept(self):
+        assert nondominated_mask([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]).tolist() == [
+            True, True, False
+        ]
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            dominance_matrix([[np.nan, 0.0]], [[1.0, 1.0]])
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            dominance_matrix([[1.0]], [[1.0, 2.0]])
+
+
+def loop_archive(objs) -> list:
+    """Indices an insert-one-at-a-time archive keeps, in archive order."""
+    kept: list = []
+    for i, row in enumerate(objs):
+        if any(oracle_dominates(objs[j], row) for j in kept):
+            continue
+        kept = [j for j in kept if not oracle_dominates(row, objs[j])]
+        kept.append(i)
+    return kept
+
+
 class TestArchive:
     def test_new_point_dominates(self):
         arch = ParetoArchive()
@@ -102,19 +150,24 @@ class TestArchive:
         assert arch.insert(make_record([1, 1], params=np.array([0.5, 0.5])))
         assert len(arch) == 2
 
-    @given(st.integers(0, 10_000), st.integers(1, 40))
-    @settings(max_examples=60, deadline=None)
-    def test_invariant_matches_brute_force(self, seed, count):
+    @given(st.integers(0, 10_000), st.integers(1, 40), st.sampled_from([2, 3]))
+    @settings(max_examples=120, deadline=None)
+    def test_invariant_matches_brute_force(self, seed, count, q):
         gen = np.random.default_rng(seed)
-        objs = gen.integers(0, 5, size=(count, 2)).astype(float)
+        objs = gen.integers(0, 5, size=(count, q)).astype(float)
+        records = [make_record(row, params=gen.random(2)) for row in objs]
         arch = ParetoArchive()
-        for row in objs:
-            arch.insert(make_record(row, params=gen.random(2)))
+        for rec in records:
+            arch.insert(rec)
         got = sorted(map(tuple, arch.objectives()))
         nd = oracle_nondominated_indices(objs)
         # brute force keeps duplicates of non-dominated rows, as the archive does
         expected = sorted(tuple(objs[i]) for i in nd)
         assert got == expected
+        # same members in the same order as the one-at-a-time loop
+        order = loop_archive(objs)
+        assert [id(r) for r in arch.records] == [id(records[i]) for i in order]
+        assert np.array_equal(arch.objectives(), objs[order])
 
 
 class TestParameterSpace:

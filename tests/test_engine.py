@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from surmoo import engine
 from surmoo.core import EvaluationRecord, RunHistory
 from surmoo.engine import (
     RunConfig,
@@ -118,6 +121,20 @@ class TestArchiveAndMetrics:
             assert row["cumulative_evals"] == m.cumulative_evals
             assert row["feasible_count"] == m.feasible_count
             assert row["hv_norm"] == pytest.approx(m.hv_norm, rel=1e-12, abs=1e-15)
+
+    def test_wall_seconds_include_the_hypervolume(self, monkeypatch):
+        delay = 0.05
+        real = engine.normalized_hypervolume
+
+        def slow(front, context):
+            time.sleep(delay)
+            return real(front, context)
+
+        monkeypatch.setattr(engine, "normalized_hypervolume", slow)
+        result = run(small_config(epochs=2, surrogate_enabled=False))
+        walls = [m.wall_seconds for m in result.history.epoch_metrics]
+        assert len(walls) == 3
+        assert all(w >= delay for w in walls)
 
     def test_epoch_zero_metrics_on_initial_design(self):
         result = run(small_config(epochs=1))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surmoo.metrics import (
     NormalizationContext,
@@ -43,6 +45,25 @@ class TestHypervolume:
             exact = hypervolume(front, ref)
             oracle = oracle_hypervolume_inclusion_exclusion(front, ref)
             assert exact == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda q: st.lists(
+                st.lists(st.integers(0, 6), min_size=q, max_size=q),
+                min_size=1,
+                max_size=10,
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_grid_fronts_with_ties_match_oracle(self, rows):
+        # integer grid: duplicates, shared coordinates, and points on or
+        # beyond the reference (5) are all common
+        front = np.array(rows, dtype=float)
+        ref = np.full(front.shape[1], 5.0)
+        exact = hypervolume(front, ref)
+        oracle = oracle_hypervolume_inclusion_exclusion(front, ref)
+        assert exact == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
     def test_monotone_under_insertion(self, rng):
         ref = np.full(3, 1.0)
@@ -105,6 +126,13 @@ class TestNormalizedHypervolume:
         assert context.shift[0] == -5.0 and context.shift[1] == 0.0
         unit = context.normalize(fronts[0])
         assert np.all(unit >= 0.0)
+
+    def test_mixed_sign_objective_is_shifted(self):
+        front = np.array([[-200.0, 1.0], [3.0, 0.5]])
+        context = shared_normalization([front])
+        assert context.shift[0] == -200.0 and context.shift[1] == 0.0
+        assert np.all(context.normalize(front) >= 0.0)
+        assert normalized_hypervolumes([front])[0] <= 1.1**2
 
     def test_empty_front_scores_zero(self):
         context = NormalizationContext(np.ones(2), np.zeros(2))
