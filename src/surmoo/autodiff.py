@@ -13,7 +13,8 @@ numpy forward pass.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
+
+from .core import expit
 
 __all__ = [
     "Tensor",

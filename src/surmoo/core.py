@@ -9,6 +9,7 @@ dominance computation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,6 +29,7 @@ __all__ = [
     "dominates",
     "dominance_matrix",
     "nondominated_mask",
+    "expit",
 ]
 
 
@@ -85,6 +87,22 @@ class ParameterSpace:
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+
+
+@functools.cache
+def _scipy_expit():
+    from scipy.special import expit as scipy_expit
+
+    return scipy_expit
+
+
+def expit(x):
+    """Logistic sigmoid, computed by ``scipy.special.expit``.
+
+    scipy.special is imported on the first call, not at start-up: commands
+    that never evaluate a sigmoid (``report``, ``bench``) do not pay for it.
+    """
+    return _scipy_expit()(x)
 
 
 def is_feasible(flags) -> bool:

@@ -349,9 +349,10 @@ def run(config: RunConfig) -> RunResult:
             model = None
             if mode != "none":
                 cfg = SurrogateConfig(**{**_config_dict(config.surrogate), "mode": mode})
+                records = history.viable_records()
                 try:
-                    model, _ = train_surrogate(
-                        history.viable_records(), space, cfg, sub_stream.child("train")
+                    model, schedule = train_surrogate(
+                        records, space, cfg, sub_stream.child("train")
                     )
                 except Exception as exc:
                     logger.warning(
@@ -361,6 +362,17 @@ def run(config: RunConfig) -> RunResult:
                         exc,
                     )
                     model = None
+                else:
+                    logger.info(
+                        "epoch %d sub-block %d: surrogate mode %s fitted on %d viable "
+                        "records; fold stop epochs %s, final epochs %d",
+                        epoch,
+                        sub,
+                        mode,
+                        len(records),
+                        schedule.fold_stop_epochs,
+                        schedule.final_epochs,
+                    )
 
             indices = moea.DistributionIndices.default(space.dim)
             if model is not None and config.sensitivity_enabled and model.has_objective_head:

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .core import ParameterSpace, RandomStream
 
@@ -107,6 +106,10 @@ def sample_sobol(space: ParameterSpace, n_points: int, stream: RandomStream) -> 
         )
         design = sample_lhc(space, n_points, stream)
         return DesignMatrix(design.points, "sobol")
+    # imported here: scipy.stats takes most of a second to import, and only
+    # Sobol designs need it
+    from scipy.stats import qmc
+
     sampler = qmc.Sobol(d=space.dim, scramble=False)
     # draw a power-of-two block and truncate: identical leading points,
     # and it keeps scipy from warning about unbalanced sample counts

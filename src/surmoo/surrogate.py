@@ -2,12 +2,20 @@
 objective head and a sigmoid constraint head, trained on all accumulated
 evaluations with cross-validated automatic epoch selection.
 
-The model is differentiable end to end, including the bounds input
-normalizer and the inverse output transform, so exact input gradients are
-available for feasibility solving and sensitivity analysis. Residual blocks
-use layer normalization (not batch statistics) so single-point inference and
-input gradients are batch-independent, and the default hidden activation is
-softplus so gradients are smooth everywhere; a ReLU mode is available.
+Training and batch prediction run on explicit passes: a hand-written forward
+pass that caches its activations, a hand-written backward pass that writes
+every parameter gradient into one flat gradient vector (with closed-form
+output gradients for the BCE term and each objective loss), and one
+vectorized Adam step over one flat parameter vector, of which the ``params``
+tensors are views. Each array operation is the one the autodiff tape would
+record, in the tape's order, so the explicit passes agree with it bit for
+bit. The tape (``forward`` on a Tensor, ``predict_graph``) serves only
+graph-mode input gradients, for feasibility solving and sensitivity
+analysis; it includes the bounds input normalizer and the inverse output
+transform. Residual blocks use layer normalization (not batch statistics) so
+single-point inference and input gradients are batch-independent, and the
+default hidden activation is softplus so gradients are smooth everywhere; a
+ReLU mode is available.
 """
 
 from __future__ import annotations
@@ -17,10 +25,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from scipy.special import expit
-
-from .autodiff import Tensor, bce_with_logits, layer_norm, take_column
-from .core import ParameterSpace, RandomStream
+from .autodiff import Tensor, layer_norm, take_column
+from .core import ParameterSpace, RandomStream, expit
 
 __all__ = [
     "SurrogateConfig",
@@ -223,9 +229,11 @@ class JointSurrogate:
         train: bool = False,
         dropout_rng: np.random.Generator | None = None,
     ) -> tuple[Tensor | None, Tensor | None]:
-        """Raw heads on a parameter-space tensor: (normalized-objective
-        predictions, constraint logits). Dropout is applied only in training
-        mode; inference is deterministic."""
+        """Raw heads on a parameter-space tensor, recorded on the autodiff
+        tape: (normalized-objective predictions, constraint logits). Dropout
+        is applied only in training mode; inference is deterministic. This
+        graph-mode pass serves input gradients; training and `predict` run
+        the explicit `_forward`, which performs the same array operations."""
         p = self.params
         x_unit = (x - Tensor(self.space.lower)) * Tensor(1.0 / self.space.span)
         h = x_unit @ p["proj.w"] + p["proj.b"]
@@ -249,15 +257,122 @@ class JointSurrogate:
         return t * Tensor(mask)
 
     # ------------------------------------------------------------------
+    # explicit passes (training and batch prediction)
+    # ------------------------------------------------------------------
+
+    def _unit(self, x: np.ndarray) -> np.ndarray:
+        """Parameter-space rows mapped into the unit box, by the same array
+        operations as the first line of `forward`."""
+        return (x - self.space.lower) * (1.0 / self.space.span)
+
+    def _forward(self, x_unit: np.ndarray, dropout_rng: np.random.Generator | None = None):
+        """Explicit forward pass on unit-box rows (see `_unit`).
+
+        Returns (normalized-objective predictions, constraint logits, cache);
+        the cache holds the activations `_backward` needs. A dropout
+        generator switches on training-mode dropout, drawing the same masks
+        in the same order as `forward`. Means are sums divided by the count,
+        as ``ndarray.mean`` computes them.
+        """
+        p = self.params
+        softplus = self.config.activation == "softplus"
+        p1, p2 = self.config.dropout if dropout_rng is not None else (0.0, 0.0)
+        d = self.config.block_dim
+        h = x_unit @ p["proj.w"].data + p["proj.b"].data
+        blocks = []
+        for i in range(self.config.blocks):
+            centered = h - np.add.reduce(h, axis=1, keepdims=True) / d
+            var = np.add.reduce(centered * centered, axis=1, keepdims=True) / d
+            sigma = np.sqrt(var + LAYER_NORM_EPS)
+            x_hat = centered / sigma
+            z = x_hat * p[f"block{i}.ln_scale"].data + p[f"block{i}.ln_shift"].data
+            u = z @ p[f"block{i}.fc1.w"].data + p[f"block{i}.fc1.b"].data
+            if softplus:
+                a = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
+            else:
+                a = u * (u > 0.0)
+            mask1 = mask2 = None
+            if p1 > 0.0:
+                mask1 = (dropout_rng.random(a.shape) >= p1) / (1.0 - p1)
+                a = a * mask1
+            o = a @ p[f"block{i}.fc2.w"].data + p[f"block{i}.fc2.b"].data
+            if p2 > 0.0:
+                mask2 = (dropout_rng.random(o.shape) >= p2) / (1.0 - p2)
+                o = o * mask2
+            blocks.append((x_hat, sigma, z, u, mask1, a, mask2))
+            h = h + o
+        y_out = c_out = None
+        if self.has_objective_head:
+            y_out = h @ p["head_obj.w"].data + p["head_obj.b"].data
+        if self.has_constraint_head:
+            c_out = h @ p["head_con.w"].data + p["head_con.b"].data
+        return y_out, c_out, (x_unit, blocks, h)
+
+    def _backward(self, cache, dy, dc, grads: dict[str, np.ndarray]) -> None:
+        """Explicit backward pass: writes the gradient of the loss with
+        respect to every parameter into ``grads`` (arrays keyed like
+        ``params``), given the output gradients ``dy`` and ``dc`` of the
+        heads that exist."""
+        p = self.params
+        softplus = self.config.activation == "softplus"
+        d = self.config.block_dim
+        x_unit, blocks, h = cache
+        dh = None
+        for head, g in (("head_obj", dy), ("head_con", dc)):
+            if g is None:
+                continue
+            np.add.reduce(g, axis=0, out=grads[f"{head}.b"])
+            np.matmul(h.T, g, out=grads[f"{head}.w"])
+            dh_head = g @ p[f"{head}.w"].data.T
+            dh = dh_head if dh is None else dh + dh_head
+        for i in reversed(range(self.config.blocks)):
+            x_hat, sigma, z, u, mask1, a, mask2 = blocks[i]
+            g = dh if mask2 is None else dh * mask2
+            np.add.reduce(g, axis=0, out=grads[f"block{i}.fc2.b"])
+            np.matmul(a.T, g, out=grads[f"block{i}.fc2.w"])
+            g = g @ p[f"block{i}.fc2.w"].data.T
+            if mask1 is not None:
+                g = g * mask1
+            g = g * expit(u) if softplus else g * (u > 0.0)
+            np.add.reduce(g, axis=0, out=grads[f"block{i}.fc1.b"])
+            np.matmul(z.T, g, out=grads[f"block{i}.fc1.w"])
+            g = g @ p[f"block{i}.fc1.w"].data.T
+            np.add.reduce(g * x_hat, axis=0, out=grads[f"block{i}.ln_scale"])
+            np.add.reduce(g, axis=0, out=grads[f"block{i}.ln_shift"])
+            gx = g * p[f"block{i}.ln_scale"].data
+            mean_gx = np.add.reduce(gx, axis=1, keepdims=True) / d
+            mean_gx_xhat = np.add.reduce(gx * x_hat, axis=1, keepdims=True) / d
+            dh = dh + (gx - mean_gx - x_hat * mean_gx_xhat) / sigma
+        np.add.reduce(dh, axis=0, out=grads["proj.b"])
+        np.matmul(x_unit.T, dh, out=grads["proj.w"])
+
+    def _flat_parameters(self) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+        """Copy the weights into one flat vector and rebind every ``params``
+        tensor as a view into it. Returns (parameters, gradient, gradient
+        views keyed like ``params``); the gradient vector has the same
+        layout as the parameter vector."""
+        flat = np.concatenate([t.data.ravel() for t in self.params.values()])
+        grad = np.zeros_like(flat)
+        grads = {}
+        start = 0
+        for name, t in self.params.items():
+            stop = start + t.data.size
+            shape = t.data.shape
+            t.data = flat[start:stop].reshape(shape)
+            grads[name] = grad[start:stop].reshape(shape)
+            start = stop
+        return flat, grad, grads
+
+    # ------------------------------------------------------------------
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Denormalized objective predictions and constraint probabilities."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        y_out, c_out = self.forward(Tensor(x))
+        y_out, c_out, _ = self._forward(self._unit(x))
         y_pred = None
         if y_out is not None:
-            y_pred = self.out_norm.inverse(y_out.data) if self.out_norm else y_out.data
-        c_pred = expit(c_out.data) if c_out is not None else None
+            y_pred = self.out_norm.inverse(y_out) if self.out_norm else y_out
+        c_pred = expit(c_out) if c_out is not None else None
         return y_pred, c_pred
 
     def predict_graph(self, x: Tensor) -> tuple[Tensor | None, Tensor | None]:
@@ -309,70 +424,107 @@ class JointSurrogate:
 
 
 class Adam:
-    def __init__(self, params: dict[str, Tensor], lr: float):
-        self.params = params
+    """Adam over one flat parameter vector, updated in place.
+
+    The update runs chunk by chunk through two preallocated buffers, so the
+    slices of one chunk stay in a core's L2 cache across the dozen
+    elementwise passes. At the default model size (about 300k parameters),
+    whole-vector passes with fresh temporaries cost more than the arithmetic.
+    """
+
+    CHUNK = 1 << 15  # elements, 256 KiB per array
+
+    def __init__(self, flat: np.ndarray, grad: np.ndarray, lr: float):
+        self.flat = flat
+        self.grad = grad
         self.lr = lr
         self.beta1, self.beta2 = 0.9, 0.999
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
+        self._step = np.empty_like(flat)
+        self._denom = np.empty_like(flat)
+        self._chunks = [slice(i, i + self.CHUNK) for i in range(0, flat.size, self.CHUNK)]
 
     def step(self) -> None:
+        """flat -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat and v_hat the
+        bias-corrected first and second moment estimates."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
+        for c in self._chunks:
+            g, m, v = self.grad[c], self.m[c], self.v[c]
+            step, denom = self._step[c], self._denom[c]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=step)
+            m += step
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+            np.multiply(g, g, out=step)
+            step *= 1.0 - self.beta2
+            v += step
+            np.divide(v, b2c, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            np.divide(m, b1c, out=step)
+            step *= self.lr
+            step /= denom
+            self.flat[c] -= step
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
-
-def _objective_loss(pred: Tensor, targets: np.ndarray, kind: str) -> Tensor:
-    r = pred - Tensor(targets)
-    if kind == "mse":
-        return (r * r).mean()
+def _objective_loss(pred: np.ndarray, targets: np.ndarray, kind: str, grad: bool):
+    """Mean objective loss over all entries and, when ``grad`` is set, its
+    gradient with respect to ``pred`` in closed form (else None)."""
+    r = pred - targets
+    inv = 1.0 / r.size
+    if kind in ("mse", "distance_mse"):
+        w = 1.0 / (1.0 + np.abs(targets)) if kind == "distance_mse" else None
+        sq = r * r
+        value = (sq if w is None else sq * w).sum() * inv
+        if not grad:
+            return value, None
+        g = (inv if w is None else inv * w) * r
+        return value, g + g
+    a = np.abs(r)
     if kind == "huber":
         # quadratic within |r| <= 1, linear outside
-        a = r.abs()
-        quad = 0.5 * (r * r)
-        lin = a - 0.5
-        mask = (np.abs(r.data) <= 1.0).astype(float)
-        return (quad * Tensor(mask) + lin * Tensor(1.0 - mask)).mean()
+        mask = (a <= 1.0).astype(float)
+        value = (r * r * 0.5 * mask + (a - 0.5) * (1.0 - mask)).sum() * inv
+        if not grad:
+            return value, None
+        g = inv * mask * 0.5 * r
+        return value, (g + g) + inv * (1.0 - mask) * np.sign(r)
     if kind in ("log_cosh", "weighted_log_cosh"):
-        a = r.abs()
-        log_cosh = a + (a * -2.0).exp().log1p() - np.log(2.0)
-        if kind == "weighted_log_cosh":
-            return (log_cosh * Tensor(1.0 / (np.abs(targets) + 1.0))).mean()
-        return log_cosh.mean()
-    if kind == "distance_mse":
-        return (r * r * Tensor(1.0 / (1.0 + np.abs(targets)))).mean()
+        w = 1.0 / (np.abs(targets) + 1.0) if kind == "weighted_log_cosh" else None
+        e = np.exp(a * -2.0)
+        log_cosh = a + np.log1p(e) - np.log(2.0)
+        value = (log_cosh if w is None else log_cosh * w).sum() * inv
+        if not grad:
+            return value, None
+        g = inv if w is None else inv * w
+        return value, (g + g / (1.0 + e) * e * -2.0) * np.sign(r)
     if kind == "relative":
-        return (r.abs() * Tensor(1.0 / (np.abs(targets) + 1e-12))).mean()
+        w = 1.0 / (np.abs(targets) + 1e-12)
+        value = (a * w).sum() * inv
+        return value, (inv * w * np.sign(r) if grad else None)
     raise ValueError(f"unknown objective loss {kind!r}")
 
 
-def _composite_loss(model: JointSurrogate, x, y_targets, c_targets, train, rng) -> Tensor:
-    y_out, c_out = model.forward(x, train=train, dropout_rng=rng)
-    parts = []
+def _composite_loss(y_out, c_out, y_targets, c_targets, kind: str, grad: bool):
+    """Objective loss plus mean BCE on the constraint logits, for the heads
+    that exist. Returns (loss, d loss / d y_out, d loss / d c_out); the
+    gradients are None where a head is absent or ``grad`` is unset."""
+    value = None
+    dy = dc = None
     if y_out is not None:
-        parts.append(_objective_loss(y_out, y_targets, model.config.objective_loss))
+        value, dy = _objective_loss(y_out, y_targets, kind, grad)
     if c_out is not None:
-        parts.append(bce_with_logits(c_out, c_targets).mean())
-    loss = parts[0]
-    for part in parts[1:]:
-        loss = loss + part
-    return loss
+        inv = 1.0 / c_out.size
+        bce = np.maximum(c_out, 0.0) - c_out * c_targets + np.log1p(np.exp(-np.abs(c_out)))
+        bce_value = bce.sum() * inv
+        value = bce_value if value is None else value + bce_value
+        if grad:
+            dc = inv * (expit(c_out) - c_targets)
+    return float(value), dy, dc
 
 
 def _filter_training_data(records, cfg: SurrogateConfig):
@@ -395,61 +547,70 @@ def _filter_training_data(records, cfg: SurrogateConfig):
     return x, y, c
 
 
-def _epoch_pass(model, opt, x, y_t, c_t, batch_size, rng) -> float:
-    n = x.shape[0]
+def _train_step(model, opt, grads, x_unit, y_t, c_t, rng) -> float:
+    """One forward/backward pass and Adam step on a batch of unit-box rows;
+    returns the batch loss. A non-finite loss leaves the weights untouched."""
+    y_out, c_out, cache = model._forward(x_unit, rng)
+    kind = model.config.objective_loss
+    value, dy, dc = _composite_loss(y_out, c_out, y_t, c_t, kind, grad=True)
+    if np.isfinite(value):
+        model._backward(cache, dy, dc, grads)
+        opt.step()
+    return value
+
+
+def _epoch_pass(model, opt, grads, x_unit, y_t, c_t, batch_size, rng) -> float:
+    n = x_unit.shape[0]
+    batches = [slice(None)]  # one batch trains on views, not copies
     if n > batch_size:
         order = rng.permutation(n)
-    else:
-        order = np.arange(n)
+        batches = [order[start : start + batch_size] for start in range(0, n, batch_size)]
     total = 0.0
-    for start in range(0, n, batch_size):
-        idx = order[start : start + batch_size]
-        opt.zero_grad()
-        loss = _composite_loss(model, Tensor(x[idx]), y_t[idx], c_t[idx], True, rng)
-        value = loss.item()
+    for idx in batches:
+        bx = x_unit[idx]
+        value = _train_step(model, opt, grads, bx, y_t[idx], c_t[idx], rng)
         if not np.isfinite(value):
             return value
-        loss.backward()
-        opt.step()
-        total += value * len(idx)
+        total += value * bx.shape[0]
     return total / n
 
 
-def _train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None,
-                  patience=None, e_increment=None):
+def _train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, patience=None):
     """Train up to ``epochs`` epochs; returns the epoch count actually run.
 
     With a validation split, early stopping monitors the validation loss at
     the given patience; weights are never restored to the best epoch. A
     non-finite loss aborts at the current epoch.
     """
-    opt = Adam(model.params, cfg.learning_rate)
+    x_unit = model._unit(x)
+    flat, grad, grads = model._flat_parameters()
+    opt = Adam(flat, grad, cfg.learning_rate)
+    if val is not None:
+        vx, vy, vc = val
+        vx_unit = model._unit(vx)
     best_val = np.inf
     since_best = 0
-    done = 0
-    increment = e_increment or epochs
-    while done < epochs:
-        chunk = min(increment, epochs - done)
-        for _ in range(chunk):
-            train_loss = _epoch_pass(
-                model, opt, x, y_targets, c_targets, cfg.batch_size, rng
+    for done in range(epochs):
+        train_loss = _epoch_pass(
+            model, opt, grads, x_unit, y_targets, c_targets, cfg.batch_size, rng
+        )
+        if not np.isfinite(train_loss):
+            return done
+        if val is not None:
+            y_out, c_out, _ = model._forward(vx_unit)
+            vloss, _, _ = _composite_loss(
+                y_out, c_out, vy, vc, cfg.objective_loss, grad=False
             )
-            if not np.isfinite(train_loss):
-                return done
-            done += 1
-            if val is not None:
-                vx, vy, vc = val
-                vloss = _composite_loss(model, Tensor(vx), vy, vc, False, None).item()
-                if not np.isfinite(vloss):
-                    return done
-                if vloss < best_val:
-                    best_val = vloss
-                    since_best = 0
-                else:
-                    since_best += 1
-                    if patience is not None and since_best >= patience:
-                        return done
-    return done
+            if not np.isfinite(vloss):
+                return done + 1
+            if vloss < best_val:
+                best_val = vloss
+                since_best = 0
+            else:
+                since_best += 1
+                if patience is not None and since_best >= patience:
+                    return done + 1
+    return epochs
 
 
 def train(
@@ -494,7 +655,6 @@ def train(
             fold_stream.child("epochs").generator(),
             val=(x[val_idx], y_va, c[val_idx]),
             patience=patience,
-            e_increment=delta_e,
         )
         stops.append(max(stop, 1))
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+
+import surmoo
 
 from surmoo.cli import cmd_bench, cmd_report, cmd_run, main
 from surmoo.core import EvaluationRecord, ParetoArchive, RunHistory
@@ -250,6 +256,37 @@ class TestMainEntry:
     def test_run_via_main(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+
+SCIPY_PROBE = """\
+import json, sys
+from surmoo import cli
+if len(sys.argv) > 1:
+    cli.main(["report", sys.argv[1], "--metric", "all"])
+print(json.dumps([m for m in ("scipy.stats", "scipy.special") if m in sys.modules]))
+"""
+
+
+def _scipy_modules_loaded(*argv) -> list[str]:
+    src = str(Path(surmoo.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+class TestStartup:
+    # scipy.stats and scipy.special take over a second to import; only Sobol
+    # sampling and the sigmoid need them, so they load on first use
+    def test_import_leaves_scipy_unloaded(self):
+        assert _scipy_modules_loaded() == []
+
+    def test_report_leaves_scipy_unloaded(self, tmp_path):
+        run_dir = synthetic_run_dir(tmp_path, "lazy", [[1.0, 2.0], [2.0, 1.0]])
+        assert _scipy_modules_loaded(run_dir) == []
 
 
 class TestBuildRunConfig:

@@ -14,6 +14,7 @@ from surmoo.engine import (
 )
 from surmoo.feasolve import FeasolveConfig
 from surmoo.surrogate import SurrogateConfig
+from surmoo.surrogate import train as train_surrogate
 
 TINY_SURROGATE = dict(blocks=1, block_dim=12, batch_size=256)
 
@@ -191,6 +192,32 @@ class TestFallback:
         assert any("falling back" in rec.message for rec in caplog.records)
         # once enough data accumulated, the surrogate trains again
         assert result.history.epoch_metrics[2].mode == "o"
+
+    def test_each_fit_logs_its_training_schedule(self, caplog, monkeypatch):
+        fits = []
+
+        def recording_train(records, space, cfg, stream):
+            model, schedule = train_surrogate(records, space, cfg, stream)
+            fits.append((len(records), cfg.mode, schedule))
+            return model, schedule
+
+        monkeypatch.setattr(engine, "train_surrogate", recording_train)
+        config = small_config(
+            epochs=1,
+            dynamic_sampling=True,
+            population_size=8,
+            surrogate=SurrogateConfig(mode="o", blocks=1, block_dim=4, learning_rate=0.1),
+        )
+        with caplog.at_level("INFO", logger="surmoo"):
+            run(config)
+        lines = [r.getMessage() for r in caplog.records if "fitted on" in r.getMessage()]
+        assert len(fits) == engine.DYNAMIC_SUB_BLOCKS
+        assert len(lines) == len(fits)
+        for sub, (line, (rows, mode, schedule)) in enumerate(zip(lines, fits)):
+            assert line.startswith(f"epoch 1 sub-block {sub}: surrogate mode {mode} ")
+            assert f"fitted on {rows} viable records" in line
+            assert f"fold stop epochs {schedule.fold_stop_epochs}" in line
+            assert line.endswith(f"final epochs {schedule.final_epochs}")
 
     def test_surrogate_disabled_runs_plain_loop(self):
         result = run(small_config(surrogate_enabled=False, epochs=3))

@@ -1,8 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from surmoo import surrogate
+from surmoo.autodiff import Tensor, bce_with_logits
 from surmoo.core import EvaluationRecord, ParameterSpace, RandomStream
 from surmoo.surrogate import (
+    ADAM_EPS,
+    OBJECTIVE_LOSSES,
     JointSurrogate,
     OutputNormalizer,
     SurrogateConfig,
@@ -305,3 +311,238 @@ class TestCheckpoint:
         y0, c0 = model.predict(pts)
         y1, c1 = restored.predict(pts)
         assert np.array_equal(y0, y1) and np.array_equal(c0, c1)
+
+
+# ----------------------------------------------------------------------
+# explicit training passes against the autodiff tape
+# ----------------------------------------------------------------------
+#
+# The reference below trains through the autodiff tape: losses built from
+# Tensor operations, one backward() over the recorded graph, and Adam
+# stepping each parameter tensor on its own. The explicit passes perform the
+# same array operations in the same order, so they must match it bit for bit.
+
+
+class TapeAdam:
+    def __init__(self, params, lr):
+        self.params = params
+        self.lr = lr
+        self.beta1, self.beta2 = 0.9, 0.999
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self):
+        self.t += 1
+        b1c = 1.0 - self.beta1**self.t
+        b2c = 1.0 - self.beta2**self.t
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            g = p.grad
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data = p.data - self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+
+    def zero_grad(self):
+        for p in self.params.values():
+            p.grad = None
+
+
+def tape_objective_loss(pred, targets, kind):
+    r = pred - Tensor(targets)
+    if kind == "mse":
+        return (r * r).mean()
+    if kind == "huber":
+        a = r.abs()
+        quad = 0.5 * (r * r)
+        lin = a - 0.5
+        mask = (np.abs(r.data) <= 1.0).astype(float)
+        return (quad * Tensor(mask) + lin * Tensor(1.0 - mask)).mean()
+    if kind in ("log_cosh", "weighted_log_cosh"):
+        a = r.abs()
+        log_cosh = a + (a * -2.0).exp().log1p() - np.log(2.0)
+        if kind == "weighted_log_cosh":
+            return (log_cosh * Tensor(1.0 / (np.abs(targets) + 1.0))).mean()
+        return log_cosh.mean()
+    if kind == "distance_mse":
+        return (r * r * Tensor(1.0 / (1.0 + np.abs(targets)))).mean()
+    if kind == "relative":
+        return (r.abs() * Tensor(1.0 / (np.abs(targets) + 1e-12))).mean()
+    raise ValueError(kind)
+
+
+def tape_composite_loss(model, x, y_targets, c_targets, train, rng):
+    y_out, c_out = model.forward(x, train=train, dropout_rng=rng)
+    parts = []
+    if y_out is not None:
+        parts.append(tape_objective_loss(y_out, y_targets, model.config.objective_loss))
+    if c_out is not None:
+        parts.append(bce_with_logits(c_out, c_targets).mean())
+    loss = parts[0]
+    for part in parts[1:]:
+        loss = loss + part
+    return loss
+
+
+def tape_train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, patience=None):
+    opt = TapeAdam(model.params, cfg.learning_rate)
+    best_val = np.inf
+    since_best = 0
+    n = x.shape[0]
+    for done in range(1, epochs + 1):
+        order = rng.permutation(n) if n > cfg.batch_size else np.arange(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            opt.zero_grad()
+            loss = tape_composite_loss(
+                model, Tensor(x[idx]), y_targets[idx], c_targets[idx], True, rng
+            )
+            if not np.isfinite(loss.item()):
+                return done - 1
+            loss.backward()
+            opt.step()
+            total += loss.item() * len(idx)
+        if not np.isfinite(total / n):
+            return done - 1
+        if val is not None:
+            vx, vy, vc = val
+            vloss = tape_composite_loss(model, Tensor(vx), vy, vc, False, None).item()
+            if not np.isfinite(vloss):
+                return done
+            if vloss < best_val:
+                best_val = vloss
+                since_best = 0
+            else:
+                since_best += 1
+                if patience is not None and since_best >= patience:
+                    return done
+    return epochs
+
+
+GRAD_SPACE = ParameterSpace(("a", "b", "c"), [0.0, -1.0, 2.0], [2.0, 1.0, 5.0])
+
+
+def _gradient_fixture(n=23):
+    rng = np.random.default_rng(0)
+    x = GRAD_SPACE.lower + rng.random((n, 3)) * GRAD_SPACE.span
+    # residuals on both sides of Huber's |r| = 1 knee
+    y = rng.normal(size=(n, 2)) * 1.5
+    c = (rng.random((n, 2)) > 0.5).astype(float)
+    return x, y, c
+
+
+def _explicit_gradients(model, x, y, c, dropout_seed):
+    """Loss, flat parameter vector, flat gradient and gradient views from
+    the explicit forward/backward passes."""
+    flat, grad, grads = model._flat_parameters()
+    y_out, c_out, cache = model._forward(model._unit(x), np.random.default_rng(dropout_seed))
+    kind = model.config.objective_loss
+    value, dy, dc = surrogate._composite_loss(y_out, c_out, y, c, kind, grad=True)
+    model._backward(cache, dy, dc, grads)
+    return value, flat, grad, grads
+
+
+class TestExplicitPasses:
+    @pytest.mark.parametrize("loss", OBJECTIVE_LOSSES)
+    @pytest.mark.parametrize("activation", ["softplus", "relu"])
+    @pytest.mark.parametrize("mode", ["o", "c", "c+o"])
+    def test_parameter_gradients_equal_tape(self, mode, activation, loss):
+        x, y, c = _gradient_fixture()
+        subset = np.random.default_rng(1).permutation(x.shape[0])[:11]
+        for blocks, dropout, rows in itertools.product(
+            [1, 2], [(0.0, 0.0), (0.2, 0.1)], [slice(None), subset]
+        ):
+            cfg = SurrogateConfig(
+                mode=mode, blocks=blocks, block_dim=6, activation=activation,
+                dropout=dropout, objective_loss=loss,
+            )
+            model = JointSurrogate(GRAD_SPACE, 2, 2, cfg, RandomStream(3, "grad"))
+            value, _, _, grads = _explicit_gradients(model, x[rows], y[rows], c[rows], 5)
+            tape = tape_composite_loss(
+                model, Tensor(x[rows]), y[rows], c[rows], True, np.random.default_rng(5)
+            )
+            tape.backward()
+            assert value == tape.item()
+            assert sorted(grads) == sorted(model.params)
+            for name, t in model.params.items():
+                assert np.array_equal(grads[name], t.grad), (blocks, dropout, name)
+
+    @pytest.mark.parametrize("loss", OBJECTIVE_LOSSES)
+    def test_parameter_gradients_match_finite_differences(self, loss):
+        x, y, c = _gradient_fixture(9)
+        cfg = SurrogateConfig(
+            mode="c+o", blocks=2, block_dim=4, dropout=(0.2, 0.1), objective_loss=loss
+        )
+        model = JointSurrogate(GRAD_SPACE, 2, 2, cfg, RandomStream(7, "fd"))
+        _, flat, analytic, _ = _explicit_gradients(model, x, y, c, 5)
+
+        def loss_at(j, delta):
+            saved = flat[j]
+            flat[j] = saved + delta
+            y_out, c_out, _ = model._forward(model._unit(x), np.random.default_rng(5))
+            flat[j] = saved
+            return surrogate._composite_loss(y_out, c_out, y, c, loss, grad=False)[0]
+
+        h = 1e-6
+        for j in np.random.default_rng(2).choice(flat.size, 60, replace=False):
+            fd = (loss_at(j, h) - loss_at(j, -h)) / (2 * h)
+            assert analytic[j] == pytest.approx(fd, rel=1e-5, abs=1e-8), j
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SurrogateConfig(mode="c+o", blocks=1, block_dim=6, learning_rate=0.1,
+                            dropout=(0.0, 0.0)),
+            SurrogateConfig(mode="c+o", blocks=2, block_dim=4, learning_rate=0.1,
+                            batch_size=5, activation="relu", objective_loss="huber"),
+        ],
+        ids=["one_batch", "minibatches"],
+    )
+    def test_train_equals_tape_reference_loop(self, cfg, monkeypatch):
+        rng = np.random.default_rng(4)
+        x = rng.random((15, 2))
+        y = np.column_stack([x.sum(axis=1) ** 2, np.sin(3.0 * x[:, 0])])
+        c = np.column_stack([x[:, 0] > 0.3, x[:, 1] > 0.6]).astype(np.int8)
+        records = records_from(x, y, c)
+        model, schedule = train(records, unit_space(2), cfg, RandomStream(4, "ref"))
+        monkeypatch.setattr(surrogate, "_train_single", tape_train_single)
+        ref_model, ref_schedule = train(records, unit_space(2), cfg, RandomStream(4, "ref"))
+        assert schedule == ref_schedule
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, ref_model.params[name].data), name
+
+    def test_flat_adam_equals_per_parameter_adam(self, monkeypatch):
+        # small chunks, so chunk edges fall inside parameter tensors
+        monkeypatch.setattr(surrogate.Adam, "CHUNK", 100)
+        cfg = SurrogateConfig(mode="c+o", blocks=2, block_dim=8)
+        model = JointSurrogate(GRAD_SPACE, 2, 2, cfg, RandomStream(0))
+        ref = JointSurrogate(GRAD_SPACE, 2, 2, cfg, RandomStream(0))
+        flat, grad, grads = model._flat_parameters()
+        assert flat.size > 5 * surrogate.Adam.CHUNK
+        opt = surrogate.Adam(flat, grad, 0.01)
+        ref_opt = TapeAdam(ref.params, 0.01)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            for name, t in ref.params.items():
+                t.grad = rng.normal(size=t.data.shape)
+                grads[name][...] = t.grad
+            opt.step()
+            ref_opt.step()
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, ref.params[name].data), name
+
+    def test_params_are_views_of_the_flat_vector(self):
+        cfg = SurrogateConfig(mode="c+o", blocks=2, block_dim=4)
+        model = JointSurrogate(GRAD_SPACE, 2, 2, cfg, RandomStream(0))
+        before = {name: t.data.copy() for name, t in model.params.items()}
+        flat, _, _ = model._flat_parameters()
+        assert flat.size == sum(a.size for a in before.values())
+        flat += 1.0
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, before[name] + 1.0)
