@@ -16,7 +16,7 @@ from .core import (
     dominates,
     is_feasible,
 )
-from .engine import RunConfig, RunResult, run
+from .engine import RunConfig, RunResult, SensitivityConfig, run
 from .feasolve import FeasolveConfig
 from .problems import PROBLEM_REGISTRY, ProblemDefinition, get_problem
 from .surrogate import JointSurrogate, SurrogateConfig
@@ -37,6 +37,7 @@ __all__ = [
     "RunConfig",
     "RunHistory",
     "RunResult",
+    "SensitivityConfig",
     "SurrogateConfig",
     "dominates",
     "get_problem",

@@ -11,18 +11,21 @@ bench   list or describe registered benchmark problems
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import engine, metrics, runio
-from .core import ParetoArchive, nondominated_mask
+from .core import nondominated_mask
 from .problems import PROBLEM_REGISTRY, get_problem
 
 __all__ = ["main", "cmd_run", "cmd_report", "cmd_bench"]
 
 REPORT_METRICS = ("hv", "hv_auc", "igd", "epsilon", "coverage", "all")
+
+logger = logging.getLogger("surmoo")
 
 
 def cmd_run(config_path: str, seed: int | None, out_dir: str) -> int:
@@ -36,6 +39,7 @@ def cmd_run(config_path: str, seed: int | None, out_dir: str) -> int:
     try:
         result = engine.run(config)
     except Exception as exc:
+        logger.debug("run failed", exc_info=True)
         print(f"error: run failed: {exc}", file=sys.stderr)
         return 1
     out = runio.write_run_directory(result, out_dir)
@@ -52,23 +56,6 @@ def _load_run(run_dir: str):
     records = runio.read_evaluations(run_dir)
     rows = runio.read_metrics(run_dir)
     return records, rows
-
-
-def _epoch_fronts(records) -> list[np.ndarray]:
-    """Cumulative archive front after each epoch, recomputed from the log."""
-    if not records:
-        return []
-    last_epoch = max(r.epoch for r in records)
-    fronts = []
-    archive = ParetoArchive()
-    by_epoch: dict[int, list] = {}
-    for rec in records:
-        by_epoch.setdefault(rec.epoch, []).append(rec)
-    for epoch in range(last_epoch + 1):
-        for rec in by_epoch.get(epoch, []):
-            archive.insert(rec)
-        fronts.append(archive.objectives() if len(archive) else np.empty((0, 0)))
-    return fronts
 
 
 def cmd_report(
@@ -90,7 +77,14 @@ def cmd_report(
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    all_fronts = {d: _epoch_fronts(records) for d, (records, _) in runs.items()}
+    # cumulative archive front after each epoch, replayed from each log
+    all_fronts = {
+        d: [
+            archive.objectives() if len(archive) else np.empty((0, 0))
+            for _, _, archive in engine.replay(records)
+        ]
+        for d, (records, _) in runs.items()
+    }
     final_fronts = {d: fronts[-1] for d, fronts in all_fronts.items() if fronts}
     dims = {front.shape[1] for front in final_fronts.values() if front.size}
     if len(dims) > 1:
@@ -138,7 +132,6 @@ def cmd_report(
                     row.append("nan" if epoch >= len(fronts) else "0.0")
             rows.append(row)
     else:
-        header = ["run", "hv", "hv_auc", "igd", "epsilon", "coverage"]
         wanted = (
             ["hv", "hv_auc", "igd", "epsilon", "coverage"] if metric == "all" else [metric]
         )

@@ -6,13 +6,17 @@ sensitivity-informed distribution indices, run NSGA-II generations entirely
 on surrogate predictions, optionally refine the non-elite half of the
 ranked population by gradient-based feasibility solving, evaluate the final
 candidates on the true problem, and snapshot metrics. The exact evaluation
-budget is initial_samples + epochs * evals_per_epoch: trace re-anchoring
+budget is initial_samples + epochs * population_size: trace re-anchoring
 points, when enabled, replace the lowest-ranked explorer candidates instead
 of adding evaluations.
 
 If surrogate training fails in an epoch (for example, too few viable
 records), the epoch falls back to plain NSGA-II variation on the best
-true-evaluated parents and the event is logged.
+true-evaluated parents and the event is logged. Every failed evaluation is
+logged too, with its epoch, candidate index and error.
+
+`replay` rebuilds the history and archive epoch by epoch from an evaluation
+log alone; `recompute_metrics` and `surmoo report` are built on it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,58 +50,56 @@ from .sampling import get_sampler
 
 logger = logging.getLogger("surmoo")
 
-__all__ = ["RunConfig", "RunResult", "run", "select_surrogate_mode", "recompute_archive"]
+__all__ = [
+    "RunConfig",
+    "SensitivityConfig",
+    "RunResult",
+    "run",
+    "select_surrogate_mode",
+    "replay",
+    "recompute_metrics",
+]
 
 DYNAMIC_SUB_BLOCKS = 4
 MIN_CONSTRAINT_PATTERNS = 3
 
 
 @dataclass
+class SensitivityConfig:
+    enabled: bool = False
+    inverted: bool = False
+
+
+@dataclass
 class RunConfig:
+    """One run. The YAML config file has exactly this layout: each field is a
+    key, and each dataclass-valued field is a section (see `runio`)."""
+
     problem: str
     problem_params: dict = field(default_factory=dict)
     seed: int = 0
     epochs: int = 25
     stop: str | None = None
-    population_size: int = 100
-    evals_per_epoch: int | None = None
+    population_size: int = 100  # candidates evaluated per epoch
     generations: int = 10
     initial_samples: int = 100
     sampler: str = "slhc"
     workers: int = 1
-    optimizer: str = "nsga2"
-    optimizer_params: dict = field(default_factory=dict)
-    surrogate_enabled: bool = True
-    surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
-    feasolve_enabled: bool = False
-    feasolve: fs.FeasolveConfig = field(default_factory=fs.FeasolveConfig)
-    trace_samples: int = 0
-    sensitivity_enabled: bool = False
-    sensitivity_inverted: bool = False
     dynamic_sampling: bool = False
     export_traces: bool = False
     save_surrogates: bool = False
+    surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
+    feasolve: fs.FeasolveConfig = field(default_factory=fs.FeasolveConfig)
+    sensitivity: SensitivityConfig = field(default_factory=SensitivityConfig)
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
-        if self.evals_per_epoch is None:
-            self.evals_per_epoch = self.population_size
-        elif self.evals_per_epoch != self.population_size:
-            raise ValueError(
-                "evals_per_epoch must equal population_size: the loop "
-                "evaluates the final population"
-            )
-        if self.optimizer != "nsga2":
-            raise ValueError("only the nsga2 optimizer is implemented")
-        unknown = set(self.optimizer_params) - {"resampling_fraction"}
-        if unknown:
-            raise ValueError(f"unknown optimizer_params: {sorted(unknown)}")
-        if self.trace_samples < 0:
-            raise ValueError("trace_samples must be non-negative")
-        if self.trace_samples > self.population_size // 2:
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+        if self.feasolve.trace_samples > self.population_size // 2:
             raise ValueError(
                 "trace_samples cannot exceed the explorer half of the population"
             )
@@ -143,40 +145,42 @@ def select_surrogate_mode(history: RunHistory, configured: str) -> str:
     return configured
 
 
-def recompute_archive(history: RunHistory) -> ParetoArchive:
-    return ParetoArchive.from_records(history.records)
+def replay(records):
+    """Rebuild a run's history and archive from its evaluation log.
+
+    Yields ``(epoch, history, archive)`` for every epoch from 0 to the last
+    one in the log, after that epoch's records were appended and inserted in
+    log order, as the engine did; an epoch without records yields the state
+    unchanged. The same two objects grow from one step to the next.
+    """
+    by_epoch: dict[int, list] = {}
+    for rec in records:
+        by_epoch.setdefault(rec.epoch, []).append(rec)
+    history = RunHistory()
+    archive = ParetoArchive()
+    for epoch in range(max(by_epoch, default=-1) + 1):
+        for rec in by_epoch.get(epoch, []):
+            history.append(rec)
+            archive.insert(rec)
+        yield epoch, history, archive
 
 
 def recompute_metrics(records) -> list[dict]:
     """Replay the derivable metric columns from an evaluation log alone.
 
     Reproduces epoch, cumulative_evals, hv_norm, and feasible_count exactly
-    as the engine recorded them: the archive grows record by record and each
-    epoch's hypervolume is normalized by the nadir of the feasible history
-    seen so far.
+    as the engine recorded them: each epoch's hypervolume is normalized by
+    the nadir of the feasible history seen so far.
     """
-    if not records:
-        return []
-    last_epoch = max(r.epoch for r in records)
-    by_epoch: dict[int, list] = {}
-    for rec in records:
-        by_epoch.setdefault(rec.epoch, []).append(rec)
-    history = RunHistory()
-    archive = ParetoArchive()
-    rows = []
-    for epoch in range(last_epoch + 1):
-        for rec in by_epoch.get(epoch, []):
-            history.append(rec)
-            archive.insert(rec)
-        rows.append(
-            {
-                "epoch": epoch,
-                "cumulative_evals": len(history),
-                "hv_norm": _archive_hv(archive, history),
-                "feasible_count": len(history.feasible_records()),
-            }
-        )
-    return rows
+    return [
+        {
+            "epoch": epoch,
+            "cumulative_evals": len(history),
+            "hv_norm": _archive_hv(archive, history),
+            "feasible_count": len(history.feasible_records()),
+        }
+        for epoch, history, archive in replay(records)
+    ]
 
 
 def _history_context(history: RunHistory):
@@ -272,6 +276,13 @@ def _evaluate_and_log(
     results = evaluate_batch(problem, Population(params), workers=workers, batch_id=epoch)
     records = []
     for result, provenance in zip(results, provenances):
+        if result.error is not None:
+            logger.warning(
+                "epoch %d: evaluation of candidate %d failed: %s",
+                epoch,
+                result.index,
+                result.error,
+            )
         rec = EvaluationRecord(
             params=params[result.index],
             objectives=result.objectives,
@@ -328,16 +339,15 @@ def run(config: RunConfig) -> RunResult:
     )
     prev_front = archive.objectives() if len(archive) else None
 
-    n_e = config.evals_per_epoch
     sub_blocks = DYNAMIC_SUB_BLOCKS if config.dynamic_sampling else 1
-    n_sub = n_e // sub_blocks
+    n_sub = config.population_size // sub_blocks
 
     for epoch in range(1, config.epochs + 1):
         epoch_start = time.perf_counter()
         epoch_stream = root.child(f"epoch{epoch}")
         mode = (
             select_surrogate_mode(history, config.surrogate.mode)
-            if config.surrogate_enabled
+            if config.surrogate.enabled
             else "none"
         )
         feasolve_steps = 0
@@ -348,7 +358,7 @@ def run(config: RunConfig) -> RunResult:
             sub_stream = epoch_stream.child(f"sub{sub}")
             model = None
             if mode != "none":
-                cfg = SurrogateConfig(**{**_config_dict(config.surrogate), "mode": mode})
+                cfg = replace(config.surrogate, mode=mode)
                 records = history.viable_records()
                 try:
                     model, schedule = train_surrogate(
@@ -375,11 +385,11 @@ def run(config: RunConfig) -> RunResult:
                     )
 
             indices = moea.DistributionIndices.default(space.dim)
-            if model is not None and config.sensitivity_enabled and model.has_objective_head:
+            if model is not None and config.sensitivity.enabled and model.has_objective_head:
                 train_x = np.array([r.params for r in history.viable_records()])
                 sens = compute_elasticities(model, train_x)
                 indices = indices_from_sensitivity(sens)
-                if config.sensitivity_inverted:
+                if config.sensitivity.inverted:
                     indices = invert_indices(indices)
                 result.sensitivity.append(
                     SensitivitySnapshot(epoch, sens.s_bar, indices.eta_cross.copy())
@@ -410,7 +420,7 @@ def run(config: RunConfig) -> RunResult:
                 )
                 candidates = pop.members
                 provenances = [Provenance.MOEA] * n_sub
-                if config.feasolve_enabled:
+                if config.feasolve.enabled:
                     candidates, provenances, steps = _feasolve_stage(
                         candidates, model, config, predictor, history, epoch, result
                     )
@@ -440,10 +450,6 @@ def run(config: RunConfig) -> RunResult:
     return result
 
 
-def _config_dict(cfg: SurrogateConfig) -> dict:
-    return asdict(cfg)
-
-
 def _feasolve_stage(candidates, model, config, predictor, history, epoch, result):
     """Rank the generated population, preserve the elite half, and refine
     the rest by descent; optionally swap the lowest-ranked explorers for
@@ -456,7 +462,7 @@ def _feasolve_stage(candidates, model, config, predictor, history, epoch, result
             model.config.mode,
         )
         return candidates, [Provenance.MOEA] * candidates.shape[0], 0
-    fs_cfg = fs.FeasolveConfig(**{**_feasolve_dict(config.feasolve), "targets": targets})
+    fs_cfg = replace(config.feasolve, targets=targets)
     objs, probs = model.predict(candidates)
     if objs is None:
         objs = np.zeros((candidates.shape[0], 1))
@@ -483,7 +489,7 @@ def _feasolve_stage(candidates, model, config, predictor, history, epoch, result
         Provenance.FEASOLVE
     ] * explore_out.shape[0]
     batch = np.vstack([elite, explore_out])
-    n_trace = min(config.trace_samples, explore_out.shape[0])
+    n_trace = min(config.feasolve.trace_samples, explore_out.shape[0])
     if n_trace > 0 and len(trace):
         picks = fs.trace_diversity_filter(trace, n_trace)
         if picks.shape[0] == n_trace:
@@ -503,10 +509,6 @@ def _usable_targets(targets, model: JointSurrogate):
             continue
         usable.append(t)
     return tuple(usable)
-
-
-def _feasolve_dict(cfg: fs.FeasolveConfig) -> dict:
-    return asdict(cfg)
 
 
 def _epoch_nrmse(pairs) -> float:

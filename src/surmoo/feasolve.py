@@ -42,6 +42,7 @@ TARGETS = ("objective", "constraint", "distance", "zero")
 
 @dataclass
 class FeasolveConfig:
+    enabled: bool = False  # read by the engine, like trace_samples
     targets: tuple[str, ...] = ("objective", "constraint")
     max_iters: int = 1000
     learning_rate: float = 0.001
@@ -50,8 +51,11 @@ class FeasolveConfig:
     reference_factor: float = 1.1
     focal_gamma: float = 2.0
     focal_alpha: float = 0.25
+    trace_samples: int = 0  # explorers replaced by trace re-anchoring points
 
     def __post_init__(self):
+        if self.trace_samples < 0:
+            raise ValueError("trace_samples must be non-negative")
         self.targets = tuple(self.targets)
         if not self.targets:
             raise ValueError("at least one descent target is required")

@@ -1,18 +1,26 @@
 """Run configuration files and run-directory persistence.
 
-Configs are YAML with a strict schema: unknown keys are rejected with the
-offending line and a close-match suggestion. Results are written as
-newline-delimited JSON records (one evaluation per line; NaN objectives are
-serialized as null for language neutrality) plus a per-epoch metrics CSV.
-Floats serialize via their shortest round-trip decimal representation, so
-re-parsing a log reproduces the values bit-exactly.
+Configs are YAML laid out as the `RunConfig` dataclass tree: a key per
+field, a section per dataclass-valued field (`surrogate`, `feasolve`,
+`sensitivity`), and `problem_params` a free mapping checked by the problem.
+The key check, the parser and the snapshot dumper are all derived from
+`dataclasses.fields`, so no other code repeats the layout. Unknown keys are
+rejected with the offending line and a close-match suggestion, and so is a
+value that does not convert to its field's type, with its dotted key.
+
+Results are written as newline-delimited JSON records (one evaluation per
+line; NaN objectives are serialized as null for language neutrality) plus a
+per-epoch metrics CSV. Floats serialize via their shortest round-trip
+decimal representation, so re-parsing a log reproduces the values
+bit-exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import json
-from dataclasses import asdict
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +28,12 @@ import yaml
 
 from .core import EvaluationRecord, EpochMetrics
 from .engine import RunConfig, RunResult
-from .feasolve import FeasolveConfig
-from .surrogate import SurrogateConfig, save_checkpoint
+from .surrogate import save_checkpoint
 
 __all__ = [
     "ConfigError",
     "load_config",
+    "build_run_config",
     "config_to_dict",
     "write_run_directory",
     "read_evaluations",
@@ -51,54 +59,6 @@ METRICS_COLUMNS = (
     "feasolve_steps",
     "wall_seconds",
 )
-
-# schema: key -> None for a leaf, or a nested dict for a section
-CONFIG_SCHEMA: dict = {
-    "problem": None,
-    "problem_params": "free",  # validated by the problem factory
-    "seed": None,
-    "epochs": None,
-    "stop": None,
-    "population_size": None,
-    "evals_per_epoch": None,
-    "generations": None,
-    "initial_samples": None,
-    "sampler": None,
-    "workers": None,
-    "optimizer": None,
-    "optimizer_params": {"resampling_fraction": None},
-    "dynamic_sampling": None,
-    "export_traces": None,
-    "save_surrogates": None,
-    "surrogate": {
-        "enabled": None,
-        "mode": None,
-        "blocks": None,
-        "block_dim": None,
-        "hidden_multiplier": None,
-        "dropout": None,
-        "learning_rate": None,
-        "batch_size": None,
-        "folds": None,
-        "activation": None,
-        "objective_loss": None,
-        "outlier_threshold": None,
-        "exclude_infeasible": None,
-    },
-    "feasolve": {
-        "enabled": None,
-        "targets": None,
-        "max_iters": None,
-        "learning_rate": None,
-        "plateau_window": None,
-        "plateau_ratio": None,
-        "reference_factor": None,
-        "focal_gamma": None,
-        "focal_alpha": None,
-        "trace_samples": None,
-    },
-    "sensitivity": {"enabled": None, "inverted": None},
-}
 
 
 class ConfigError(ValueError):
@@ -127,24 +87,6 @@ def _key_lines(text: str) -> dict[str, int]:
     return lines
 
 
-def _check_keys(data: dict, schema: dict, lines: dict[str, int], prefix: str = ""):
-    for key, value in data.items():
-        path = f"{prefix}.{key}" if prefix else str(key)
-        if key not in schema:
-            line = lines.get(path)
-            where = f" at line {line}" if line else ""
-            suggestion = difflib.get_close_matches(str(key), list(schema), n=1)
-            hint = f"; did you mean {suggestion[0]!r}?" if suggestion else ""
-            raise ConfigError(f"unknown config key {path!r}{where}{hint}")
-        sub = schema[key]
-        if isinstance(sub, dict):
-            if value is None:
-                continue
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {path!r} must be a mapping")
-            _check_keys(value, sub, lines, path)
-
-
 def load_config(path) -> RunConfig:
     """Parse and validate a YAML run configuration."""
     text = Path(path).read_text()
@@ -156,75 +98,79 @@ def load_config(path) -> RunConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    _check_keys(data, CONFIG_SCHEMA, _key_lines(text))
-    return build_run_config(data)
+    return build_run_config(data, _key_lines(text))
 
 
-def build_run_config(data: dict) -> RunConfig:
-    if "problem" not in data:
-        raise ConfigError("config must name a problem")
-    surrogate_section = dict(data.get("surrogate") or {})
-    surrogate_enabled = bool(surrogate_section.pop("enabled", True))
-    if "dropout" in surrogate_section:
-        surrogate_section["dropout"] = tuple(surrogate_section["dropout"])
-    feasolve_section = dict(data.get("feasolve") or {})
-    feasolve_enabled = bool(feasolve_section.pop("enabled", False))
-    trace_samples = int(feasolve_section.pop("trace_samples", 0))
-    if "targets" in feasolve_section:
-        feasolve_section["targets"] = tuple(feasolve_section["targets"])
-    sensitivity_section = dict(data.get("sensitivity") or {})
+def build_run_config(data: dict, lines: dict[str, int] | None = None) -> RunConfig:
+    """Build a `RunConfig` from a parsed config mapping; ``lines`` maps dotted
+    key paths to line numbers for error messages."""
+    return _build(RunConfig, data, lines or {}, "")
 
+
+def _build(cls, data: dict, lines: dict[str, int], prefix: str):
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        path = f"{prefix}.{key}" if prefix else str(key)
+        if key not in fields:
+            suggestion = difflib.get_close_matches(str(key), list(fields), n=1)
+            hint = f"; did you mean {suggestion[0]!r}?" if suggestion else ""
+            raise ConfigError(f"unknown config key {_at(path, lines)}{hint}")
+        kwargs[key] = _field_value(fields[key], value, lines, path)
+    for name, f in fields.items():
+        if name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config must name a {name}")
     try:
-        return RunConfig(
-            problem=data["problem"],
-            problem_params=dict(data.get("problem_params") or {}),
-            seed=int(data.get("seed", 0)),
-            epochs=int(data.get("epochs", 25)),
-            stop=data.get("stop"),
-            population_size=int(data.get("population_size", 100)),
-            evals_per_epoch=(
-                int(data["evals_per_epoch"])
-                if data.get("evals_per_epoch") is not None
-                else None
-            ),
-            generations=int(data.get("generations", 10)),
-            initial_samples=int(data.get("initial_samples", 100)),
-            sampler=data.get("sampler", "slhc"),
-            workers=int(data.get("workers", 1)),
-            optimizer=data.get("optimizer", "nsga2"),
-            optimizer_params=dict(data.get("optimizer_params") or {}),
-            surrogate_enabled=surrogate_enabled,
-            surrogate=SurrogateConfig(**surrogate_section),
-            feasolve_enabled=feasolve_enabled,
-            feasolve=FeasolveConfig(**feasolve_section),
-            trace_samples=trace_samples,
-            sensitivity_enabled=bool(sensitivity_section.get("enabled", False)),
-            sensitivity_inverted=bool(sensitivity_section.get("inverted", False)),
-            dynamic_sampling=bool(data.get("dynamic_sampling", False)),
-            export_traces=bool(data.get("export_traces", False)),
-            save_surrogates=bool(data.get("save_surrogates", False)),
-        )
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{prefix}: {exc}" if prefix else str(exc)) from None
+
+
+def _field_value(f: dataclasses.Field, value, lines: dict[str, int], path: str):
+    """``value`` converted to the type of the field's default: a section is
+    built recursively, a mapping (``problem_params``, checked by the problem
+    factory) is copied, a list becomes a tuple, and a scalar goes through
+    ``int`` or ``float``; a boolean must be written as one."""
+    default = f.default if f.default_factory is MISSING else f.default_factory()
+    if dataclasses.is_dataclass(default) or isinstance(default, dict):
+        value = {} if value is None else value
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {_at(path, lines)} must be a mapping")
+        if isinstance(default, dict):
+            return dict(value)
+        return _build(type(default), value, lines, path)
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"config key {_at(path, lines)} must be a list")
+        return tuple(value)
+    kind = type(default)
+    if kind not in (bool, int, float):
+        return value
+    try:
+        if kind is bool and not isinstance(value, bool):
+            raise ValueError  # bool("flase") would be True
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"config key {_at(path, lines)} must be of type {kind.__name__}, "
+            f"not {value!r}"
+        ) from None
+
+
+def _at(path: str, lines: dict[str, int]) -> str:
+    line = lines.get(path)
+    return f"{path!r} at line {line}" if line else repr(path)
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    """Resolved configuration snapshot, YAML-serializable."""
-    data = asdict(config)
-    surrogate = data.pop("surrogate")
-    surrogate["dropout"] = list(surrogate["dropout"])
-    surrogate["enabled"] = data.pop("surrogate_enabled")
-    feasolve = data.pop("feasolve")
-    feasolve["targets"] = list(feasolve["targets"])
-    feasolve["enabled"] = data.pop("feasolve_enabled")
-    feasolve["trace_samples"] = data.pop("trace_samples")
-    data["surrogate"] = surrogate
-    data["feasolve"] = feasolve
-    data["sensitivity"] = {
-        "enabled": data.pop("sensitivity_enabled"),
-        "inverted": data.pop("sensitivity_inverted"),
-    }
-    return data
+    """Resolved configuration snapshot, YAML-serializable: the dataclass
+    tree, with tuples written as lists."""
+    return dataclasses.asdict(
+        config,
+        dict_factory=lambda items: {
+            k: list(v) if isinstance(v, tuple) else v for k, v in items
+        },
+    )
 
 
 # ----------------------------------------------------------------------

@@ -48,6 +48,7 @@ OBJECTIVE_LOSSES = ("mse", "huber", "log_cosh", "weighted_log_cosh", "distance_m
 
 @dataclass
 class SurrogateConfig:
+    enabled: bool = True  # read by the engine; False runs plain NSGA-II epochs
     mode: str = "c+o"
     blocks: int = 2
     block_dim: int = 192
@@ -71,6 +72,8 @@ class SurrogateConfig:
         if self.objective_loss not in OBJECTIVE_LOSSES:
             raise ValueError(f"objective_loss must be one of {OBJECTIVE_LOSSES}")
         self.dropout = tuple(float(p) for p in self.dropout)
+        if self.outlier_threshold is not None:
+            self.outlier_threshold = float(self.outlier_threshold)
 
     @property
     def hidden_dim(self) -> int:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,12 @@ import surmoo
 from surmoo.cli import cmd_bench, cmd_report, cmd_run, main
 from surmoo.core import EvaluationRecord, ParetoArchive, RunHistory
 from surmoo.core import EpochMetrics
-from surmoo.engine import RunConfig, RunResult
+from surmoo.engine import RunConfig, RunResult, run
 from surmoo.problems import get_problem
 from surmoo.runio import (
     ConfigError,
     build_run_config,
+    config_to_dict,
     load_config,
     read_evaluations,
     read_metrics,
@@ -81,14 +83,14 @@ class TestConfigLoading:
         assert config.surrogate.mode == "o"
 
     def test_unknown_key_suggests_closest(self, tmp_path):
-        text = MINIMAL_CONFIG + "optimiser: nsga2\n"
-        with pytest.raises(ConfigError, match="did you mean 'optimizer'"):
+        text = MINIMAL_CONFIG + "generatons: 3\n"
+        with pytest.raises(ConfigError, match="did you mean 'generations'"):
             load_config(write_config(tmp_path, text))
 
     def test_unknown_key_reports_line(self, tmp_path):
-        text = MINIMAL_CONFIG + "optimiser: nsga2\n"
+        text = MINIMAL_CONFIG + "generatons: 3\n"
         lines = text.splitlines()
-        lineno = next(i + 1 for i, l in enumerate(lines) if l.startswith("optimiser"))
+        lineno = next(i + 1 for i, l in enumerate(lines) if l.startswith("generatons"))
         with pytest.raises(ConfigError, match=f"line {lineno}"):
             load_config(write_config(tmp_path, text))
 
@@ -101,11 +103,6 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="must name a problem"):
             load_config(write_config(tmp_path, "epochs: 3\n"))
 
-    def test_optimizer_params_accepts_resampling_fraction(self, tmp_path):
-        text = MINIMAL_CONFIG + "optimizer_params: {resampling_fraction: 0.1}\n"
-        config = load_config(write_config(tmp_path, text))
-        assert config.optimizer_params == {"resampling_fraction": 0.1}
-
     def test_bad_stop_expression_rejected_at_load(self, tmp_path):
         text = MINIMAL_CONFIG + "stop: 'bogus > 1'\n"
         with pytest.raises(ConfigError, match="unknown name"):
@@ -116,9 +113,41 @@ class TestConfigLoading:
             "feasolve:\n  enabled: true\n  targets: [constraint]\n  trace_samples: 2\n"
         )
         config = load_config(write_config(tmp_path, text))
-        assert config.feasolve_enabled
+        assert config.feasolve.enabled
         assert config.feasolve.targets == ("constraint",)
-        assert config.trace_samples == 2
+        assert config.feasolve.trace_samples == 2
+
+    def test_exponent_floats_load_as_floats(self, tmp_path):
+        # YAML 1.1 reads 1e-3 (no dot) as a string; every section converts it
+        text = MINIMAL_CONFIG.replace("epochs: 2", "epochs: 1") + (
+            "  learning_rate: 1e-3\n  outlier_threshold: 1e+1\n"
+            "feasolve:\n  learning_rate: 1e-3\n"
+        )
+        config = load_config(write_config(tmp_path, text))
+        assert config.surrogate.learning_rate == 0.001
+        assert config.surrogate.outlier_threshold == 10.0
+        assert config.feasolve.learning_rate == 0.001
+        assert run(config).history.epoch_metrics[1].mode == "o"
+
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("epochs: 2", "epochs: abc", "'epochs' at line 4 must be of type int, not 'abc'"),
+            ("  blocks: 1", "  blocks: abc", "'surrogate.blocks' at line 10 must be of type int"),
+            ("surrogate:\n", "sensitivity: [1]\nsurrogate:\n", "'sensitivity' at line 8 must be a mapping"),
+            ("  mode: o", "  mode: o\n  dropout: 0.1", "'surrogate.dropout' at line 10 must be a list"),
+            ("  mode: o", "  mode: o\n  enabled: flase", "'surrogate.enabled' at line 10 must be of type bool"),
+        ],
+    )
+    def test_bad_value_names_its_dotted_key(self, tmp_path, old, new, match):
+        text = MINIMAL_CONFIG.replace(old, new)
+        with pytest.raises(ConfigError, match=match):
+            load_config(write_config(tmp_path, text))
+
+    def test_section_check_names_its_section(self, tmp_path):
+        text = MINIMAL_CONFIG + "feasolve:\n  trace_samples: -1\n"
+        with pytest.raises(ConfigError, match="^feasolve: trace_samples must be non-negative"):
+            load_config(write_config(tmp_path, text))
 
 
 class TestCmdRun:
@@ -152,10 +181,34 @@ class TestCmdRun:
         assert snapshot["seed"] == 99
 
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
-        bad = write_config(tmp_path, MINIMAL_CONFIG + "optimiser: x\n")
+        bad = write_config(tmp_path, MINIMAL_CONFIG + "generatons: 3\n")
         status = cmd_run(str(bad), None, str(tmp_path / "out"))
         assert status == 2
         assert "did you mean" in capsys.readouterr().err
+
+    def test_zero_workers_is_a_config_error(self, tmp_path, capsys):
+        bad = write_config(tmp_path, MINIMAL_CONFIG + "workers: 0\n")
+        status = cmd_run(str(bad), None, str(tmp_path / "out"))
+        assert status == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_written_config_loads_back_to_the_run_config(self, tmp_path):
+        path = write_config(tmp_path)
+        assert cmd_run(str(path), 5, str(tmp_path / "out")) == 0
+        ran = replace(load_config(path), seed=5)
+        assert load_config(tmp_path / "out" / "config.yaml") == ran
+
+    def test_run_failure_logs_traceback_at_debug(self, tmp_path, capsys, caplog):
+        bad = write_config(tmp_path, MINIMAL_CONFIG.replace("{n: 2}", "{bogus: 2}"))
+        with caplog.at_level("DEBUG", logger="surmoo"):
+            status = cmd_run(str(bad), None, str(tmp_path / "out"))
+        assert status == 1
+        assert "error: run failed:" in capsys.readouterr().err
+        failures = [r for r in caplog.records if r.getMessage() == "run failed"]
+        assert len(failures) == 1
+        assert failures[0].levelname == "DEBUG"
+        assert failures[0].exc_info[0] is TypeError
 
 
 class TestLogs:
@@ -296,11 +349,11 @@ class TestBuildRunConfig:
         assert config.population_size == 100
         assert config.sampler == "slhc"
         assert config.surrogate.mode == "c+o"
-        assert not config.feasolve_enabled
+        assert config.surrogate.enabled
+        assert not config.feasolve.enabled
+        assert not config.sensitivity.enabled
 
     def test_snapshot_round_trips(self, tmp_path):
-        from surmoo.runio import config_to_dict
-
         config = build_run_config(
             {
                 "problem": "thin_band",
@@ -312,3 +365,71 @@ class TestBuildRunConfig:
         snapshot = config_to_dict(config)
         rebuilt = build_run_config(snapshot)
         assert rebuilt == config
+
+        defaults = _leaves(config_to_dict(RunConfig("bnh")))
+        every = _leaves(EVERY_KEY)
+        assert every.keys() == defaults.keys()
+        assert all(every[k] != defaults[k] for k in every)
+        full = build_run_config(EVERY_KEY)
+        assert config_to_dict(full) == EVERY_KEY
+        path = tmp_path / "every.yaml"
+        path.write_text(yaml.safe_dump(config_to_dict(full), sort_keys=False))
+        assert load_config(path) == full
+
+
+# a value for every settable key, none of them the default
+EVERY_KEY = {
+    "problem": "thin_band",
+    "problem_params": {"n": 6},
+    "seed": 7,
+    "epochs": 3,
+    "stop": "iteration > 2",
+    "population_size": 12,
+    "generations": 4,
+    "initial_samples": 20,
+    "sampler": "sobol",
+    "workers": 2,
+    "dynamic_sampling": True,
+    "export_traces": True,
+    "save_surrogates": True,
+    "surrogate": {
+        "enabled": False,
+        "mode": "c",
+        "blocks": 3,
+        "block_dim": 16,
+        "hidden_multiplier": 1.5,
+        "dropout": [0.1, 0.05],
+        "learning_rate": 0.0005,
+        "batch_size": 64,
+        "folds": 4,
+        "activation": "relu",
+        "objective_loss": "huber",
+        "outlier_threshold": 3.0,
+        "exclude_infeasible": True,
+    },
+    "feasolve": {
+        "enabled": True,
+        "targets": ["constraint", "distance"],
+        "max_iters": 50,
+        "learning_rate": 0.01,
+        "plateau_window": 10,
+        "plateau_ratio": 0.05,
+        "reference_factor": 1.2,
+        "focal_gamma": 1.5,
+        "focal_alpha": 0.5,
+        "trace_samples": 3,
+    },
+    "sensitivity": {"enabled": True, "inverted": True},
+}
+
+
+def _leaves(tree: dict, prefix: str = "") -> dict:
+    """Dotted key path -> value; ``problem_params`` counts as one value."""
+    out = {}
+    for key, value in tree.items():
+        path = f"{prefix}{key}"
+        if isinstance(value, dict) and key != "problem_params":
+            out.update(_leaves(value, path + "."))
+        else:
+            out[path] = value
+    return out

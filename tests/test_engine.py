@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from surmoo import engine
 from surmoo.core import EvaluationRecord, RunHistory
 from surmoo.engine import (
     RunConfig,
-    recompute_archive,
+    SensitivityConfig,
     recompute_metrics,
+    replay,
     run,
     select_surrogate_mode,
 )
 from surmoo.feasolve import FeasolveConfig
+from surmoo.problems import get_problem
 from surmoo.surrogate import SurrogateConfig
 from surmoo.surrogate import train as train_surrogate
 
@@ -63,16 +66,23 @@ class TestBudget:
             problem_params={},
             epochs=2,
             surrogate=SurrogateConfig(mode="c+o", **TINY_SURROGATE),
-            feasolve_enabled=True,
-            feasolve=FeasolveConfig(targets=("objective",), max_iters=30),
-            trace_samples=2,
+            feasolve=FeasolveConfig(
+                enabled=True, targets=("objective",), max_iters=30, trace_samples=2
+            ),
         )
         result = run(config)
         assert len(result.history) == 16 + 2 * 10
 
-    def test_mismatched_evals_per_epoch_rejected(self):
-        with pytest.raises(ValueError, match="must equal population_size"):
-            RunConfig(problem="bnh", population_size=10, evals_per_epoch=20)
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            RunConfig(problem="bnh", workers=0)
+
+    def test_trace_samples_bounds_checked(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            FeasolveConfig(trace_samples=-1)
+        with pytest.raises(ValueError, match="explorer half"):
+            RunConfig(problem="bnh", population_size=10,
+                      feasolve=FeasolveConfig(trace_samples=6))
 
 
 class TestDeterminism:
@@ -109,7 +119,7 @@ class TestArchiveAndMetrics:
 
     def test_incremental_archive_matches_recompute(self):
         result = run(small_config(epochs=3))
-        recomputed = recompute_archive(result.history)
+        *_, (_, _, recomputed) = replay(result.history.records)
         got = sorted(map(tuple, result.archive.objectives()))
         expected = sorted(map(tuple, recomputed.objectives()))
         assert got == expected
@@ -132,7 +142,7 @@ class TestArchiveAndMetrics:
             return real(front, context)
 
         monkeypatch.setattr(engine, "normalized_hypervolume", slow)
-        result = run(small_config(epochs=2, surrogate_enabled=False))
+        result = run(small_config(epochs=2, surrogate=SurrogateConfig(enabled=False)))
         walls = [m.wall_seconds for m in result.history.epoch_metrics]
         assert len(walls) == 3
         assert all(w >= delay for w in walls)
@@ -193,6 +203,32 @@ class TestFallback:
         # once enough data accumulated, the surrogate trains again
         assert result.history.epoch_metrics[2].mode == "o"
 
+    def test_each_failed_evaluation_is_logged(self, caplog, monkeypatch):
+        def broken_problem(name, **params):
+            def evaluate(x):
+                raise RuntimeError("simulator diverged")
+
+            return replace(get_problem(name, **params), evaluate=evaluate)
+
+        monkeypatch.setattr(engine, "get_problem", broken_problem)
+        config = small_config(
+            initial_samples=2, population_size=4, epochs=1,
+            surrogate=SurrogateConfig(enabled=False),
+        )
+        with caplog.at_level("WARNING", logger="surmoo"):
+            result = run(config)
+        assert len(result.history) == 2 + 4
+        assert all(np.all(np.isnan(r.objectives)) for r in result.history.records)
+        failures = [
+            (r.levelname, r.getMessage()) for r in caplog.records if "failed:" in r.getMessage()
+        ]
+        assert failures == [
+            ("WARNING", f"epoch {epoch}: evaluation of candidate {i} failed: "
+                        "RuntimeError: simulator diverged")
+            for epoch, n in ((0, 2), (1, 4))
+            for i in range(n)
+        ]
+
     def test_each_fit_logs_its_training_schedule(self, caplog, monkeypatch):
         fits = []
 
@@ -220,7 +256,7 @@ class TestFallback:
             assert line.endswith(f"final epochs {schedule.final_epochs}")
 
     def test_surrogate_disabled_runs_plain_loop(self):
-        result = run(small_config(surrogate_enabled=False, epochs=3))
+        result = run(small_config(surrogate=SurrogateConfig(enabled=False), epochs=3))
         assert len(result.history) == 16 + 3 * 10
         for m in result.history.epoch_metrics[1:]:
             assert m.mode == "none"
@@ -258,8 +294,9 @@ class TestFeasolveIntegration:
             initial_samples=12,
             generations=2,
             surrogate=SurrogateConfig(mode="c+o", **TINY_SURROGATE),
-            feasolve_enabled=True,
-            feasolve=FeasolveConfig(targets=("objective", "constraint"), max_iters=25),
+            feasolve=FeasolveConfig(
+                enabled=True, targets=("objective", "constraint"), max_iters=25
+            ),
         )
         base.update(overrides)
         return RunConfig(**base)
@@ -271,7 +308,10 @@ class TestFeasolveIntegration:
         assert any(m.feasolve_steps > 0 for m in result.history.epoch_metrics)
 
     def test_trace_records_appear_when_requested(self):
-        result = run(self._feasolve_config(trace_samples=2, export_traces=True))
+        feasolve = FeasolveConfig(
+            enabled=True, targets=("objective", "constraint"), max_iters=25, trace_samples=2
+        )
+        result = run(self._feasolve_config(feasolve=feasolve, export_traces=True))
         provenances = [r.provenance.value for r in result.history.records]
         assert provenances.count("trace") == 2 * 2  # two epochs, two picks
         assert result.traces
@@ -282,7 +322,7 @@ class TestFeasolveIntegration:
         # epoch 1 is comparable
         with_fs = run(self._feasolve_config(seed=21, epochs=1))
         without_fs = run(
-            self._feasolve_config(seed=21, epochs=1, feasolve_enabled=False)
+            self._feasolve_config(seed=21, epochs=1, feasolve=FeasolveConfig(enabled=False))
         )
         fs_elite = [
             r for r in with_fs.history.records
@@ -296,7 +336,7 @@ class TestFeasolveIntegration:
             assert tuple(rec.params) in plain_params
 
     def test_sensitivity_snapshots_recorded(self):
-        config = self._feasolve_config(sensitivity_enabled=True)
+        config = self._feasolve_config(sensitivity=SensitivityConfig(enabled=True))
         result = run(config)
         assert result.sensitivity
         assert result.sensitivity[0].s_bar.shape == (2,)
