@@ -41,12 +41,12 @@ from .core import (
 )
 from .evaluator import evaluate_batch
 from .metrics import normalized_hypervolume, nrmse, set_coverage, shared_normalization
-from .problems import ProblemDefinition, get_problem
+from .problems import ProblemDefinition, check_problem_params, get_problem
 from .sensitivity import compute_elasticities, indices_from_sensitivity, invert_indices
 from .stopping import StopExpression
 from .surrogate import JointSurrogate, SurrogateConfig
 from .surrogate import train as train_surrogate
-from .sampling import get_sampler
+from .sampling import check_design_size, get_sampler
 
 logger = logging.getLogger("surmoo")
 
@@ -110,6 +110,13 @@ class RunConfig:
             )
         if self.stop is not None:
             StopExpression(self.stop)  # fail at config time, not mid-run
+        try:
+            check_design_size(self.sampler, self.initial_samples)
+        except ValueError as exc:
+            raise ValueError(
+                f"sampler {self.sampler!r} with initial_samples {self.initial_samples}: {exc}"
+            ) from None
+        check_problem_params(self.problem, self.problem_params)
 
 
 @dataclass

@@ -83,8 +83,10 @@ def crowding_distance(front_objectives: np.ndarray) -> np.ndarray:
     """Crowding distance within one front.
 
     Boundary points get +inf per objective; interior points accumulate the
-    normalized gap between their neighbors. Objectives with zero range
-    contribute nothing.
+    normalized gap between their neighbors. The range is taken over the
+    finite values (padded members carry inf), a gap between equal values,
+    inf and inf included, is 0, and objectives with zero range contribute
+    nothing.
     """
     objs = np.atleast_2d(np.asarray(front_objectives, dtype=float))
     n, q = objs.shape
@@ -95,11 +97,14 @@ def crowding_distance(front_objectives: np.ndarray) -> np.ndarray:
         order = np.argsort(objs[:, j], kind="stable")
         dist[order[0]] = np.inf
         dist[order[-1]] = np.inf
-        span = objs[order[-1], j] - objs[order[0], j]
+        ranked = objs[order, j]
+        finite = ranked[np.isfinite(ranked)]
+        span = finite[-1] - finite[0] if finite.size else 0.0
         if span <= 0.0 or n <= 2:
             continue
-        gaps = (objs[order[2:], j] - objs[order[:-2], j]) / span
-        dist[order[1:-1]] += gaps
+        upper, lower = ranked[2:], ranked[:-2]
+        gaps = np.subtract(upper, lower, out=np.zeros(n - 2), where=upper != lower)
+        dist[order[1:-1]] += gaps / span
     return dist
 
 

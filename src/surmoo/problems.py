@@ -11,6 +11,7 @@ stored in the problem metadata.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +29,7 @@ __all__ = [
     "make_tnk",
     "make_constrained_suite",
     "get_problem",
+    "check_problem_params",
     "PROBLEM_REGISTRY",
 ]
 
@@ -244,11 +246,24 @@ PROBLEM_REGISTRY: dict[str, Callable[..., ProblemDefinition]] = {
 }
 
 
-def get_problem(name: str, **params) -> ProblemDefinition:
+def _factory(name: str) -> Callable[..., ProblemDefinition]:
     try:
-        factory = PROBLEM_REGISTRY[name]
+        return PROBLEM_REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown problem {name!r}; valid: {sorted(PROBLEM_REGISTRY)}"
         ) from None
-    return factory(**params)
+
+
+def get_problem(name: str, **params) -> ProblemDefinition:
+    return _factory(name)(**params)
+
+
+def check_problem_params(name: str, params: dict) -> None:
+    """Raise ``ValueError`` unless ``name`` is a registered problem whose
+    factory takes ``params`` as keyword arguments. Nothing is built: the
+    factory checks the values when a run builds the problem."""
+    try:
+        inspect.signature(_factory(name)).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"problem_params rejected by {name!r}: {exc}") from None

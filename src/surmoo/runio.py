@@ -130,7 +130,8 @@ def _field_value(f: dataclasses.Field, value, lines: dict[str, int], path: str):
     """``value`` converted to the type of the field's default: a section is
     built recursively, a mapping (``problem_params``, checked by the problem
     factory) is copied, a list becomes a tuple, and a scalar goes through
-    ``int`` or ``float``; a boolean must be written as one."""
+    ``int`` or ``float``; a boolean must be written as one, a number must
+    not be one, and an int field takes no fractional float."""
     default = f.default if f.default_factory is MISSING else f.default_factory()
     if dataclasses.is_dataclass(default) or isinstance(default, dict):
         value = {} if value is None else value
@@ -147,8 +148,11 @@ def _field_value(f: dataclasses.Field, value, lines: dict[str, int], path: str):
     if kind not in (bool, int, float):
         return value
     try:
-        if kind is bool and not isinstance(value, bool):
-            raise ValueError  # bool("flase") would be True
+        # bool("flase") would be True, int(True) 1 and int(2.5) 2
+        if (kind is bool) != isinstance(value, bool):
+            raise ValueError
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,6 +12,7 @@ import yaml
 
 import surmoo
 
+from surmoo import engine
 from surmoo.cli import cmd_bench, cmd_report, cmd_run, main
 from surmoo.core import EvaluationRecord, ParetoArchive, RunHistory
 from surmoo.core import EpochMetrics
@@ -68,7 +70,7 @@ def synthetic_run_dir(tmp_path, name, objective_rows, epochs=2):
             EpochMetrics(epoch, (epoch + 1) * len(objective_rows), 0.0, 0, float("nan"), "o", 0, 0.0)
         )
     config = RunConfig(problem="two_sphere", population_size=max(2, len(objective_rows)),
-                       initial_samples=len(objective_rows), epochs=epochs)
+                       initial_samples=len(objective_rows), sampler="mc", epochs=epochs)
     result = RunResult(config, get_problem("two_sphere"), history, ParetoArchive())
     out = tmp_path / name
     write_run_directory(result, out)
@@ -144,6 +146,28 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=match):
             load_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("epochs: 2", "epochs: 2.5", "'epochs' at line 4 must be of type int, not 2.5"),
+            ("population_size: 8", "population_size: 10.9",
+             "'population_size' at line 5 must be of type int, not 10.9"),
+            ("generations: 2", "generations: true",
+             "'generations' at line 7 must be of type int, not True"),
+            ("  blocks: 1", "  blocks: 1.5", "'surrogate.blocks' at line 10 must be of type int"),
+            ("  mode: o", "  mode: o\n  learning_rate: yes",
+             "'surrogate.learning_rate' at line 10 must be of type float, not True"),
+        ],
+    )
+    def test_number_is_not_truncated_or_taken_from_a_boolean(self, tmp_path, old, new, match):
+        text = MINIMAL_CONFIG.replace(old, new)
+        with pytest.raises(ConfigError, match=match):
+            load_config(write_config(tmp_path, text))
+
+    def test_integral_float_loads_as_int(self, tmp_path):
+        config = load_config(write_config(tmp_path, MINIMAL_CONFIG.replace("epochs: 2", "epochs: 2.0")))
+        assert config.epochs == 2 and type(config.epochs) is int
+
     def test_section_check_names_its_section(self, tmp_path):
         text = MINIMAL_CONFIG + "feasolve:\n  trace_samples: -1\n"
         with pytest.raises(ConfigError, match="^feasolve: trace_samples must be non-negative"):
@@ -199,16 +223,36 @@ class TestCmdRun:
         ran = replace(load_config(path), seed=5)
         assert load_config(tmp_path / "out" / "config.yaml") == ran
 
-    def test_run_failure_logs_traceback_at_debug(self, tmp_path, capsys, caplog):
-        bad = write_config(tmp_path, MINIMAL_CONFIG.replace("{n: 2}", "{bogus: 2}"))
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("initial_samples: 10", "initial_samples: 9",
+             "sampler 'slhc' with initial_samples 9: SLHC needs an even sample count"),
+            ("{n: 2}", "{bogus: 2}",
+             "problem_params rejected by 'two_sphere': .*unexpected keyword argument 'bogus'"),
+        ],
+    )
+    def test_unrunnable_config_is_a_config_error(self, tmp_path, capsys, old, new, match):
+        bad = write_config(tmp_path, MINIMAL_CONFIG.replace(old, new))
+        status = cmd_run(str(bad), None, str(tmp_path / "out"))
+        assert status == 2
+        assert re.search(match, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_run_failure_logs_traceback_at_debug(self, tmp_path, capsys, caplog, monkeypatch):
+        def diverge(config):
+            raise FloatingPointError("simulator diverged")
+
+        monkeypatch.setattr(engine, "run", diverge)
         with caplog.at_level("DEBUG", logger="surmoo"):
-            status = cmd_run(str(bad), None, str(tmp_path / "out"))
+            status = cmd_run(str(write_config(tmp_path)), None, str(tmp_path / "out"))
         assert status == 1
-        assert "error: run failed:" in capsys.readouterr().err
+        assert "error: run failed: simulator diverged" in capsys.readouterr().err
         failures = [r for r in caplog.records if r.getMessage() == "run failed"]
         assert len(failures) == 1
         assert failures[0].levelname == "DEBUG"
-        assert failures[0].exc_info[0] is TypeError
+        assert failures[0].exc_info[0] is FloatingPointError
+        assert not (tmp_path / "out").exists()
 
 
 class TestLogs:
@@ -219,7 +263,9 @@ class TestLogs:
             EvaluationRecord(values, np.array([np.nan, 0.1 + 0.2]), np.array([1], dtype=np.int8), 0, "init")
         )
         history.snapshot(EpochMetrics(0, 1, 0.1, 0, float("nan"), "-", 0, 0.0))
-        config = RunConfig(problem="two_sphere", population_size=2, initial_samples=1, epochs=1)
+        config = RunConfig(
+            problem="two_sphere", population_size=2, initial_samples=1, sampler="mc", epochs=1
+        )
         result = RunResult(config, get_problem("two_sphere"), history, ParetoArchive())
         out = write_run_directory(result, tmp_path / "run")
         back = read_evaluations(out)
@@ -315,7 +361,7 @@ SCIPY_PROBE = """\
 import json, sys
 from surmoo import cli
 if len(sys.argv) > 1:
-    cli.main(["report", sys.argv[1], "--metric", "all"])
+    assert cli.main(sys.argv[1:]) == 0
 print(json.dumps([m for m in ("scipy.stats", "scipy.special") if m in sys.modules]))
 """
 
@@ -332,14 +378,23 @@ def _scipy_modules_loaded(*argv) -> list[str]:
 
 
 class TestStartup:
-    # scipy.stats and scipy.special take over a second to import; only Sobol
-    # sampling and the sigmoid need them, so they load on first use
+    # scipy.special takes a third of a second to import and only the sigmoid
+    # needs it, so it loads on first use; scipy.stats (most of a second) is
+    # never loaded, since Sobol designs are drawn from a built-in table
     def test_import_leaves_scipy_unloaded(self):
         assert _scipy_modules_loaded() == []
 
     def test_report_leaves_scipy_unloaded(self, tmp_path):
         run_dir = synthetic_run_dir(tmp_path, "lazy", [[1.0, 2.0], [2.0, 1.0]])
-        assert _scipy_modules_loaded(run_dir) == []
+        assert _scipy_modules_loaded("report", run_dir, "--metric", "all") == []
+
+    def test_sobol_run_leaves_scipy_stats_unloaded(self, tmp_path):
+        config = write_config(tmp_path, MINIMAL_CONFIG + "sampler: sobol\n")
+        out = tmp_path / "out"
+        loaded = _scipy_modules_loaded("run", "--config", str(config), "--out", str(out))
+        assert "scipy.stats" not in loaded
+        assert load_config(out / "config.yaml").sampler == "sobol"
+        assert len(read_evaluations(out)) == 10 + 2 * 8
 
 
 class TestBuildRunConfig:

@@ -77,6 +77,23 @@ class TestBudget:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             RunConfig(problem="bnh", workers=0)
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"initial_samples": 15}, "sampler 'slhc' with initial_samples 15: .*use 16"),
+            ({"sampler": "halton"}, "unknown sampling scheme 'halton'"),
+            ({"problem_params": {"bogus": 2}}, "problem_params rejected by 'two_sphere'"),
+            ({"problem": "tnk", "problem_params": {"n": 3}}, "problem_params rejected by 'tnk'"),
+            ({"problem": "zdt1"}, "unknown problem 'zdt1'"),
+        ],
+    )
+    def test_unrunnable_design_or_problem_rejected(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            small_config(**overrides)
+
+    def test_odd_design_allowed_where_the_sampler_takes_it(self):
+        assert small_config(initial_samples=15, sampler="lhc").initial_samples == 15
+
     def test_trace_samples_bounds_checked(self):
         with pytest.raises(ValueError, match="non-negative"):
             FeasolveConfig(trace_samples=-1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,33 @@ class TestCrowding:
     def test_zero_range_contributes_nothing(self):
         dist = crowding_distance(np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]]))
         assert dist[1] == pytest.approx(1.0)  # only the varying objective counts
+
+    def test_infinite_objectives_give_no_nan(self):
+        # parents with no viable record are ranked with inf objectives
+        inf = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = crowding_distance(np.array([[1, 2], [inf, inf], [inf, inf], [0.5, 3]]))
+            assert np.array_equal(dist, [inf, inf, inf, inf])
+            dist = crowding_distance(
+                np.array([[1, 2], [inf, inf], [inf, inf], [inf, inf], [0.5, 3]])
+            )
+            assert np.array_equal(dist, [inf, inf, 0.0, inf, inf])
+            dist = crowding_distance(np.array([[inf, 1.0], [inf, 2.0], [inf, 3.0]]))
+            assert np.array_equal(dist, [inf, 1.0, inf])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_finite_objectives_match_the_plain_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        objs = rng.integers(0, 4, (12, 3)) * rng.random(3)  # ties on a grid
+        expected = np.zeros(len(objs))
+        for j in range(objs.shape[1]):
+            order = np.argsort(objs[:, j], kind="stable")
+            expected[order[[0, -1]]] = np.inf
+            span = objs[order[-1], j] - objs[order[0], j]
+            if span > 0.0:
+                expected[order[1:-1]] += (objs[order[2:], j] - objs[order[:-2], j]) / span
+        assert np.array_equal(crowding_distance(objs), expected)
 
 
 class TestTournament:

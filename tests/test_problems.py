@@ -3,6 +3,8 @@ import pytest
 
 from surmoo.core import is_feasible
 from surmoo.problems import (
+    PROBLEM_REGISTRY,
+    check_problem_params,
     get_problem,
     make_bnh,
     make_constrained_suite,
@@ -186,3 +188,14 @@ class TestRegistry:
 
     def test_params_forwarded(self):
         assert get_problem("thin_band", n=8).space.dim == 8
+
+    def test_param_check_builds_nothing(self, monkeypatch):
+        def factory(n: int = 2):
+            raise AssertionError("problem built by the parameter check")
+
+        monkeypatch.setitem(PROBLEM_REGISTRY, "probe", factory)
+        check_problem_params("probe", {"n": 3})
+        with pytest.raises(ValueError, match="problem_params rejected by 'probe'"):
+            check_problem_params("probe", {"m": 3})
+        with pytest.raises(ValueError, match="unknown problem 'nope'"):
+            check_problem_params("nope", {})

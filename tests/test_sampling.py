@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surmoo.core import ParameterSpace, RandomStream
-from surmoo.sampling import sample_lhc, sample_mc, sample_slhc, sample_sobol
+from surmoo.sampling import (
+    SOBOL_MAX_DIM,
+    check_design_size,
+    sample_lhc,
+    sample_mc,
+    sample_slhc,
+    sample_sobol,
+)
 
 
 def unit_space(n):
@@ -112,6 +119,41 @@ class TestSobol:
     def test_nonpow2_count(self):
         design = sample_sobol(unit_space(3), 5, RandomStream(0))
         assert design.points.shape == (5, 3)
+
+    @pytest.mark.parametrize("dim", range(1, SOBOL_MAX_DIM + 1))
+    def test_equals_scipy_unscrambled_sequence(self, dim):
+        from scipy.stats import qmc
+
+        for n in (1, 2, 3, 100, 128, 129, 1000, 4096):
+            design = sample_sobol(unit_space(dim), n, RandomStream(0))
+            m = (n - 1).bit_length()
+            expected = qmc.Sobol(dim, scramble=False).random_base2(m)[:n]
+            assert np.array_equal(design.points, expected), n
+
+    def test_count_above_2_to_30_rejected(self):
+        with pytest.raises(ValueError, match="at most 2\\*\\*30"):
+            sample_sobol(unit_space(2), 2**30 + 1, RandomStream(0))
+
+
+class TestCheckDesignSize:
+    @pytest.mark.parametrize(
+        "scheme, n_points, match",
+        [
+            ("slhc", 7, "use 8"),
+            ("slhc", 0, "at least 2"),
+            ("lhc", 0, "at least 1"),
+            ("mc", 0, "at least 1"),
+            ("sobol", 0, "at least 1"),
+            ("halton", 8, "unknown sampling scheme"),
+        ],
+    )
+    def test_rejects(self, scheme, n_points, match):
+        with pytest.raises(ValueError, match=match):
+            check_design_size(scheme, n_points)
+
+    @pytest.mark.parametrize("scheme, n_points", [("slhc", 2), ("lhc", 1), ("mc", 3), ("sobol", 2**30)])
+    def test_accepts(self, scheme, n_points):
+        check_design_size(scheme, n_points)
 
 
 @given(
