@@ -1,9 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Supports exactly the operations needed by the joint surrogate and its
-composite descent losses: dense affine maps, smooth activations, reductions,
-and numerically stable binary cross-entropy on logits. Arrays are float64
-throughout so gradients agree tightly with central finite differences.
+The program itself never records a tape: training, prediction, descent and
+sensitivity all run the surrogate's explicit passes. This module holds
+exactly the operations that the tape form of the surrogate
+(`JointSurrogate.forward`) and the training reference the explicit passes
+are tested against need: dense affine maps, smooth activations, layer
+normalization, reductions, and numerically stable binary cross-entropy on
+logits. Arrays are float64 throughout so gradients agree tightly with
+central finite differences.
 
 A Tensor whose ``requires_grad`` is False is treated as a constant: no
 backward closure is recorded for it, so inference-only graphs cost a plain
@@ -18,10 +22,7 @@ from .core import expit
 
 __all__ = [
     "Tensor",
-    "maximum",
     "bce_with_logits",
-    "prod_columns",
-    "take_column",
     "layer_norm",
 ]
 
@@ -72,19 +73,8 @@ class Tensor:
         else:
             self.grad = self.grad + grad
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Backpropagate from a scalar output."""
@@ -125,13 +115,6 @@ class Tensor:
 
         return self._make(out_data, (self, other), backward)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        def backward(g):
-            self._accumulate(-g)
-
-        return self._make(-self.data, (self,), backward)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -144,9 +127,6 @@ class Tensor:
                 other._accumulate(-g)
 
         return self._make(out_data, (self, other), backward)
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -161,31 +141,6 @@ class Tensor:
         return self._make(out_data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        out_data = self.data / other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g / other.data)
-            if other.requires_grad:
-                other._accumulate(-g * self.data / (other.data * other.data))
-
-        return self._make(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __pow__(self, exponent):
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
-
-        def backward(g):
-            self._accumulate(g * exponent * self.data ** (exponent - 1))
-
-        return self._make(out_data, (self,), backward)
 
     def __matmul__(self, other):
         other = self._lift(other)
@@ -211,41 +166,11 @@ class Tensor:
 
         return self._make(out_data, (self,), backward)
 
-    def log(self):
-        def backward(g):
-            self._accumulate(g / self.data)
-
-        return self._make(np.log(self.data), (self,), backward)
-
     def log1p(self):
         def backward(g):
             self._accumulate(g / (1.0 + self.data))
 
         return self._make(np.log1p(self.data), (self,), backward)
-
-    def expm1(self):
-        def backward(g):
-            self._accumulate(g * np.exp(self.data))
-
-        return self._make(np.expm1(self.data), (self,), backward)
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def backward(g):
-            # subgradient 0 at exactly zero avoids inf when points coincide
-            safe = np.where(out_data > 0.0, out_data, 1.0)
-            self._accumulate(g * np.where(out_data > 0.0, 0.5 / safe, 0.0))
-
-        return self._make(out_data, (self,), backward)
-
-    def sigmoid(self):
-        out_data = expit(self.data)
-
-        def backward(g):
-            self._accumulate(g * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (self,), backward)
 
     def softplus(self):
         out_data = np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data)))
@@ -290,47 +215,6 @@ class Tensor:
         count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis=None, keepdims: bool = False):
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            expanded = out_data
-            g_arr = np.asarray(g)
-            if axis is not None and not keepdims:
-                expanded = np.expand_dims(out_data, axis)
-                g_arr = np.expand_dims(g_arr, axis)
-            mask = self.data == expanded
-            counts = mask.sum(axis=axis, keepdims=True)
-            self._accumulate(np.broadcast_to(g_arr, self.data.shape) * mask / counts)
-
-        return self._make(out_data, (self,), backward)
-
-    def reshape(self, *shape):
-        original = self.data.shape
-
-        def backward(g):
-            self._accumulate(g.reshape(original))
-
-        return self._make(self.data.reshape(*shape), (self,), backward)
-
-
-def maximum(a, b) -> Tensor:
-    """Elementwise maximum; ties split the gradient equally."""
-    a = Tensor._lift(a)
-    b = Tensor._lift(b)
-    out_data = np.maximum(a.data, b.data)
-
-    def backward(g):
-        a_wins = a.data > b.data
-        ties = a.data == b.data
-        if a.requires_grad:
-            a._accumulate(g * (a_wins + 0.5 * ties))
-        if b.requires_grad:
-            b._accumulate(g * (~a_wins & ~ties) + g * 0.5 * ties)
-
-    return Tensor._make(out_data, (a, b), backward)
-
-
 def bce_with_logits(logits: Tensor, targets) -> Tensor:
     """Elementwise binary cross-entropy on logits, numerically stable.
 
@@ -345,28 +229,6 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
         logits._accumulate(g * (expit(z) - targets))
 
     return Tensor._make(out_data, (logits,), backward)
-
-
-def prod_columns(t: Tensor) -> Tensor:
-    """Product along the last axis of a 2-D tensor, built by folding
-    multiplications so gradients stay exact even with zero factors."""
-    if t.ndim != 2:
-        raise ValueError("prod_columns expects a 2-D tensor")
-    result = Tensor(np.ones(t.shape[0]))
-    for j in range(t.shape[1]):
-        result = result * take_column(t, j)
-    return result
-
-
-def take_column(t: Tensor, j: int) -> Tensor:
-    """View column j of a 2-D tensor as a 1-D tensor."""
-
-    def backward(g):
-        full = np.zeros_like(t.data)
-        full[:, j] = g
-        t._accumulate(full)
-
-    return Tensor._make(t.data[:, j], (t,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

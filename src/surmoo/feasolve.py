@@ -16,17 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, bce_with_logits, prod_columns, take_column
-from .core import ParameterSpace, Population, RandomStream
+from .core import Population, expit
 from .moea import RankedPopulation
-from .surrogate import JointSurrogate, normalize_inputs
+from .surrogate import InputPass, JointSurrogate, normalize_inputs
 
 __all__ = [
     "FeasolveConfig",
     "DescentTrace",
     "TraceStep",
     "loss_objective",
-    "loss_constraint",
+    "loss_constraint_logits",
     "loss_distance",
     "loss_zero",
     "balance_gradients",
@@ -56,6 +55,10 @@ class FeasolveConfig:
     def __post_init__(self):
         if self.trace_samples < 0:
             raise ValueError("trace_samples must be non-negative")
+        # a window of 0 reads the whole loss list and reports a plateau
+        # after the first step; a negative one slices from the front
+        if self.max_iters < 1 or self.plateau_window < 1:
+            raise ValueError("max_iters and plateau_window must be at least 1")
         self.targets = tuple(self.targets)
         if not self.targets:
             raise ValueError("at least one descent target is required")
@@ -86,60 +89,90 @@ class DescentTrace:
 # ----------------------------------------------------------------------
 # composite-loss targets
 # ----------------------------------------------------------------------
+#
+# Each target returns its value and its gradient in closed form. The array
+# operations, and their order, are the ones the autodiff tape recorded when
+# these losses ran on it, so seeded runs still write the same evaluations
+# bit for bit.
 
 
-def _lift(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=float))
-
-
-def loss_objective(y_pred, train_objectives, reference_factor: float = 1.1) -> Tensor:
+def loss_objective(y_pred, train_objectives, reference_factor: float = 1.1):
     """Negated dominated-hypervolume proxy against a dynamic nadir.
 
     nadir_j is the max of the batch predictions and the training history per
     objective; each candidate contributes the product over objectives of
-    max(r - y_ij / (nadir_j + eps), 0).
+    max(r - y_ij / (nadir_j + eps), 0). Returns (value, gradient with
+    respect to ``y_pred``); the gradient also flows through the nadir, split
+    equally between rows tied at the batch maximum, and halved where that
+    maximum ties the training maximum.
     """
-    y_pred = _lift(y_pred)
-    train_y = np.atleast_2d(np.asarray(train_objectives, dtype=float))
-    train_max = Tensor(train_y.max(axis=0))
-    from .autodiff import maximum
+    y = np.atleast_2d(np.asarray(y_pred, dtype=float))
+    train_max = np.atleast_2d(np.asarray(train_objectives, dtype=float)).max(axis=0)
+    batch_max = y.max(axis=0)
+    den = np.maximum(batch_max, train_max) + EPS
+    margin = reference_factor - y / den
+    live = margin > 0.0
+    clamped = margin * live
+    # the product folds left to right; each factor's gradient is the
+    # product of the factors after it (folded from the right) times the
+    # product of those before it
+    prefix = [np.ones(y.shape[0])]
+    for j in range(y.shape[1]):
+        prefix.append(prefix[-1] * clamped[:, j])
+    d_clamped = np.empty_like(y)
+    g = np.full(y.shape[0], -1.0)
+    for j in reversed(range(y.shape[1])):
+        d_clamped[:, j] = g * prefix[j]
+        g = g * clamped[:, j]
+    d_scaled = -(d_clamped * live)
+    d_den = (-d_scaled * y / (den * den)).sum(axis=0)
+    d_max = d_den * ((batch_max > train_max) + 0.5 * (batch_max == train_max))
+    at_max = y == batch_max
+    dy = d_scaled / den + d_max * at_max / at_max.sum(axis=0, keepdims=True)
+    return float(-prefix[-1].sum()), dy
 
-    nadir = maximum(y_pred.max(axis=0), train_max)
-    scaled = y_pred / (nadir + EPS)
-    clamped = (Tensor(reference_factor) - scaled).relu()
-    return -prod_columns(clamped).sum()
 
-
-def loss_constraint(c_probs, gamma: float = 2.0, alpha: float = 0.25) -> Tensor:
-    """Mean binary focal cross-entropy against the all-feasible target:
-    per entry, -alpha * (1 - c)^gamma * log(c)."""
-    c = _lift(c_probs)
-    return (alpha * (1.0 - c) ** gamma * (-c.log())).mean()
-
-
-def loss_constraint_logits(c_logits: Tensor, gamma: float = 2.0, alpha: float = 0.25) -> Tensor:
-    """Focal cross-entropy parameterized by logits; identical value to
-    :func:`loss_constraint` at c = sigmoid(z) but numerically stable for
-    saturated probabilities."""
+def loss_constraint_logits(c_logits, gamma: float = 2.0, alpha: float = 0.25):
+    """Mean binary focal cross-entropy against the all-feasible target, on
+    logits z: per entry alpha * sigmoid(-z)^gamma * softplus(-z), which is
+    -alpha * (1 - c)^gamma * log(c) at c = sigmoid(z) but stays finite for
+    saturated probabilities. Returns (value, gradient with respect to the
+    logits)."""
     # -log sigmoid(z) = softplus(-z); 1 - sigmoid(z) = sigmoid(-z)
-    neg = -c_logits
-    return (alpha * neg.sigmoid() ** gamma * neg.softplus()).mean()
+    neg = -np.asarray(c_logits, dtype=float)
+    sig = expit(neg)
+    weight = sig**gamma * alpha
+    softplus = np.maximum(neg, 0.0) + np.log1p(np.exp(-np.abs(neg)))
+    inv = 1.0 / neg.size
+    d_sig = inv * softplus * alpha * gamma * sig ** (gamma - 1)
+    d_neg = d_sig * sig * (1.0 - sig) + inv * weight * sig
+    return float((weight * softplus).sum() * inv), -d_neg
 
 
-def loss_distance(candidates_unit, train_unit) -> Tensor:
+def loss_distance(candidates_unit, train_unit):
     """Negated mean pairwise Euclidean distance between bounds-normalized
-    candidates and bounds-normalized training inputs."""
-    x = _lift(candidates_unit)
+    candidates and bounds-normalized training inputs. Returns (value,
+    gradient with respect to ``candidates_unit``); a coincident pair adds
+    no gradient."""
+    x = np.atleast_2d(np.asarray(candidates_unit, dtype=float))
     t = np.atleast_2d(np.asarray(train_unit, dtype=float))
-    diff = x.reshape(x.shape[0], 1, x.shape[1]) - Tensor(t[None, :, :])
-    dist = (diff * diff).sum(axis=2).sqrt()
-    return -dist.mean()
+    diff = x[:, None, :] - t[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    inv = 1.0 / dist.size
+    positive = dist > 0.0
+    d_sq = -inv * np.where(positive, 0.5 / np.where(positive, dist, 1.0), 0.0)
+    half = d_sq[:, :, None] * diff
+    return float(-(dist.sum() * inv)), (half + half).sum(axis=1)
 
 
-def loss_zero(y_pred) -> Tensor:
-    """Squared penalty for negative predicted objective values."""
-    y = _lift(y_pred)
-    return ((-y).relu() ** 2).sum()
+def loss_zero(y_pred):
+    """Squared penalty for negative predicted objective values: the sum of
+    relu(-y)^2. Returns (value, gradient with respect to ``y_pred``,
+    -2 relu(-y))."""
+    neg = -np.asarray(y_pred, dtype=float)
+    live = neg > 0.0
+    short = neg * live
+    return float((short**2).sum()), -(2.0 * short * live)
 
 
 def balance_gradients(grads: list[np.ndarray]) -> np.ndarray:
@@ -160,38 +193,31 @@ def balance_gradients(grads: list[np.ndarray]) -> np.ndarray:
 
 def _target_gradient(
     target: str,
-    x_value: np.ndarray,
-    model: JointSurrogate,
+    batch: InputPass,
     cfg: FeasolveConfig,
     train_y: np.ndarray,
     train_unit: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Gradient of one descent target at the current batch, plus its value."""
-    leaf = Tensor(x_value, requires_grad=True)
+) -> tuple[float, np.ndarray | None]:
+    """Value of one descent target at the current batch and, when it is
+    finite, its gradient with respect to the candidates."""
     if target == "distance":
-        unit = (leaf - Tensor(model.space.lower)) * Tensor(1.0 / model.space.span)
-        loss = loss_distance(unit, train_unit)
+        value, g = loss_distance(batch.x_unit, train_unit)
+        return value, g * (1.0 / batch.model.space.span)
+    dy = dc = None
+    if target == "constraint":
+        if batch.c_logits is None:
+            raise ValueError("constraint target requires a constraint head")
+        value, dc = loss_constraint_logits(batch.c_logits, cfg.focal_gamma, cfg.focal_alpha)
     else:
-        y_out, c_out = model.predict_graph(leaf)
+        if batch.y is None:
+            raise ValueError(f"{target} target requires an objective head")
         if target == "objective":
-            if y_out is None:
-                raise ValueError("objective target requires an objective head")
-            loss = loss_objective(y_out, train_y, cfg.reference_factor)
-        elif target == "constraint":
-            if c_out is None:
-                raise ValueError("constraint target requires a constraint head")
-            loss = loss_constraint_logits(c_out, cfg.focal_gamma, cfg.focal_alpha)
-        elif target == "zero":
-            if y_out is None:
-                raise ValueError("zero target requires an objective head")
-            loss = loss_zero(y_out)
+            value, dy = loss_objective(batch.y, train_y, cfg.reference_factor)
         else:
-            raise ValueError(f"unknown descent target {target!r}")
-    value = loss.item()
+            value, dy = loss_zero(batch.y)
     if not np.isfinite(value):
-        return np.full_like(x_value, np.nan), value
-    loss.backward()
-    return leaf.grad, value
+        return value, None
+    return value, batch.gradient(dy, dc)
 
 
 def _plateaued(losses: list[float], window: int, ratio: float) -> bool:
@@ -240,11 +266,12 @@ def make_feasible(
     trace = DescentTrace()
     losses: list[float] = []
     for step in range(cfg.max_iters):
+        batch = InputPass(model, x)
         grads: list[np.ndarray] = []
         total_loss = 0.0
         finite = True
         for target in cfg.targets:
-            g, value = _target_gradient(target, x, model, cfg, train_y, train_unit)
+            value, g = _target_gradient(target, batch, cfg, train_y, train_unit)
             if not np.isfinite(value):
                 finite = False
                 break
@@ -254,7 +281,7 @@ def make_feasible(
             trace.aborted = True
             break
 
-        y_pred, c_pred = model.predict(x)
+        y_pred, c_pred = batch.predictions()
         trace.steps.append(
             TraceStep(step, x.copy(), total_loss, y_pred, c_pred)
         )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import json
+import math
 from dataclasses import MISSING
 from pathlib import Path
 
@@ -131,7 +132,9 @@ def _field_value(f: dataclasses.Field, value, lines: dict[str, int], path: str):
     built recursively, a mapping (``problem_params``, checked by the problem
     factory) is copied, a list becomes a tuple, and a scalar goes through
     ``int`` or ``float``; a boolean must be written as one, a number must
-    not be one, and an int field takes no fractional float."""
+    not be one, and an int field takes no fractional float. No number may
+    be NaN or infinite: not a float field, not a list entry (``dropout``),
+    not an optional field (``outlier_threshold``)."""
     default = f.default if f.default_factory is MISSING else f.default_factory()
     if dataclasses.is_dataclass(default) or isinstance(default, dict):
         value = {} if value is None else value
@@ -143,22 +146,36 @@ def _field_value(f: dataclasses.Field, value, lines: dict[str, int], path: str):
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"config key {_at(path, lines)} must be a list")
-        return tuple(value)
+        return tuple(_finite(v, lines, path) for v in value)
     kind = type(default)
     if kind not in (bool, int, float):
-        return value
+        return _finite(value, lines, path) if default is None else value
     try:
         # bool("flase") would be True, int(True) 1 and int(2.5) 2
         if (kind is bool) != isinstance(value, bool):
             raise ValueError
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
-        return kind(value)
+        converted = kind(value)
     except (TypeError, ValueError):
         raise ConfigError(
             f"config key {_at(path, lines)} must be of type {kind.__name__}, "
             f"not {value!r}"
         ) from None
+    return _finite(converted, lines, path)
+
+
+def _finite(value, lines: dict[str, int], path: str):
+    """``value``, unless it reads as a NaN or infinite number: YAML's
+    ``.nan`` and ``.inf``, or a string such as ``nan`` that ``float`` takes.
+    The range checks of the config dataclasses let NaN through."""
+    try:
+        finite = math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):
+        return value  # not a float; the field's own check decides
+    if not finite:
+        raise ConfigError(f"config key {_at(path, lines)} must be a finite number, not {value!r}")
+    return value
 
 
 def _at(path: str, lines: dict[str, int]) -> str:

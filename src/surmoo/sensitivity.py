@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, take_column
 from .moea import DistributionIndices
-from .surrogate import JointSurrogate
+from .surrogate import InputPass, JointSurrogate
 
 __all__ = [
     "SensitivityIndices",
@@ -38,46 +37,34 @@ class SensitivityIndices:
             raise ValueError("elasticities are non-negative by construction")
 
 
-def _head_input_gradients(model: JointSurrogate, x: np.ndarray, objective: int) -> np.ndarray:
-    """Per-sample gradients of one denormalized objective w.r.t. inputs.
-
-    Samples pass through the network independently (layer norm is
-    per-sample), so one backward over the batch sum yields row-wise
-    gradients.
-    """
-    leaf = Tensor(x, requires_grad=True)
-    y_out, _ = model.predict_graph(leaf)
-    take_column(y_out, objective).sum().backward()
-    return leaf.grad
-
-
 def compute_elasticities(
     model: JointSurrogate,
     inputs: np.ndarray,
-    objective_index: int | None = None,
     batch_size: int = GRADIENT_BATCH,
 ) -> SensitivityIndices:
-    """Mean absolute elasticity |dy_k/dx_j * x_j| over the given inputs.
+    """Mean absolute elasticity |dy_k/dx_j * x_j| over the given inputs,
+    averaged across all objective outputs.
 
-    With ``objective_index`` None the elasticity is averaged across all
-    objective outputs; gradients come from exact reverse-mode
-    differentiation, batched for memory.
+    Gradients are exact: one explicit forward pass per batch of inputs, then
+    one backward pass per objective with a unit gradient on that
+    denormalized objective. Samples pass through the network independently
+    (layer norm is per-sample), so the backward pass of the batch sum yields
+    row-wise gradients.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     if x.shape[0] == 0:
         raise ValueError("need at least one input sample")
     if not model.has_objective_head:
         raise ValueError("elasticities require an objective head")
-    objectives = list(range(model.q)) if objective_index is None else [objective_index]
-    totals = np.zeros(x.shape[1])
-    for k in objectives:
-        acc = np.zeros(x.shape[1])
-        for start in range(0, x.shape[0], batch_size):
-            batch = x[start : start + batch_size]
-            grads = _head_input_gradients(model, batch, k)
-            acc += np.abs(grads * batch).sum(axis=0)
-        totals += acc / x.shape[0]
-    return SensitivityIndices(totals / len(objectives))
+    sums = np.zeros((model.q, x.shape[1]))
+    for start in range(0, x.shape[0], batch_size):
+        batch = x[start : start + batch_size]
+        forward = InputPass(model, batch)
+        for k in range(model.q):
+            dy = np.zeros_like(forward.y)
+            dy[:, k] = 1.0
+            sums[k] += np.abs(forward.gradient(dy) * batch).sum(axis=0)
+    return SensitivityIndices((sums / x.shape[0]).sum(axis=0) / model.q)
 
 
 def indices_from_sensitivity(sens: SensitivityIndices) -> DistributionIndices:

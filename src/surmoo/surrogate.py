@@ -2,20 +2,21 @@
 objective head and a sigmoid constraint head, trained on all accumulated
 evaluations with cross-validated automatic epoch selection.
 
-Training and batch prediction run on explicit passes: a hand-written forward
-pass that caches its activations, a hand-written backward pass that writes
-every parameter gradient into one flat gradient vector (with closed-form
-output gradients for the BCE term and each objective loss), and one
-vectorized Adam step over one flat parameter vector, of which the ``params``
-tensors are views. Each array operation is the one the autodiff tape would
-record, in the tape's order, so the explicit passes agree with it bit for
-bit. The tape (``forward`` on a Tensor, ``predict_graph``) serves only
-graph-mode input gradients, for feasibility solving and sensitivity
-analysis; it includes the bounds input normalizer and the inverse output
-transform. Residual blocks use layer normalization (not batch statistics) so
-single-point inference and input gradients are batch-independent, and the
-default hidden activation is softplus so gradients are smooth everywhere; a
-ReLU mode is available.
+Every pass the program runs is explicit: a hand-written forward pass that
+caches its activations, and a hand-written backward pass that writes every
+parameter gradient into one flat gradient vector and returns the gradient
+with respect to the inputs. Training pairs them with closed-form output
+gradients for the BCE term and each objective loss, and one vectorized Adam
+step over one flat parameter vector, of which the ``params`` tensors are
+views. Feasibility descent and sensitivity analysis take input gradients
+from the same backward pass through an `InputPass`, which adds the pullback
+of the inverse output transform. Each array operation is the one the
+autodiff tape would record, in the tape's order, so the explicit passes
+agree with it bit for bit; the tape form of the model (`forward`) remains
+only as the reference that agreement is tested against. Residual blocks use
+layer normalization (not batch statistics) so single-point inference and
+input gradients are batch-independent, and the default hidden activation is
+softplus so gradients are smooth everywhere; a ReLU mode is available.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, layer_norm, take_column
+from .autodiff import Tensor, layer_norm
 from .core import ParameterSpace, RandomStream, expit
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "TrainingSchedule",
     "OutputNormalizer",
     "JointSurrogate",
+    "InputPass",
     "normalize_inputs",
     "epoch_budget",
     "train",
@@ -80,18 +82,15 @@ class SurrogateConfig:
         return int(self.hidden_multiplier * self.block_dim)
 
 
-def epoch_budget(n_samples: int) -> tuple[int, int, int]:
-    """(E_max, delta_E, patience) for a training-set size."""
+def epoch_budget(n_samples: int) -> tuple[int, int]:
+    """(E_max, patience) for a training-set size."""
     e_max = max(25, min(10**8 // n_samples, 10_000))
-    delta_e = max(10, e_max // 10)
-    patience = min(250, e_max)
-    return e_max, delta_e, patience
+    return e_max, min(250, e_max)
 
 
 @dataclass
 class TrainingSchedule:
     e_max: int
-    delta_e: int
     patience: int
     fold_stop_epochs: list[int]
     final_epochs: int
@@ -149,13 +148,25 @@ class OutputNormalizer:
             unit = shared
         return self.y_min + unit * self.col_span
 
-    def inverse_tensor(self, targets: Tensor) -> Tensor:
-        shared = targets.expm1()
-        if self.shared_span > 0.0:
-            unit = (shared - self.shared_min) * (1.0 / self.shared_span)
-        else:
-            unit = shared
-        return unit * Tensor(self.col_span) + Tensor(self.y_min)
+    def inverse_pullback(self, targets: np.ndarray):
+        """(values, pullback): `inverse` with the shared rescale taken as a
+        product with its reciprocal (so the values can differ from it in the
+        last bit), and the map of a gradient g with respect to the values to
+        the one with respect to the targets, g * col_span * (1 /
+        shared_span) * exp(targets) evaluated left to right."""
+        unit = np.expm1(targets)
+        scale = 1.0 / self.shared_span if self.shared_span > 0.0 else None
+        if scale is not None:
+            unit = (unit - self.shared_min) * scale
+        slope = np.exp(targets)
+
+        def pullback(g: np.ndarray) -> np.ndarray:
+            g = g * self.col_span
+            if scale is not None:
+                g = g * scale
+            return g * slope
+
+        return unit * self.col_span + self.y_min, pullback
 
     def state(self) -> dict:
         return {"y_min": self.y_min.tolist(), "y_max": self.y_max.tolist()}
@@ -219,13 +230,6 @@ class JointSurrogate:
 
     # ------------------------------------------------------------------
 
-    def _activate(self, t: Tensor) -> Tensor:
-        return t.softplus() if self.config.activation == "softplus" else t.relu()
-
-    @staticmethod
-    def _layer_norm(h: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-        return layer_norm(h, scale, shift, LAYER_NORM_EPS)
-
     def forward(
         self,
         x: Tensor,
@@ -234,17 +238,21 @@ class JointSurrogate:
     ) -> tuple[Tensor | None, Tensor | None]:
         """Raw heads on a parameter-space tensor, recorded on the autodiff
         tape: (normalized-objective predictions, constraint logits). Dropout
-        is applied only in training mode; inference is deterministic. This
-        graph-mode pass serves input gradients; training and `predict` run
-        the explicit `_forward`, which performs the same array operations."""
+        is applied only in training mode; inference is deterministic. The
+        program never runs this pass; its two users are the training
+        reference that the explicit passes are tested against bit for bit,
+        and the ``kernel.fwd_bwd_2x192.ms`` benchmark kernel. Training,
+        `predict` and `InputPass` run the explicit `_forward`, which performs
+        the same array operations."""
         p = self.params
         x_unit = (x - Tensor(self.space.lower)) * Tensor(1.0 / self.space.span)
         h = x_unit @ p["proj.w"] + p["proj.b"]
         p1, p2 = self.config.dropout
+        softplus = self.config.activation == "softplus"
         for i in range(self.config.blocks):
-            z = self._layer_norm(h, p[f"block{i}.ln_scale"], p[f"block{i}.ln_shift"])
-            a = self._activate(z @ p[f"block{i}.fc1.w"] + p[f"block{i}.fc1.b"])
-            a = self._dropout(a, p1, train, dropout_rng)
+            z = layer_norm(h, p[f"block{i}.ln_scale"], p[f"block{i}.ln_shift"], LAYER_NORM_EPS)
+            u = z @ p[f"block{i}.fc1.w"] + p[f"block{i}.fc1.b"]
+            a = self._dropout(u.softplus() if softplus else u.relu(), p1, train, dropout_rng)
             o = a @ p[f"block{i}.fc2.w"] + p[f"block{i}.fc2.b"]
             o = self._dropout(o, p2, train, dropout_rng)
             h = h + o
@@ -256,7 +264,7 @@ class JointSurrogate:
     def _dropout(t: Tensor, p: float, train: bool, rng) -> Tensor:
         if not train or p <= 0.0:
             return t
-        mask = (rng.random(t.shape) >= p) / (1.0 - p)
+        mask = (rng.random(t.data.shape) >= p) / (1.0 - p)
         return t * Tensor(mask)
 
     # ------------------------------------------------------------------
@@ -311,11 +319,12 @@ class JointSurrogate:
             c_out = h @ p["head_con.w"].data + p["head_con.b"].data
         return y_out, c_out, (x_unit, blocks, h)
 
-    def _backward(self, cache, dy, dc, grads: dict[str, np.ndarray]) -> None:
+    def _backward(self, cache, dy, dc, grads: dict[str, np.ndarray]) -> np.ndarray:
         """Explicit backward pass: writes the gradient of the loss with
         respect to every parameter into ``grads`` (arrays keyed like
         ``params``), given the output gradients ``dy`` and ``dc`` of the
-        heads that exist."""
+        heads the loss uses (None for a head it does not), and returns the
+        gradient with respect to the parameter-space rows."""
         p = self.params
         softplus = self.config.activation == "softplus"
         d = self.config.block_dim
@@ -348,6 +357,7 @@ class JointSurrogate:
             dh = dh + (gx - mean_gx - x_hat * mean_gx_xhat) / sigma
         np.add.reduce(dh, axis=0, out=grads["proj.b"])
         np.matmul(x_unit.T, dh, out=grads["proj.w"])
+        return (dh @ p["proj.w"].data.T) * (1.0 / self.space.span)
 
     def _flat_parameters(self) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
         """Copy the weights into one flat vector and rebind every ``params``
@@ -372,44 +382,14 @@ class JointSurrogate:
         """Denormalized objective predictions and constraint probabilities."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y_out, c_out, _ = self._forward(self._unit(x))
+        return self._predictions(y_out, c_out)
+
+    def _predictions(self, y_out, c_out):
         y_pred = None
         if y_out is not None:
             y_pred = self.out_norm.inverse(y_out) if self.out_norm else y_out
         c_pred = expit(c_out) if c_out is not None else None
         return y_pred, c_pred
-
-    def predict_graph(self, x: Tensor) -> tuple[Tensor | None, Tensor | None]:
-        """Graph-mode prediction: (denormalized objectives, constraint
-        logits). Used by descent losses and sensitivity analysis so gradients
-        flow through the output transform as well."""
-        y_out, c_out = self.forward(x)
-        if y_out is not None and self.out_norm is not None:
-            y_out = self.out_norm.inverse_tensor(y_out)
-        return y_out, c_out
-
-    def input_gradient(self, x: np.ndarray, selector) -> np.ndarray:
-        """Exact gradient of a scalar of the model outputs with respect to x.
-
-        ``selector`` is ("objective", j), ("constraint", j) for a single
-        denormalized objective / constraint probability component summed over
-        the batch, or a callable (y_denorm, c_logits, x_tensor) -> scalar
-        Tensor for composite losses.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        leaf = Tensor(x, requires_grad=True)
-        y_out, c_out = self.predict_graph(leaf)
-        if callable(selector):
-            scalar = selector(y_out, c_out, leaf)
-        else:
-            kind, j = selector
-            if kind == "objective":
-                scalar = take_column(y_out, j).sum()
-            elif kind == "constraint":
-                scalar = take_column(c_out, j).sigmoid().sum()
-            else:
-                raise ValueError(f"unknown selector kind {kind!r}")
-        scalar.backward()
-        return leaf.grad.reshape(x.shape)
 
     # ------------------------------------------------------------------
 
@@ -419,6 +399,35 @@ class JointSurrogate:
     def load_weight_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         for name, t in self.params.items():
             t.data = np.asarray(arrays[name], dtype=np.float64)
+
+
+class InputPass:
+    """One explicit forward pass on parameter-space rows, kept for any
+    number of input gradients (one per descent target or objective).
+    ``y`` holds the denormalized objectives (see
+    `OutputNormalizer.inverse_pullback`) and ``c_logits`` the constraint
+    logits, each None for an absent head; ``x_unit`` the rows in the unit
+    box."""
+
+    def __init__(self, model: JointSurrogate, x: np.ndarray):
+        self.model = model
+        self.x_unit = model._unit(np.atleast_2d(np.asarray(x, dtype=float)))
+        self.y_out, self.c_logits, self._cache = model._forward(self.x_unit)
+        self.y, self._pullback = self.y_out, None
+        if self.y_out is not None and model.out_norm is not None:
+            self.y, self._pullback = model.out_norm.inverse_pullback(self.y_out)
+        self._grads = {name: np.empty_like(t.data) for name, t in model.params.items()}
+
+    def predictions(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """What `JointSurrogate.predict` returns for the same rows."""
+        return self.model._predictions(self.y_out, self.c_logits)
+
+    def gradient(self, dy: np.ndarray | None = None, dc: np.ndarray | None = None) -> np.ndarray:
+        """Gradient with respect to the rows of a scalar whose gradients
+        with respect to ``y`` and ``c_logits`` are ``dy`` and ``dc``."""
+        if dy is not None and self._pullback is not None:
+            dy = self._pullback(dy)
+        return self.model._backward(self._cache, dy, dc, self._grads)
 
 
 # ----------------------------------------------------------------------
@@ -637,7 +646,7 @@ def train(
         )
     q = y.shape[1]
     k = c.shape[1]
-    e_max, delta_e, patience = epoch_budget(n)
+    e_max, patience = epoch_budget(n)
 
     fold_chunks = np.array_split(np.arange(n), config.folds)
     stops: list[int] = []
@@ -676,7 +685,7 @@ def train(
         config,
         final_stream.child("epochs").generator(),
     )
-    schedule = TrainingSchedule(e_max, delta_e, patience, stops, final_epochs)
+    schedule = TrainingSchedule(e_max, patience, stops, final_epochs)
     return model, schedule
 
 

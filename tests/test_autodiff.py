@@ -1,9 +1,12 @@
-"""Gradient checks for every autodiff primitive against central differences."""
+"""Gradient checks for every autodiff primitive against central differences.
+
+The tape serves only as the reference the surrogate's explicit passes are
+tested against, so it holds just the operations that reference uses."""
 
 import numpy as np
 import pytest
 
-from surmoo.autodiff import Tensor, bce_with_logits, maximum, prod_columns, take_column
+from surmoo.autodiff import Tensor, bce_with_logits
 
 
 def fd_gradient(fn, x0, h=1e-6):
@@ -37,29 +40,21 @@ def x0(rng):
 W = np.random.default_rng(1).normal(size=(3, 4))
 TARGETS = (np.random.default_rng(2).random((5, 3)) > 0.5).astype(float)
 
+def square(t):
+    return t * t
+
+
 CASES = {
     "add_mul": lambda x: ((x * 2.0 + 1.0) * x).sum(),
-    "sub_div": lambda x: ((x - 0.3) / (x * x + 2.0)).sum(),
-    "neg_pow": lambda x: ((-x) ** 3).mean(),
-    "matmul": lambda x: ((x @ W) ** 2).sum(),
-    "exp_log": lambda x: (x.exp() + 2.0).log().sum(),
-    "log1p_expm1": lambda x: (x.expm1().abs().log1p()).sum(),
-    "sigmoid": lambda x: x.sigmoid().sum(),
+    "matmul": lambda x: square(x @ W).sum(),
+    "exp_log": lambda x: (x.exp() + 2.0).log1p().sum(),
+    "log1p_expm1": lambda x: (x.exp() - 1.0).abs().log1p().sum(),
     "softplus": lambda x: x.softplus().sum(),
-    "relu_sq": lambda x: ((x - 0.1).relu() ** 2).sum(),
-    "sqrt": lambda x: ((x * x).sum(axis=1) + 0.5).sqrt().sum(),
-    "mean_axis": lambda x: (x.mean(axis=0) ** 2).sum(),
-    "sum_keepdims": lambda x: ((x - x.sum(axis=1, keepdims=True)) ** 2).mean(),
-    "max_axis": lambda x: x.max(axis=0).sum(),
-    "max_global": lambda x: x.max() * 3.0,
-    "maximum_scalar": lambda x: maximum(x, 0.2).sum(),
-    "maximum_tensor": lambda x: maximum(x * 2.0, -x).sum(),
+    "relu_sq": lambda x: square((x - 0.1).relu()).sum(),
+    "mean_axis": lambda x: square(x.mean(axis=0)).sum(),
+    "sum_keepdims": lambda x: square(x - x.sum(axis=1, keepdims=True)).mean(),
     "bce": lambda x: bce_with_logits(x, TARGETS).mean(),
-    "prod_columns": lambda x: prod_columns(x.sigmoid()).sum(),
-    "take_column": lambda x: (take_column(x, 1) ** 2).sum(),
-    "reshape": lambda x: (x.reshape(15) ** 2).sum(),
     "broadcast_row": lambda x: (x + Tensor(np.arange(3.0))).sum(),
-    "rsub_rdiv": lambda x: (1.0 - 2.0 / (x * x + 1.0)).sum(),
 }
 
 
@@ -89,20 +84,6 @@ def test_grad_accumulates_through_shared_nodes():
     assert np.allclose(x.grad, [7.0])
 
 
-def test_prod_columns_exact_with_zero_factors():
-    data = np.array([[2.0, 0.0, 3.0]])
-    x = Tensor(data, requires_grad=True)
-    prod_columns(x).sum().backward()
-    # d/dx_j = product of the other factors
-    assert np.allclose(x.grad, [[0.0, 6.0, 0.0]])
-
-
-def test_max_ties_split_gradient():
-    x = Tensor(np.array([[1.0, 1.0]]), requires_grad=True)
-    x.max(axis=1).sum().backward()
-    assert np.allclose(x.grad, [[0.5, 0.5]])
-
-
 def test_bce_matches_direct_formula():
     z = np.array([[0.7, -1.2]])
     t = np.array([[1.0, 0.0]])
@@ -110,9 +91,3 @@ def test_bce_matches_direct_formula():
     p = 1.0 / (1.0 + np.exp(-z))
     expected = -(t * np.log(p) + (1 - t) * np.log(1 - p))
     assert np.allclose(out, expected)
-
-
-def test_sqrt_zero_subgradient_is_zero():
-    x = Tensor(np.array([0.0, 4.0]), requires_grad=True)
-    x.sqrt().sum().backward()
-    assert np.allclose(x.grad, [0.0, 0.25])

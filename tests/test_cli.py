@@ -164,6 +164,32 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=match):
             load_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "section, entry, match",
+        [
+            ("surrogate", "learning_rate: .nan", "'surrogate.learning_rate' at line 13"),
+            ("surrogate", "hidden_multiplier: .nan", "'surrogate.hidden_multiplier' at line 13"),
+            ("surrogate", "dropout: [.nan, 0.0]", "'surrogate.dropout' at line 13"),
+            ("surrogate", "outlier_threshold: .nan", "'surrogate.outlier_threshold' at line 13"),
+            ("surrogate", "outlier_threshold: nan", "'surrogate.outlier_threshold' at line 13"),
+            ("feasolve", "learning_rate: .nan", "'feasolve.learning_rate' at line 14"),
+            ("feasolve", "plateau_ratio: .nan", "'feasolve.plateau_ratio' at line 14"),
+            ("feasolve", "reference_factor: .inf", "'feasolve.reference_factor' at line 14"),
+        ],
+    )
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, section, entry, match):
+        # the dataclass range checks let NaN through: a NaN learning rate
+        # ran to exit 0 with a NaN-weight surrogate
+        if section == "surrogate":
+            text = MINIMAL_CONFIG + f"  {entry}\n"
+        else:
+            text = MINIMAL_CONFIG + f"{section}:\n  {entry}\n"
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=match + " must be a finite number"):
+            load_config(path)
+        assert cmd_run(str(path), None, str(tmp_path / "out")) == 2
+        assert "must be a finite number" in capsys.readouterr().err
+
     def test_integral_float_loads_as_int(self, tmp_path):
         config = load_config(write_config(tmp_path, MINIMAL_CONFIG.replace("epochs: 2", "epochs: 2.0")))
         assert config.epochs == 2 and type(config.epochs) is int

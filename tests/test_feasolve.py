@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from surmoo.autodiff import Tensor
+from surmoo import autodiff
 from surmoo.core import ParameterSpace, Population, RandomStream
 from surmoo.feasolve import (
     DescentTrace,
@@ -9,7 +9,6 @@ from surmoo.feasolve import (
     TraceStep,
     balance_gradients,
     hybrid_epoch_split,
-    loss_constraint,
     loss_constraint_logits,
     loss_distance,
     loss_objective,
@@ -19,6 +18,7 @@ from surmoo.feasolve import (
     trace_diversity_filter,
 )
 from surmoo.moea import rank_population
+from surmoo.sensitivity import compute_elasticities
 from surmoo.surrogate import JointSurrogate, OutputNormalizer, SurrogateConfig
 
 from conftest import oracle_diversity_filter
@@ -28,76 +28,147 @@ from test_surrogate import affine_model, unit_space
 class TestLossObjective:
     def test_candidate_at_nadir(self):
         train_y = np.array([[1.0, 1.0]])
-        value = loss_objective(np.array([[1.0, 1.0]]), train_y).item()
+        value = loss_objective(np.array([[1.0, 1.0]]), train_y)[0]
         assert value == pytest.approx(-(0.1**2), rel=1e-9)
 
     def test_ratio_beyond_reference_clamps_to_zero(self):
         # the dynamic nadir tracks the batch maximum, so a ratio over 1.1 can
         # only arise with negative scales; the clamp zeroes that contribution
         train_y = np.array([[-1.0]])
-        value = loss_objective(np.array([[-2.0], [-0.2]]), train_y).item()
+        value = loss_objective(np.array([[-2.0], [-0.2]]), train_y)[0]
         assert value == pytest.approx(-(1.1 - 1.0), rel=1e-6)
 
     def test_hand_case(self):
         train_y = np.array([[1.0, 1.0]])
-        value = loss_objective(np.array([[0.5, 0.5]]), train_y).item()
+        value = loss_objective(np.array([[0.5, 0.5]]), train_y)[0]
         assert value == pytest.approx(-0.36, rel=1e-9)
 
     def test_batch_sums_contributions(self):
         train_y = np.array([[1.0]])
-        value = loss_objective(np.array([[0.5], [1.0]]), train_y).item()
+        value = loss_objective(np.array([[0.5], [1.0]]), train_y)[0]
         assert value == pytest.approx(-(0.6 + 0.1), rel=1e-9)
 
     def test_dynamic_nadir_uses_batch_maximum(self):
         train_y = np.array([[1.0]])
         # batch max 2.0 exceeds the training max, so nadir = 2.0
-        value = loss_objective(np.array([[2.0], [1.0]]), train_y).item()
+        value = loss_objective(np.array([[2.0], [1.0]]), train_y)[0]
         assert value == pytest.approx(-((1.1 - 1.0) + (1.1 - 0.5)), rel=1e-9)
+
+
+def logit(p):
+    return np.log(p) - np.log1p(-p)
 
 
 class TestLossConstraint:
     def test_confident_feasible_goes_to_zero(self):
-        value = loss_constraint(np.array([[1.0 - 1e-12]]), 2.0, 0.25).item()
+        value = loss_constraint_logits(logit(np.array([[1.0 - 1e-12]])), 2.0, 0.25)[0]
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_degenerates_to_bce(self):
         probs = np.array([[0.3, 0.8]])
-        value = loss_constraint(probs, gamma=0.0, alpha=1.0).item()
+        value = loss_constraint_logits(logit(probs), gamma=0.0, alpha=1.0)[0]
         assert value == pytest.approx(-np.log(probs).mean(), rel=1e-9)
 
     def test_half_probability_entry(self):
-        value = loss_constraint(np.array([[0.5]]), 2.0, 0.25).item()
+        value = loss_constraint_logits(np.array([[0.0]]), 2.0, 0.25)[0]
         assert value == pytest.approx(0.25 * 0.25 * np.log(2.0), rel=1e-9)
 
     def test_logit_form_matches_probability_form(self, rng):
         logits = rng.normal(size=(4, 3))
         probs = 1.0 / (1.0 + np.exp(-logits))
-        a = loss_constraint_logits(Tensor(logits), 2.0, 0.25).item()
-        b = loss_constraint(probs, 2.0, 0.25).item()
-        assert a == pytest.approx(b, rel=1e-9)
+        value = loss_constraint_logits(logits, 2.0, 0.25)[0]
+        assert value == pytest.approx((0.25 * (1.0 - probs) ** 2 * -np.log(probs)).mean(), rel=1e-9)
+
+    def test_saturated_logits_stay_finite(self):
+        value, grad = loss_constraint_logits(np.array([[-800.0, 800.0]]), 2.0, 0.25)
+        assert value == pytest.approx(0.25 * 800.0 / 2, rel=1e-12)
+        assert np.all(np.isfinite(grad))
 
 
 class TestLossDistance:
     def test_coincident_point_zero(self):
-        assert loss_distance(np.array([[0.3, 0.3]]), np.array([[0.3, 0.3]])).item() == 0.0
+        assert loss_distance(np.array([[0.3, 0.3]]), np.array([[0.3, 0.3]]))[0] == 0.0
 
     def test_unit_gap(self):
-        assert loss_distance(np.array([[0.0]]), np.array([[1.0]])).item() == pytest.approx(-1.0)
+        assert loss_distance(np.array([[0.0]]), np.array([[1.0]]))[0] == pytest.approx(-1.0)
 
     def test_two_by_two(self):
-        value = loss_distance(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]])).item()
+        value = loss_distance(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]))[0]
         assert value == pytest.approx(-0.5)
 
 
 class TestLossZero:
     def test_nonnegative_predictions(self):
-        assert loss_zero(np.array([[0.0, 2.0]])).item() == 0.0
+        assert loss_zero(np.array([[0.0, 2.0]]))[0] == 0.0
 
     def test_single_negative(self):
-        assert loss_zero(np.array([[-2.0]])).item() == pytest.approx(4.0)
+        assert loss_zero(np.array([[-2.0]]))[0] == pytest.approx(4.0)
 
     def test_mixed(self):
-        assert loss_zero(np.array([[-1.0, 3.0]])).item() == pytest.approx(1.0)
+        assert loss_zero(np.array([[-1.0, 3.0]]))[0] == pytest.approx(1.0)
+
+
+def fd_gradient(fn, x0, h=1e-6):
+    grad = np.zeros_like(x0)
+    for i in np.ndindex(x0.shape):
+        plus, minus = x0.copy(), x0.copy()
+        plus[i] += h
+        minus[i] -= h
+        grad[i] = (fn(plus)[0] - fn(minus)[0]) / (2 * h)
+    return grad
+
+
+CLOSED_FORMS = {
+    "objective": lambda y: loss_objective(y, np.array([[0.5, 2.5]]), 1.1),
+    "objective_extrapolated_nadir": lambda y: loss_objective(y, np.array([[0.1, 0.2]]), 1.3),
+    "constraint": lambda z: loss_constraint_logits(z, 2.0, 0.25),
+    "constraint_gamma": lambda z: loss_constraint_logits(z, 1.5, 0.6),
+    "distance": lambda x: loss_distance(x, np.array([[0.1, 0.9], [0.5, 0.5], [0.7, 0.2]])),
+    "zero": lambda y: loss_zero(y),
+}
+
+
+class TestClosedFormGradients:
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_matches_finite_differences(self, name, rng):
+        fn = CLOSED_FORMS[name]
+        for _ in range(5):
+            x0 = rng.uniform(-1.0, 2.0, size=(4, 2))
+            value, grad = fn(x0)
+            assert value == fn(x0)[0]
+            expected = fd_gradient(fn, x0)
+            scale = max(1.0, np.abs(expected).max())
+            assert np.allclose(grad, expected, atol=1e-6 * scale), name
+
+    def test_objective_gradient_at_tied_maximum(self):
+        # both rows hold the batch maximum, which sets the nadir: the nadir
+        # gradient is split between them, so their sum is the derivative
+        # along the direction that keeps the tie
+        y = np.array([[1.0, 0.2], [1.0, 0.4], [0.3, 0.9]])
+        train_y = np.array([[0.5, 1.0]])
+        _, grad = loss_objective(y, train_y)
+        assert grad[0, 0] != 0.0
+        direction = np.zeros_like(y)
+        direction[:2, 0] = 1.0
+        h = 1e-6
+        fd = (loss_objective(y + h * direction, train_y)[0]
+              - loss_objective(y - h * direction, train_y)[0]) / (2 * h)
+        assert grad[0, 0] + grad[1, 0] == pytest.approx(fd, rel=1e-6)
+
+    def test_objective_gradient_exact_with_zero_factor(self):
+        # row 0 lies beyond the reference in objective 1 (a negative nadir
+        # scales it to 10), so its product has a zero factor: both of its
+        # gradients are exactly zero, not 0/0, and row 1 is unaffected
+        y = np.array([[0.5, -2.0], [1.0, -0.2]])
+        value, grad = loss_objective(y, np.array([[1.0, -0.2]]))
+        assert value == pytest.approx(-(0.1 * 0.1), rel=1e-9)
+        assert np.array_equal(grad[0], [0.0, 0.0])
+        assert np.all(np.isfinite(grad)) and np.all(grad[1] != 0.0)
+
+    def test_distance_coincident_pair_adds_no_gradient(self):
+        value, grad = loss_distance(np.array([[0.3, 0.3]]), np.array([[0.3, 0.3], [0.3, 0.7]]))
+        assert value == pytest.approx(-0.2)
+        assert np.allclose(grad, [[0.0, 0.5]])
 
 
 class TestBalance:
@@ -282,3 +353,31 @@ class TestConfig:
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError, match="unknown descent targets"):
             FeasolveConfig(targets=("objective", "bogus"))
+
+    @pytest.mark.parametrize("value", [0, -5])
+    @pytest.mark.parametrize("name", ["max_iters", "plateau_window"])
+    def test_step_counts_must_be_positive(self, name, value):
+        # plateau_window 0 read the whole loss list and stopped descent
+        # after one step; max_iters -5 ran no step at all
+        with pytest.raises(ValueError, match="must be at least 1"):
+            FeasolveConfig(**{name: value})
+
+
+def test_descent_and_sensitivity_never_run_the_tape(monkeypatch, rng):
+    def refuse(self):
+        raise AssertionError("the autodiff tape ran")
+
+    monkeypatch.setattr(autodiff.Tensor, "backward", refuse)
+    space = ParameterSpace(("a", "b", "c"), [0.0, -1.0, 2.0], [2.0, 1.0, 5.0])
+    cfg = SurrogateConfig(mode="c+o", blocks=2, block_dim=8)
+    model = JointSurrogate(space, 2, 2, cfg, RandomStream(11, "tape"))
+    model.out_norm = OutputNormalizer.fit(rng.uniform(0.0, 5.0, (10, 2)))
+    x = space.lower + rng.random((6, 3)) * space.span
+    train_x = space.lower + rng.random((10, 3)) * space.span
+    fs_cfg = FeasolveConfig(targets=("objective", "constraint", "distance", "zero"), max_iters=5)
+    out, trace = make_feasible(
+        Population(x), model, fs_cfg, rng.uniform(0.0, 5.0, (10, 2)), train_x
+    )
+    assert len(trace) == 5 and not trace.aborted
+    assert not np.array_equal(out.members, x)
+    assert np.all(np.isfinite(compute_elasticities(model, train_x).s_bar))
