@@ -1,13 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The program itself never records a tape: training, prediction, descent and
-sensitivity all run the surrogate's explicit passes. This module holds
-exactly the operations that the tape form of the surrogate
-(`JointSurrogate.forward`) and the training reference the explicit passes
-are tested against need: dense affine maps, smooth activations, layer
-normalization, reductions, and numerically stable binary cross-entropy on
-logits. Arrays are float64 throughout so gradients agree tightly with
-central finite differences.
+The program runs the surrogate's explicit passes and never records a tape.
+This module keeps the operations of the surrogate's tape form
+(`JointSurrogate.forward`) and of the training reference that the explicit
+passes are tested against. Arrays are float64 throughout so gradients agree
+tightly with central finite differences.
 
 A Tensor whose ``requires_grad`` is False is treated as a constant: no
 backward closure is recorded for it, so inference-only graphs cost a plain
@@ -115,7 +112,6 @@ class Tensor:
 
         return self._make(out_data, (self, other), backward)
 
-
     def __sub__(self, other):
         other = self._lift(other)
         out_data = self.data - other.data
@@ -214,6 +210,7 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False):
         count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:
     """Elementwise binary cross-entropy on logits, numerically stable.

@@ -90,10 +90,8 @@ class DescentTrace:
 # composite-loss targets
 # ----------------------------------------------------------------------
 #
-# Each target returns its value and its gradient in closed form. The array
-# operations, and their order, are the ones the autodiff tape recorded when
-# these losses ran on it, so seeded runs still write the same evaluations
-# bit for bit.
+# Each target returns its value and gradient in closed form, by the array
+# operations the autodiff tape once recorded for it, in the tape's order.
 
 
 def loss_objective(y_pred, train_objectives, reference_factor: float = 1.1):
@@ -267,19 +265,13 @@ def make_feasible(
     losses: list[float] = []
     for step in range(cfg.max_iters):
         batch = InputPass(model, x)
-        grads: list[np.ndarray] = []
-        total_loss = 0.0
-        finite = True
-        for target in cfg.targets:
-            value, g = _target_gradient(target, batch, cfg, train_y, train_unit)
-            if not np.isfinite(value):
-                finite = False
-                break
-            grads.append(g)
-            total_loss += value
-        if not finite:
+        values, grads = zip(
+            *(_target_gradient(t, batch, cfg, train_y, train_unit) for t in cfg.targets)
+        )
+        if not np.all(np.isfinite(values)):
             trace.aborted = True
             break
+        total_loss = sum(values)
 
         y_pred, c_pred = batch.predictions()
         trace.steps.append(
@@ -287,7 +279,7 @@ def make_feasible(
         )
         losses.append(total_loss)
 
-        combined = balance_gradients(grads) if len(grads) > 1 else grads[0]
+        combined = balance_gradients(list(grads)) if len(grads) > 1 else grads[0]
         if use_sgd:
             x = x - cfg.learning_rate * combined
         else:

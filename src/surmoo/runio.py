@@ -132,9 +132,9 @@ def _field_value(f: dataclasses.Field, value, lines: dict[str, int], path: str):
     built recursively, a mapping (``problem_params``, checked by the problem
     factory) is copied, a list becomes a tuple, and a scalar goes through
     ``int`` or ``float``; a boolean must be written as one, a number must
-    not be one, and an int field takes no fractional float. No number may
-    be NaN or infinite: not a float field, not a list entry (``dropout``),
-    not an optional field (``outlier_threshold``)."""
+    not be one, and an int field takes no fractional float. A float field,
+    an entry of a float list (``dropout``) and an optional float
+    (``outlier_threshold``) must be finite."""
     default = f.default if f.default_factory is MISSING else f.default_factory()
     if dataclasses.is_dataclass(default) or isinstance(default, dict):
         value = {} if value is None else value
@@ -146,10 +146,11 @@ def _field_value(f: dataclasses.Field, value, lines: dict[str, int], path: str):
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"config key {_at(path, lines)} must be a list")
-        return tuple(_finite(v, lines, path) for v in value)
+        floats = all(isinstance(d, float) for d in default)
+        return tuple(_finite(v, lines, path) if floats else v for v in value)
     kind = type(default)
     if kind not in (bool, int, float):
-        return _finite(value, lines, path) if default is None else value
+        return _finite(value, lines, path) if "float" in str(f.type) else value
     try:
         # bool("flase") would be True, int(True) 1 and int(2.5) 2
         if (kind is bool) != isinstance(value, bool):
@@ -166,9 +167,10 @@ def _field_value(f: dataclasses.Field, value, lines: dict[str, int], path: str):
 
 
 def _finite(value, lines: dict[str, int], path: str):
-    """``value``, unless it reads as a NaN or infinite number: YAML's
-    ``.nan`` and ``.inf``, or a string such as ``nan`` that ``float`` takes.
-    The range checks of the config dataclasses let NaN through."""
+    """``value`` of a float slot, unless it reads as a NaN or infinite
+    number: YAML's ``.nan`` and ``.inf``, or a string such as ``nan`` that
+    ``float`` takes. The range checks of the config dataclasses let NaN
+    through."""
     try:
         finite = math.isfinite(float(value))
     except (TypeError, ValueError, OverflowError):

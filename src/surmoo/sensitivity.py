@@ -45,11 +45,9 @@ def compute_elasticities(
     """Mean absolute elasticity |dy_k/dx_j * x_j| over the given inputs,
     averaged across all objective outputs.
 
-    Gradients are exact: one explicit forward pass per batch of inputs, then
-    one backward pass per objective with a unit gradient on that
-    denormalized objective. Samples pass through the network independently
-    (layer norm is per-sample), so the backward pass of the batch sum yields
-    row-wise gradients.
+    Gradients are exact: one explicit forward pass per batch, then one
+    backward pass per denormalized objective. Layer norm is per-sample, so
+    the backward pass of the batch sum yields row-wise gradients.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     if x.shape[0] == 0:

@@ -2,21 +2,19 @@
 objective head and a sigmoid constraint head, trained on all accumulated
 evaluations with cross-validated automatic epoch selection.
 
-Every pass the program runs is explicit: a hand-written forward pass that
-caches its activations, and a hand-written backward pass that writes every
-parameter gradient into one flat gradient vector and returns the gradient
-with respect to the inputs. Training pairs them with closed-form output
-gradients for the BCE term and each objective loss, and one vectorized Adam
-step over one flat parameter vector, of which the ``params`` tensors are
-views. Feasibility descent and sensitivity analysis take input gradients
-from the same backward pass through an `InputPass`, which adds the pullback
-of the inverse output transform. Each array operation is the one the
-autodiff tape would record, in the tape's order, so the explicit passes
-agree with it bit for bit; the tape form of the model (`forward`) remains
-only as the reference that agreement is tested against. Residual blocks use
-layer normalization (not batch statistics) so single-point inference and
-input gradients are batch-independent, and the default hidden activation is
-softplus so gradients are smooth everywhere; a ReLU mode is available.
+Training, prediction, feasibility descent and sensitivity analysis run on
+explicit passes: a hand-written forward pass that caches its activations,
+and a hand-written backward pass that writes every parameter gradient into
+one flat gradient vector (with closed-form output gradients for the BCE term
+and each objective loss) and returns the gradient at the input projection's
+output, from which `InputPass` takes input gradients. One vectorized Adam step
+updates one flat parameter vector, of which the ``params`` tensors are
+views. Each array operation is the one the autodiff tape (`forward`) would
+record, in the tape's order, so the explicit passes agree with it bit for
+bit. Residual blocks use layer normalization (not batch statistics) so
+single-point inference and input gradients are batch-independent, and the
+default hidden activation is softplus so gradients are smooth everywhere; a
+ReLU mode is available.
 """
 
 from __future__ import annotations
@@ -150,23 +148,15 @@ class OutputNormalizer:
 
     def inverse_pullback(self, targets: np.ndarray):
         """(values, pullback): `inverse` with the shared rescale taken as a
-        product with its reciprocal (so the values can differ from it in the
-        last bit), and the map of a gradient g with respect to the values to
-        the one with respect to the targets, g * col_span * (1 /
-        shared_span) * exp(targets) evaluated left to right."""
-        unit = np.expm1(targets)
-        scale = 1.0 / self.shared_span if self.shared_span > 0.0 else None
-        if scale is not None:
+        product with its reciprocal (so a value can differ from it in the
+        last bit), and the map of a gradient g at the values to the one at
+        the targets, g * col_span * (1 / shared_span) * exp(targets)."""
+        unit, scale = np.expm1(targets), 1.0
+        if self.shared_span > 0.0:
+            scale = 1.0 / self.shared_span
             unit = (unit - self.shared_min) * scale
         slope = np.exp(targets)
-
-        def pullback(g: np.ndarray) -> np.ndarray:
-            g = g * self.col_span
-            if scale is not None:
-                g = g * scale
-            return g * slope
-
-        return unit * self.col_span + self.y_min, pullback
+        return unit * self.col_span + self.y_min, lambda g: g * self.col_span * scale * slope
 
     def state(self) -> dict:
         return {"y_min": self.y_min.tolist(), "y_max": self.y_max.tolist()}
@@ -238,12 +228,9 @@ class JointSurrogate:
     ) -> tuple[Tensor | None, Tensor | None]:
         """Raw heads on a parameter-space tensor, recorded on the autodiff
         tape: (normalized-objective predictions, constraint logits). Dropout
-        is applied only in training mode; inference is deterministic. The
-        program never runs this pass; its two users are the training
-        reference that the explicit passes are tested against bit for bit,
-        and the ``kernel.fwd_bwd_2x192.ms`` benchmark kernel. Training,
-        `predict` and `InputPass` run the explicit `_forward`, which performs
-        the same array operations."""
+        is applied only in training mode. The program runs `_forward`; this
+        pass serves the tests' bit-for-bit training reference and the
+        ``kernel.fwd_bwd_2x192.ms`` benchmark kernel."""
         p = self.params
         x_unit = (x - Tensor(self.space.lower)) * Tensor(1.0 / self.space.span)
         h = x_unit @ p["proj.w"] + p["proj.b"]
@@ -324,7 +311,7 @@ class JointSurrogate:
         respect to every parameter into ``grads`` (arrays keyed like
         ``params``), given the output gradients ``dy`` and ``dc`` of the
         heads the loss uses (None for a head it does not), and returns the
-        gradient with respect to the parameter-space rows."""
+        gradient with respect to the output of the input projection."""
         p = self.params
         softplus = self.config.activation == "softplus"
         d = self.config.block_dim
@@ -357,7 +344,7 @@ class JointSurrogate:
             dh = dh + (gx - mean_gx - x_hat * mean_gx_xhat) / sigma
         np.add.reduce(dh, axis=0, out=grads["proj.b"])
         np.matmul(x_unit.T, dh, out=grads["proj.w"])
-        return (dh @ p["proj.w"].data.T) * (1.0 / self.space.span)
+        return dh
 
     def _flat_parameters(self) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
         """Copy the weights into one flat vector and rebind every ``params``
@@ -403,11 +390,9 @@ class JointSurrogate:
 
 class InputPass:
     """One explicit forward pass on parameter-space rows, kept for any
-    number of input gradients (one per descent target or objective).
-    ``y`` holds the denormalized objectives (see
-    `OutputNormalizer.inverse_pullback`) and ``c_logits`` the constraint
-    logits, each None for an absent head; ``x_unit`` the rows in the unit
-    box."""
+    number of input gradients. ``y`` holds the denormalized objectives and
+    ``c_logits`` the constraint logits (None for an absent head), ``x_unit``
+    the rows in the unit box."""
 
     def __init__(self, model: JointSurrogate, x: np.ndarray):
         self.model = model
@@ -427,7 +412,8 @@ class InputPass:
         with respect to ``y`` and ``c_logits`` are ``dy`` and ``dc``."""
         if dy is not None and self._pullback is not None:
             dy = self._pullback(dy)
-        return self.model._backward(self._cache, dy, dc, self._grads)
+        dh = self.model._backward(self._cache, dy, dc, self._grads)
+        return (dh @ self.model.params["proj.w"].data.T) * (1.0 / self.model.space.span)
 
 
 # ----------------------------------------------------------------------

@@ -190,6 +190,12 @@ class TestConfigLoading:
         assert cmd_run(str(path), None, str(tmp_path / "out")) == 2
         assert "must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["targets: [.nan]", "targets: [objective, inf]"])
+    def test_non_finite_in_a_string_slot_keeps_its_own_error(self, tmp_path, entry):
+        path = write_config(tmp_path, MINIMAL_CONFIG + f"feasolve:\n  {entry}\n")
+        with pytest.raises(ConfigError, match="unknown descent targets"):
+            load_config(path)
+
     def test_integral_float_loads_as_int(self, tmp_path):
         config = load_config(write_config(tmp_path, MINIMAL_CONFIG.replace("epochs: 2", "epochs: 2.0")))
         assert config.epochs == 2 and type(config.epochs) is int

@@ -462,13 +462,15 @@ def _gradient_fixture(n=23):
 
 def _explicit_gradients(model, x, y, c, dropout_seed):
     """Loss, flat parameter vector, flat gradient, gradient views and input
-    gradient from the explicit forward/backward passes."""
+    gradient from the explicit forward/backward passes, and the output
+    gradients (dy, dc) of the loss."""
     flat, grad, grads = model._flat_parameters()
     y_out, c_out, cache = model._forward(model._unit(x), np.random.default_rng(dropout_seed))
     kind = model.config.objective_loss
     value, dy, dc = surrogate._composite_loss(y_out, c_out, y, c, kind, grad=True)
-    dx = model._backward(cache, dy, dc, grads)
-    return value, flat, grad, grads, dx
+    dh = model._backward(cache, dy, dc, grads)
+    dx = (dh @ model.params["proj.w"].data.T) * (1.0 / model.space.span)
+    return value, flat, grad, grads, dx, (dy, dc)
 
 
 class TestExplicitPasses:
@@ -486,7 +488,7 @@ class TestExplicitPasses:
                 dropout=dropout, objective_loss=loss,
             )
             model = JointSurrogate(GRAD_SPACE, 2, 2, cfg, RandomStream(3, "grad"))
-            value, _, _, grads, dx = _explicit_gradients(model, x[rows], y[rows], c[rows], 5)
+            value, _, _, grads, dx, outs = _explicit_gradients(model, x[rows], y[rows], c[rows], 5)
             leaf = Tensor(x[rows], requires_grad=True)
             tape = tape_composite_loss(
                 model, leaf, y[rows], c[rows], True, np.random.default_rng(5)
@@ -497,6 +499,8 @@ class TestExplicitPasses:
             for name, t in model.params.items():
                 assert np.array_equal(grads[name], t.grad), (blocks, dropout, name)
             assert np.array_equal(dx, leaf.grad), (blocks, dropout)
+            if dropout == (0.0, 0.0):  # no normalizer: InputPass takes dy as is
+                assert np.array_equal(InputPass(model, x[rows]).gradient(*outs), leaf.grad)
 
     @pytest.mark.parametrize("loss", OBJECTIVE_LOSSES)
     def test_parameter_gradients_match_finite_differences(self, loss):
@@ -505,7 +509,7 @@ class TestExplicitPasses:
             mode="c+o", blocks=2, block_dim=4, dropout=(0.2, 0.1), objective_loss=loss
         )
         model = JointSurrogate(GRAD_SPACE, 2, 2, cfg, RandomStream(7, "fd"))
-        _, flat, analytic, _, _ = _explicit_gradients(model, x, y, c, 5)
+        _, flat, analytic, _, _, _ = _explicit_gradients(model, x, y, c, 5)
 
         def loss_at(j, delta):
             saved = flat[j]
