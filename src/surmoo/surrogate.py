@@ -7,14 +7,14 @@ explicit passes: a hand-written forward pass that caches its activations,
 and a hand-written backward pass that writes every parameter gradient into
 one flat gradient vector (with closed-form output gradients for the BCE term
 and each objective loss) and returns the gradient at the input projection's
-output, from which `InputPass` takes input gradients. One vectorized Adam step
-updates one flat parameter vector, of which the ``params`` tensors are
-views. Each array operation is the one the autodiff tape (`forward`) would
-record, in the tape's order, so the explicit passes agree with it bit for
-bit. Residual blocks use layer normalization (not batch statistics) so
-single-point inference and input gradients are batch-independent, and the
-default hidden activation is softplus so gradients are smooth everywhere; a
-ReLU mode is available.
+output, from which `InputPass` takes input gradients without computing any
+parameter gradient. One vectorized Adam step updates one flat parameter
+vector, of which the ``params`` tensors are views. Each array operation is
+the one the autodiff tape (`forward`) would record, in the tape's order, so
+the explicit passes agree with it bit for bit. Residual blocks use layer
+normalization (not batch statistics) so single-point inference and input
+gradients are batch-independent, and the default hidden activation is
+softplus so gradients are smooth everywhere; a ReLU mode is available.
 """
 
 from __future__ import annotations
@@ -306,44 +306,48 @@ class JointSurrogate:
             c_out = h @ p["head_con.w"].data + p["head_con.b"].data
         return y_out, c_out, (x_unit, blocks, h)
 
-    def _backward(self, cache, dy, dc, grads: dict[str, np.ndarray]) -> np.ndarray:
-        """Explicit backward pass: writes the gradient of the loss with
-        respect to every parameter into ``grads`` (arrays keyed like
-        ``params``), given the output gradients ``dy`` and ``dc`` of the
-        heads the loss uses (None for a head it does not), and returns the
-        gradient with respect to the output of the input projection."""
+    def _backward(self, cache, dy, dc, grads: dict[str, np.ndarray] | None = None) -> np.ndarray:
+        """Explicit backward pass: given the output gradients ``dy`` and
+        ``dc`` of the heads the loss uses (None for a head it does not),
+        writes the gradient of the loss with respect to every parameter into
+        ``grads`` (arrays keyed like ``params``) and returns the gradient with
+        respect to the output of the input projection. Without ``grads`` it
+        computes only that returned gradient, as input gradients need."""
         p = self.params
         softplus = self.config.activation == "softplus"
         d = self.config.block_dim
         x_unit, blocks, h = cache
+
+        def dense(name, inputs, g):
+            if grads is not None:
+                np.add.reduce(g, axis=0, out=grads[f"{name}.b"])
+                np.matmul(inputs.T, g, out=grads[f"{name}.w"])
+
         dh = None
         for head, g in (("head_obj", dy), ("head_con", dc)):
             if g is None:
                 continue
-            np.add.reduce(g, axis=0, out=grads[f"{head}.b"])
-            np.matmul(h.T, g, out=grads[f"{head}.w"])
+            dense(head, h, g)
             dh_head = g @ p[f"{head}.w"].data.T
             dh = dh_head if dh is None else dh + dh_head
         for i in reversed(range(self.config.blocks)):
             x_hat, sigma, z, u, mask1, a, mask2 = blocks[i]
             g = dh if mask2 is None else dh * mask2
-            np.add.reduce(g, axis=0, out=grads[f"block{i}.fc2.b"])
-            np.matmul(a.T, g, out=grads[f"block{i}.fc2.w"])
+            dense(f"block{i}.fc2", a, g)
             g = g @ p[f"block{i}.fc2.w"].data.T
             if mask1 is not None:
                 g = g * mask1
             g = g * expit(u) if softplus else g * (u > 0.0)
-            np.add.reduce(g, axis=0, out=grads[f"block{i}.fc1.b"])
-            np.matmul(z.T, g, out=grads[f"block{i}.fc1.w"])
+            dense(f"block{i}.fc1", z, g)
             g = g @ p[f"block{i}.fc1.w"].data.T
-            np.add.reduce(g * x_hat, axis=0, out=grads[f"block{i}.ln_scale"])
-            np.add.reduce(g, axis=0, out=grads[f"block{i}.ln_shift"])
+            if grads is not None:
+                np.add.reduce(g * x_hat, axis=0, out=grads[f"block{i}.ln_scale"])
+                np.add.reduce(g, axis=0, out=grads[f"block{i}.ln_shift"])
             gx = g * p[f"block{i}.ln_scale"].data
             mean_gx = np.add.reduce(gx, axis=1, keepdims=True) / d
             mean_gx_xhat = np.add.reduce(gx * x_hat, axis=1, keepdims=True) / d
             dh = dh + (gx - mean_gx - x_hat * mean_gx_xhat) / sigma
-        np.add.reduce(dh, axis=0, out=grads["proj.b"])
-        np.matmul(x_unit.T, dh, out=grads["proj.w"])
+        dense("proj", x_unit, dh)
         return dh
 
     def _flat_parameters(self) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
@@ -401,7 +405,6 @@ class InputPass:
         self.y, self._pullback = self.y_out, None
         if self.y_out is not None and model.out_norm is not None:
             self.y, self._pullback = model.out_norm.inverse_pullback(self.y_out)
-        self._grads = {name: np.empty_like(t.data) for name, t in model.params.items()}
 
     def predictions(self) -> tuple[np.ndarray | None, np.ndarray | None]:
         """What `JointSurrogate.predict` returns for the same rows."""
@@ -412,7 +415,7 @@ class InputPass:
         with respect to ``y`` and ``c_logits`` are ``dy`` and ``dc``."""
         if dy is not None and self._pullback is not None:
             dy = self._pullback(dy)
-        dh = self.model._backward(self._cache, dy, dc, self._grads)
+        dh = self.model._backward(self._cache, dy, dc)
         return (dh @ self.model.params["proj.w"].data.T) * (1.0 / self.model.space.span)
 
 

@@ -394,7 +394,22 @@ import json, sys
 from surmoo import cli
 if len(sys.argv) > 1:
     assert cli.main(sys.argv[1:]) == 0
-print(json.dumps([m for m in ("scipy.stats", "scipy.special") if m in sys.modules]))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+# joint surrogate with descent and sensitivity: every code path that takes a
+# sigmoid (training, constraint predictions, BCE and descent gradients)
+JOINT_CONFIG = """\
+problem: tnk
+seed: 3
+epochs: 1
+population_size: 8
+initial_samples: 30
+sampler: sobol
+generations: 2
+surrogate: {mode: c+o, blocks: 1, block_dim: 8, learning_rate: 0.02, dropout: [0.0, 0.0]}
+feasolve: {enabled: true}
+sensitivity: {enabled: true}
 """
 
 
@@ -410,9 +425,9 @@ def _scipy_modules_loaded(*argv) -> list[str]:
 
 
 class TestStartup:
-    # scipy.special takes a third of a second to import and only the sigmoid
-    # needs it, so it loads on first use; scipy.stats (most of a second) is
-    # never loaded, since Sobol designs are drawn from a built-in table
+    # no command loads any scipy module: the sigmoid is numpy and Sobol
+    # designs come from a built-in table (scipy.special cost 0.26 s and
+    # about 20 MB per run, scipy.stats most of a second)
     def test_import_leaves_scipy_unloaded(self):
         assert _scipy_modules_loaded() == []
 
@@ -427,6 +442,13 @@ class TestStartup:
         assert "scipy.stats" not in loaded
         assert load_config(out / "config.yaml").sampler == "sobol"
         assert len(read_evaluations(out)) == 10 + 2 * 8
+
+    def test_joint_run_with_descent_and_sensitivity_leaves_scipy_unloaded(self, tmp_path):
+        config = write_config(tmp_path, JOINT_CONFIG)
+        out = tmp_path / "out"
+        assert _scipy_modules_loaded("run", "--config", str(config), "--out", str(out)) == []
+        final = read_metrics(out)[-1]
+        assert final["mode"] == "c+o" and final["feasolve_steps"] > 0
 
 
 class TestBuildRunConfig:

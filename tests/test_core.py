@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from surmoo.core import (
     RunHistory,
     dominance_matrix,
     dominates,
+    expit,
     is_feasible,
     nondominated_mask,
 )
@@ -33,6 +37,43 @@ class TestFeasibility:
 
     def test_empty_product(self):
         assert is_feasible([])
+
+
+def oracle_expit(x: float) -> float:
+    """Logistic sigmoid from libm's exp, in the form that cannot overflow."""
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+class TestExpit:
+    ULP_BOUND = 4
+
+    def test_matches_math_exp_oracle_within_ulp_bound(self):
+        mag = np.geomspace(1e-3, 800.0, 20_001)
+        x = np.concatenate([mag, -mag])
+        got = expit(x)
+        want = np.array([oracle_expit(v) for v in x])
+        ulps = np.abs(got - want) / np.spacing(want)
+        assert ulps.max() <= self.ULP_BOUND
+
+    def test_exact_values_at_infinities_and_zeros(self):
+        x = np.array([np.inf, -np.inf, 0.0, -0.0])
+        assert expit(x).tolist() == [1.0, 0.0, 0.5, 0.5]
+
+    def test_nan_propagates(self):
+        assert np.isnan(expit(np.array([np.nan, 1.0]))).tolist() == [True, False]
+
+    def test_extreme_arguments_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert expit(np.array([1e308, -1e308, -746.0])).tolist() == [1.0, 0.0, 0.0]
+
+    def test_scalar_argument_returns_a_scalar(self):
+        value = expit(0.25)
+        assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
+        assert value == oracle_expit(0.25)
 
 
 class TestDominance:

@@ -489,6 +489,10 @@ class TestExplicitPasses:
             )
             model = JointSurrogate(GRAD_SPACE, 2, 2, cfg, RandomStream(3, "grad"))
             value, _, _, grads, dx, outs = _explicit_gradients(model, x[rows], y[rows], c[rows], 5)
+            _, _, cache = model._forward(model._unit(x[rows]), np.random.default_rng(5))
+            dh = model._backward(cache, *outs)  # no gradient dict: input gradient only
+            input_only = (dh @ model.params["proj.w"].data.T) * (1.0 / GRAD_SPACE.span)
+            assert np.array_equal(input_only, dx), (blocks, dropout)
             leaf = Tensor(x[rows], requires_grad=True)
             tape = tape_composite_loss(
                 model, leaf, y[rows], c[rows], True, np.random.default_rng(5)
