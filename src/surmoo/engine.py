@@ -2,17 +2,19 @@
 
 Each run draws an initial design, evaluates it, and then iterates epochs:
 retrain the surrogate on all accumulated data, optionally derive
-sensitivity-informed distribution indices, run NSGA-II generations entirely
-on surrogate predictions, optionally refine the non-elite half of the
-ranked population by gradient-based feasibility solving, evaluate the final
-candidates on the true problem, and snapshot metrics. The exact evaluation
+sensitivity-informed distribution indices, select parents from the
+true-evaluated history, run NSGA-II generations entirely on surrogate
+predictions, optionally refine the non-elite half of the ranked population
+by gradient-based feasibility solving, evaluate the final candidates on the
+true problem, and snapshot metrics. The exact evaluation
 budget is initial_samples + epochs * population_size: trace re-anchoring
 points, when enabled, replace the lowest-ranked explorer candidates instead
 of adding evaluations.
 
 If surrogate training fails in an epoch (for example, too few viable
-records), the epoch falls back to plain NSGA-II variation on the best
-true-evaluated parents and the event is logged. Every failed evaluation is
+records), the epoch falls back to one plain NSGA-II variation step on the
+same parents, ranked by their true values, and the event is logged. Both
+epoch kinds draw children from `moea.offspring`. Every failed evaluation is
 logged too, with its epoch, candidate index and error.
 
 `replay` rebuilds the history and archive epoch by epoch from an evaluation
@@ -206,69 +208,26 @@ def _archive_hv(archive: ParetoArchive, history: RunHistory) -> float:
 
 def _select_parents(
     history: RunHistory, count: int, problem: ProblemDefinition, stream: RandomStream
-) -> np.ndarray:
-    """Best ``count`` parameter vectors from the true-evaluated history by
-    feasibility-first rank and crowding; pads with uniform draws when the
-    history holds fewer viable records."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The best ``count`` true-evaluated records by feasibility-first rank
+    and crowding, as (parameters, objectives, feasibility) arrays. When the
+    history holds fewer viable records, uniform draws pad the parameters;
+    padding rows have inf objectives and count as infeasible."""
+    space, q = problem.space, problem.n_objectives
     records = history.viable_records()
+    members = np.array([r.params for r in records]).reshape(-1, space.dim)
+    objs = np.array([r.objectives for r in records]).reshape(-1, q)
+    feas = np.array([r.feasible for r in records], dtype=bool)
     if records:
-        members = np.array([r.params for r in records])
-        objs = np.array([r.objectives for r in records])
-        feas = np.array([r.feasible for r in records])
-        ranked = moea.rank_population(members, objs, feas)
-        parents = ranked.sorted_members()[:count]
-    else:
-        parents = np.empty((0, problem.space.dim))
-    if parents.shape[0] < count:
-        rng = stream.generator()
-        extra = problem.space.lower + rng.random(
-            (count - parents.shape[0], problem.space.dim)
-        ) * problem.space.span
-        parents = np.vstack([parents, extra]) if parents.size else extra
-    return parents
-
-
-def _fallback_candidates(
-    parents: np.ndarray,
-    history: RunHistory,
-    count: int,
-    indices: moea.DistributionIndices,
-    problem: ProblemDefinition,
-    stream: RandomStream,
-) -> np.ndarray:
-    """No-surrogate epoch: NSGA-II variation operators applied to the
-    true-evaluated parents."""
-    rng = stream.generator()
-    lookup = {tuple(r.params): r for r in history.viable_records()}
-    objs = []
-    feas = []
-    for row in parents:
-        rec = lookup.get(tuple(row))
-        if rec is None:
-            objs.append(np.full(problem.n_objectives, np.inf))
-            feas.append(False)
-        else:
-            objs.append(rec.objectives)
-            feas.append(rec.feasible)
-    ranked = moea.rank_population(parents, np.array(objs), np.array(feas))
-    children: list[np.ndarray] = []
-    while len(children) < count:
-        i1 = moea.constrained_tournament(
-            rng.integers(len(parents)), rng.integers(len(parents)), ranked, rng
-        )
-        i2 = moea.constrained_tournament(
-            rng.integers(len(parents)), rng.integers(len(parents)), ranked, rng
-        )
-        if rng.random() < moea.CROSSOVER_PROB:
-            c1, c2 = moea.sbx_crossover(
-                parents[i1], parents[i2], indices, problem.space, rng
-            )
-        else:
-            c1, c2 = parents[i1].copy(), parents[i2].copy()
-        children.append(moea.polynomial_mutation(c1, indices, problem.space, rng))
-        if len(children) < count:
-            children.append(moea.polynomial_mutation(c2, indices, problem.space, rng))
-    return np.array(children[:count])
+        keep = moea.rank_population(members, objs, feas).order[:count]
+        members, objs, feas = members[keep], objs[keep], feas[keep]
+    pad = count - members.shape[0]
+    if pad > 0:
+        extra = space.lower + stream.generator().random((pad, space.dim)) * space.span
+        members = np.vstack([members, extra])
+        objs = np.vstack([objs, np.full((pad, q), np.inf)])
+        feas = np.concatenate([feas, np.zeros(pad, dtype=bool)])
+    return members, objs, feas
 
 
 def _evaluate_and_log(
@@ -301,16 +260,6 @@ def _evaluate_and_log(
         archive.insert(rec)
         records.append(rec)
     return records
-
-
-def _surrogate_predictor(model: JointSurrogate):
-    def predictor(batch: np.ndarray):
-        y, c = model.predict(batch)
-        if y is None:
-            y = np.zeros((batch.shape[0], 1))
-        return y, c
-
-    return predictor
 
 
 def run(config: RunConfig) -> RunResult:
@@ -402,34 +351,28 @@ def run(config: RunConfig) -> RunResult:
                     SensitivitySnapshot(epoch, sens.s_bar, indices.eta_cross.copy())
                 )
 
+            parents, parent_objs, parent_feas = _select_parents(
+                history, n_sub, problem, sub_stream.child("parents")
+            )
+            provenances = [Provenance.MOEA] * n_sub
             if model is None:
                 effective_mode = "none"
-                parents = _select_parents(
-                    history, n_sub, problem, sub_stream.child("parents")
+                ranked = moea.rank_population(parents, parent_objs, parent_feas)
+                candidates = moea.offspring(
+                    ranked, indices, space, sub_stream.child("variation").generator()
                 )
-                candidates = _fallback_candidates(
-                    parents, history, n_sub, indices, problem,
-                    sub_stream.child("variation"),
-                )
-                provenances = [Provenance.MOEA] * n_sub
             else:
-                parents = _select_parents(
-                    history, n_sub, problem, sub_stream.child("parents")
-                )
-                predictor = _surrogate_predictor(model)
-                pop = moea.generate(
+                candidates = moea.generate(
                     Population(parents),
-                    predictor,
+                    model.predict,
                     config.generations,
                     indices,
                     space,
                     sub_stream.child("moea"),
-                )
-                candidates = pop.members
-                provenances = [Provenance.MOEA] * n_sub
+                ).members
                 if config.feasolve.enabled:
                     candidates, provenances, steps = _feasolve_stage(
-                        candidates, model, config, predictor, history, epoch, result
+                        candidates, model, config, history, epoch, result
                     )
                     feasolve_steps += steps
 
@@ -457,7 +400,7 @@ def run(config: RunConfig) -> RunResult:
     return result
 
 
-def _feasolve_stage(candidates, model, config, predictor, history, epoch, result):
+def _feasolve_stage(candidates, model, config, history, epoch, result):
     """Rank the generated population, preserve the elite half, and refine
     the rest by descent; optionally swap the lowest-ranked explorers for
     diverse trace samples."""
@@ -470,14 +413,7 @@ def _feasolve_stage(candidates, model, config, predictor, history, epoch, result
         )
         return candidates, [Provenance.MOEA] * candidates.shape[0], 0
     fs_cfg = replace(config.feasolve, targets=targets)
-    objs, probs = model.predict(candidates)
-    if objs is None:
-        objs = np.zeros((candidates.shape[0], 1))
-    feas = (
-        np.all(probs >= moea.FEASIBILITY_THRESHOLD, axis=1)
-        if probs is not None
-        else np.ones(candidates.shape[0], dtype=bool)
-    )
+    objs, feas = moea.ranking_inputs(model.predict, candidates)
     ranked = moea.rank_population(candidates, objs, feas)
     elite, explore = fs.hybrid_epoch_split(ranked)
     if explore.shape[0] == 0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Population, expit
 from .moea import RankedPopulation
-from .surrogate import InputPass, JointSurrogate, normalize_inputs
+from .surrogate import InputPass, JointSurrogate
 
 __all__ = [
     "FeasolveConfig",
@@ -251,7 +251,7 @@ def make_feasible(
         else np.zeros((1, model.q))
     )
     train_unit = (
-        normalize_inputs(np.atleast_2d(train_inputs), space)
+        model._unit(np.atleast_2d(np.asarray(train_inputs, dtype=float)))
         if train_inputs is not None and np.size(train_inputs)
         else np.zeros((1, space.dim))
     )

@@ -1,11 +1,17 @@
-"""NSGA-II generator operating on surrogate predictions.
+"""NSGA-II variation and constrained ranking.
+
+`offspring` is the one variation step (tournaments, SBX, polynomial
+mutation), and both epoch kinds draw children from it: `generate` runs
+NSGA-II generations on surrogate predictions, and an epoch without a
+surrogate varies the true-evaluated parents directly.
 
 Constraint handling is feasibility-first: predicted-feasible candidates
-(every constraint probability >= 0.5) always rank ahead of predicted-
-infeasible ones; within each group candidates are sorted into non-dominated
-fronts by objectives. Candidates with NaN predictions are parked in a final
-worst front. Crossover and mutation use per-dimension distribution indices
-so sensitivity information can shape the search per parameter.
+(every constraint probability >= 0.5, see `ranking_inputs`) always rank
+ahead of predicted-infeasible ones; within each group candidates are sorted
+into non-dominated fronts by objectives. Candidates with NaN predictions
+are parked in a final worst front. Crossover and mutation use per-dimension
+distribution indices so sensitivity information can shape the search per
+parameter.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ __all__ = [
     "sbx_crossover",
     "polynomial_mutation",
     "rank_population",
+    "offspring",
+    "ranking_inputs",
     "generate",
     "ETA_DEFAULT",
     "FEASIBILITY_THRESHOLD",
@@ -243,15 +251,13 @@ def generate(
     indices: DistributionIndices,
     space: ParameterSpace,
     stream,
-    crossover_prob: float = CROSSOVER_PROB,
-    mutation_rate: float | None = None,
 ) -> Population:
     """Run ``generations`` elitist NSGA-II generations entirely against
     surrogate predictions and return the final population of the same size.
 
     ``predictor`` maps an (N, n) parameter batch to (objectives, constraint
-    probabilities); the probability matrix may be None for objective-only
-    surrogates, in which case every candidate counts as feasible.
+    probabilities), as `JointSurrogate.predict` does; `ranking_inputs` reads
+    an absent head.
     """
     if generations < 1:
         raise ValueError("need at least one generation")
@@ -259,14 +265,11 @@ def generate(
     members = population.members.copy()
     m_pop = members.shape[0]
 
-    objs, feas = _predict(predictor, members)
+    objs, feas = ranking_inputs(predictor, members)
     for _ in range(generations):
-        ranked = rank_population(members, objs, feas)
-        offspring = _make_offspring(
-            ranked, indices, space, rng, crossover_prob, mutation_rate
-        )
-        off_objs, off_feas = _predict(predictor, offspring)
-        combined = np.vstack([members, offspring])
+        children = offspring(rank_population(members, objs, feas), indices, space, rng)
+        off_objs, off_feas = ranking_inputs(predictor, children)
+        combined = np.vstack([members, children])
         combined_objs = np.vstack([objs, off_objs])
         combined_feas = np.concatenate([feas, off_feas])
         ranked_all = rank_population(combined, combined_objs, combined_feas)
@@ -277,8 +280,14 @@ def generate(
     return Population(members)
 
 
-def _predict(predictor, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ranking_inputs(predictor, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(objectives, feasibility) ranking inputs from a predictor's output.
+    Absent objectives (None) give one zero column; a candidate is feasible
+    when every constraint probability is at least ``FEASIBILITY_THRESHOLD``,
+    or when there are none."""
     objs, probs = predictor(members)
+    if objs is None:
+        objs = np.zeros((members.shape[0], 1))
     objs = np.atleast_2d(np.asarray(objs, dtype=float))
     if probs is None or np.asarray(probs).size == 0:
         feas = np.ones(members.shape[0], dtype=bool)
@@ -288,7 +297,16 @@ def _predict(predictor, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return objs, feas
 
 
-def _make_offspring(ranked, indices, space, rng, crossover_prob, mutation_rate):
+def offspring(
+    ranked: RankedPopulation,
+    indices: DistributionIndices,
+    space: ParameterSpace,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``ranked.size`` children by NSGA-II variation: two constrained
+    binary tournaments pick each parent pair, SBX crosses it with
+    probability ``CROSSOVER_PROB`` (else the parents are copied), and
+    polynomial mutation at rate 1/n perturbs each child."""
     m_pop = ranked.size
     children: list[np.ndarray] = []
     while len(children) < m_pop:
@@ -299,11 +317,11 @@ def _make_offspring(ranked, indices, space, rng, crossover_prob, mutation_rate):
             rng.integers(m_pop), rng.integers(m_pop), ranked, rng
         )
         p1, p2 = ranked.members[i1], ranked.members[i2]
-        if rng.random() < crossover_prob:
+        if rng.random() < CROSSOVER_PROB:
             c1, c2 = sbx_crossover(p1, p2, indices, space, rng)
         else:
             c1, c2 = p1.copy(), p2.copy()
-        children.append(polynomial_mutation(c1, indices, space, rng, mutation_rate))
+        children.append(polynomial_mutation(c1, indices, space, rng))
         if len(children) < m_pop:
-            children.append(polynomial_mutation(c2, indices, space, rng, mutation_rate))
+            children.append(polynomial_mutation(c2, indices, space, rng))
     return np.array(children)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moea import DistributionIndices
+from .moea import ETA_MAX, ETA_MIN, DistributionIndices
 from .surrogate import InputPass, JointSurrogate
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
 
 GRADIENT_BATCH = 1024
 ETA_SCALE = 20.0
-ETA_MIN, ETA_MAX = 1.0, 30.0
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ __all__ = [
     "OutputNormalizer",
     "JointSurrogate",
     "InputPass",
-    "normalize_inputs",
     "epoch_budget",
     "train",
     "save_checkpoint",
@@ -92,11 +91,6 @@ class TrainingSchedule:
     patience: int
     fold_stop_epochs: list[int]
     final_epochs: int
-
-
-def normalize_inputs(x: np.ndarray, space: ParameterSpace) -> np.ndarray:
-    """Map points into the unit box via bounds normalization."""
-    return (np.asarray(x, dtype=float) - space.lower) / space.span
 
 
 class OutputNormalizer:
@@ -260,7 +254,8 @@ class JointSurrogate:
 
     def _unit(self, x: np.ndarray) -> np.ndarray:
         """Parameter-space rows mapped into the unit box, by the same array
-        operations as the first line of `forward`."""
+        operations as the first line of `forward`. Training, prediction and
+        the descent distance target all use this one map."""
         return (x - self.space.lower) * (1.0 / self.space.span)
 
     def _forward(self, x_unit: np.ndarray, dropout_rng: np.random.Generator | None = None):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from surmoo import engine
-from surmoo.core import EvaluationRecord, RunHistory
+from surmoo.core import EvaluationRecord, RandomStream, RunHistory
 from surmoo.engine import (
     RunConfig,
     SensitivityConfig,
@@ -15,6 +15,7 @@ from surmoo.engine import (
     select_surrogate_mode,
 )
 from surmoo.feasolve import FeasolveConfig
+from surmoo.moea import rank_population
 from surmoo.problems import get_problem
 from surmoo.surrogate import SurrogateConfig
 from surmoo.surrogate import train as train_surrogate
@@ -280,6 +281,51 @@ class TestFallback:
             assert np.isnan(m.nrmse)
 
 
+class TestSelectParents:
+    def _history(self, problem, count, extra=()):
+        points = problem.space.lower + np.random.default_rng(3).random(
+            (count, problem.space.dim)
+        ) * problem.space.span
+        points = np.vstack([points, *extra])
+        history = RunHistory()
+        for x in points:
+            objs, cons = problem.evaluate(x)
+            history.append(EvaluationRecord(x, objs, cons, 0, "init"))
+        return history
+
+    def _own_records(self, history, params):
+        by_params = {tuple(r.params): r for r in history.records}
+        return [by_params.get(tuple(row)) for row in params]
+
+    def test_padding_ranks_after_every_record(self):
+        problem = get_problem("bnh")
+        # (0, 3) violates BNH's first constraint: padding must rank behind
+        # infeasible records too
+        history = self._history(problem, 3, extra=[[0.0, 3.0]])
+        params, objs, feas = engine._select_parents(
+            history, 8, problem, RandomStream(1, "parents")
+        )
+        own = self._own_records(history, params)
+        real = np.array([r is not None for r in own])
+        assert params.shape == (8, 2) and real.sum() == 4
+        assert not all(r.feasible for r in own if r is not None)
+        assert np.all(np.isinf(objs[~real])) and not np.any(feas[~real])
+        assert np.all(params >= problem.space.lower) and np.all(params <= problem.space.upper)
+        ranked = rank_population(params, objs, feas)
+        assert ranked.front_index[~real].min() > ranked.front_index[real].max()
+
+    def test_parents_carry_their_records_own_values(self):
+        problem = get_problem("bnh")
+        history = self._history(problem, 12)
+        params, objs, feas = engine._select_parents(
+            history, 5, problem, RandomStream(1, "parents")
+        )
+        own = self._own_records(history, params)
+        assert len(own) == 5 and all(r is not None for r in own)
+        assert np.array_equal(objs, np.array([r.objectives for r in own]))
+        assert np.array_equal(feas, np.array([r.feasible for r in own]))
+
+
 class TestDynamicStop:
     def test_iteration_guard_stops_run(self):
         config = small_config(epochs=10, stop="iteration > 3")
@@ -351,6 +397,22 @@ class TestFeasolveIntegration:
         assert fs_elite  # the preserved half is present
         for rec in fs_elite:
             assert tuple(rec.params) in plain_params
+
+    def test_constraint_only_surrogate_ranks_and_descends(self):
+        # mode c predicts no objectives: ranking sees a single zero column.
+        # SRN, not BNH: BNH's box holds only 2 constraint patterns, so the
+        # engine would fall back to mode o there
+        config = self._feasolve_config(
+            problem="srn",
+            surrogate=SurrogateConfig(mode="c", **TINY_SURROGATE),
+            feasolve=FeasolveConfig(enabled=True, targets=("constraint",), max_iters=25),
+        )
+        result = run(config)
+        assert len(result.history) == 12 + 2 * 8
+        surrogate_epochs = [m for m in result.history.epoch_metrics[1:] if m.mode != "none"]
+        assert surrogate_epochs
+        assert all(m.mode == "c" for m in surrogate_epochs)
+        assert any(m.feasolve_steps > 0 for m in surrogate_epochs)
 
     def test_sensitivity_snapshots_recorded(self):
         config = self._feasolve_config(sensitivity=SensitivityConfig(enabled=True))

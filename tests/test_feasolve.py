@@ -18,6 +18,7 @@ from surmoo.feasolve import (
     trace_diversity_filter,
 )
 from surmoo.moea import rank_population
+from surmoo.problems import get_problem
 from surmoo.sensitivity import compute_elasticities
 from surmoo.surrogate import JointSurrogate, OutputNormalizer, SurrogateConfig
 
@@ -253,6 +254,19 @@ class TestMakeFeasible:
         _, trace = make_feasible(Population(start), model, cfg)
         for entry in trace.steps:
             assert np.all(entry.candidates >= 0.0) and np.all(entry.candidates <= 1.0)
+
+    def test_candidate_on_a_training_input_gets_no_distance_gradient(self):
+        # on TNK's [0, pi] box, x1 = 0.3 divided by the span and multiplied
+        # by its reciprocal differ in the last bit; candidates and training
+        # inputs must share one unit-box map for the pair to coincide
+        space = get_problem("tnk").space
+        cfg = SurrogateConfig(mode="c+o", blocks=1, block_dim=4)
+        model = JointSurrogate(space, 2, 2, cfg, RandomStream(0, "tnk"))
+        start = np.array([[0.3, 0.7]])
+        fs_cfg = FeasolveConfig(targets=("distance",), max_iters=3)
+        out, trace = make_feasible(Population(start), model, fs_cfg, train_inputs=start)
+        assert trace.steps[0].loss == 0.0
+        assert np.array_equal(out.members, start)
 
     def test_sgd_used_for_zero_only_target(self):
         space = unit_space(1)

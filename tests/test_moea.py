@@ -10,6 +10,7 @@ from surmoo.moea import (
     crowding_distance,
     fast_nondominated_sort,
     generate,
+    offspring,
     polynomial_mutation,
     rank_population,
     sbx_crossover,
@@ -266,6 +267,18 @@ class TestGenerate:
             ).members
             for _ in range(2)
         ]
+        assert np.array_equal(runs[0], runs[1])
+
+    def test_offspring_fill_the_population_inside_the_box(self):
+        members = self._start_pop(9).members
+        objs, _ = exact_sphere_predictor(self.problem)(members)
+        ranked = rank_population(members, objs, np.ones(9, dtype=bool))
+        runs = [
+            offspring(ranked, self.indices, self.space, np.random.default_rng(5))
+            for _ in range(2)
+        ]
+        assert runs[0].shape == (ranked.size, 2)
+        assert np.all(runs[0] >= 0.0) and np.all(runs[0] <= 1.0)
         assert np.array_equal(runs[0], runs[1])
 
     def test_front_moves_toward_pareto_segment(self):
