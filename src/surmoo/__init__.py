@@ -9,7 +9,6 @@ from .core import (
     EvaluationRecord,
     ParameterSpace,
     ParetoArchive,
-    Population,
     Provenance,
     RandomStream,
     RunHistory,
@@ -29,7 +28,6 @@ __all__ = [
     "JointSurrogate",
     "ParameterSpace",
     "ParetoArchive",
-    "Population",
     "ProblemDefinition",
     "PROBLEM_REGISTRY",
     "Provenance",

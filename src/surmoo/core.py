@@ -1,7 +1,8 @@
-"""Shared domain types: search space, evaluation records, populations,
-Pareto archives, run history, and deterministic random streams.
+"""Shared domain types: search space, evaluation records, Pareto archives,
+run history, and deterministic random streams.
 
-All vector data is held in float64 numpy arrays. Objective vectors may
+All vector data is held in float64 numpy arrays; a candidate batch is an
+(N, n) array with one parameter vector per row. Objective vectors may
 contain NaN (marking a non-viable evaluation); such records are kept in the
 run history but are rejected by archives and must be filtered before any
 dominance computation.
@@ -19,7 +20,6 @@ __all__ = [
     "ParameterSpace",
     "Provenance",
     "EvaluationRecord",
-    "Population",
     "ParetoArchive",
     "EpochMetrics",
     "RunHistory",
@@ -184,23 +184,6 @@ class EvaluationRecord:
         return not bool(np.any(np.isnan(self.objectives)))
 
 
-@dataclass
-class Population:
-    """Ordered candidate batch; rows are parameter vectors within bounds."""
-
-    members: np.ndarray
-
-    def __post_init__(self):
-        self.members = np.atleast_2d(np.asarray(self.members, dtype=float))
-
-    @property
-    def size(self) -> int:
-        return self.members.shape[0]
-
-    def __len__(self) -> int:
-        return self.size
-
-
 class ParetoArchive:
     """Cumulative set of feasible, mutually non-dominated records.
 
@@ -303,9 +286,18 @@ class RunHistory:
     def feasible_records(self) -> list[EvaluationRecord]:
         return [r for r in self._records if r.viable and r.feasible]
 
-    def constraint_patterns(self) -> set[tuple[int, ...]]:
-        """Distinct constraint bit-patterns among viable records."""
-        return {tuple(int(c) for c in r.constraints) for r in self.viable_records()}
+    def viable_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(params, objectives, constraints) of the viable records in log
+        order, one row per record, constraint flags as float; three (0, 0)
+        arrays when no record is viable."""
+        viable = self.viable_records()
+        if not viable:
+            return np.empty((0, 0)), np.empty((0, 0)), np.empty((0, 0))
+        return (
+            np.array([r.params for r in viable]),
+            np.array([r.objectives for r in viable]),
+            np.array([r.constraints for r in viable], dtype=float),
+        )
 
 
 _SEED_MASK = (1 << 64) - 1

@@ -36,7 +36,6 @@ from .core import (
     EpochMetrics,
     EvaluationRecord,
     ParetoArchive,
-    Population,
     Provenance,
     RandomStream,
     RunHistory,
@@ -48,7 +47,7 @@ from .sensitivity import compute_elasticities, indices_from_sensitivity, invert_
 from .stopping import StopExpression
 from .surrogate import JointSurrogate, SurrogateConfig
 from .surrogate import train as train_surrogate
-from .sampling import check_design_size, get_sampler
+from .sampling import check_design_size, get_sampler, sample_mc
 
 logger = logging.getLogger("surmoo")
 
@@ -101,14 +100,16 @@ class RunConfig:
             raise ValueError("population_size must be at least 2")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.feasolve.trace_samples > self.population_size // 2:
-            raise ValueError(
-                "trace_samples cannot exceed the explorer half of the population"
-            )
         if self.dynamic_sampling and self.population_size % DYNAMIC_SUB_BLOCKS:
             raise ValueError(
                 f"dynamic sampling splits epochs into {DYNAMIC_SUB_BLOCKS} "
                 "sub-iterations; population_size must be divisible by 4"
+            )
+        sub_blocks = DYNAMIC_SUB_BLOCKS if self.dynamic_sampling else 1
+        explorers = self.population_size // sub_blocks // 2
+        if self.feasolve.trace_samples > explorers:
+            raise ValueError(
+                f"trace_samples cannot exceed the explorer half of a sub-block ({explorers})"
             )
         if self.stop is not None:
             StopExpression(self.stop)  # fail at config time, not mid-run
@@ -139,17 +140,11 @@ class RunResult:
     surrogates: list[tuple[int, JointSurrogate]] = field(default_factory=list)
 
 
-def select_surrogate_mode(history: RunHistory, configured: str) -> str:
-    """Fall back from joint to objective-only when the observed constraint
-    patterns are too few for meaningful classification."""
-    records = history.viable_records()
-    if not records:
-        return "o"
-    if records[0].constraints.size == 0:
-        return "o"
-    if "c" not in configured:
-        return configured
-    if len(history.constraint_patterns()) < MIN_CONSTRAINT_PATTERNS:
+def select_surrogate_mode(flags: np.ndarray, configured: str) -> str:
+    """Objective-only when the viable rows' constraint flags (see
+    `RunHistory.viable_arrays`) are absent or hold fewer than
+    ``MIN_CONSTRAINT_PATTERNS`` distinct rows; else the configured mode."""
+    if flags.size == 0 or len(np.unique(flags, axis=0)) < MIN_CONSTRAINT_PATTERNS:
         return "o"
     return configured
 
@@ -207,24 +202,22 @@ def _archive_hv(archive: ParetoArchive, history: RunHistory) -> float:
 
 
 def _select_parents(
-    history: RunHistory, count: int, problem: ProblemDefinition, stream: RandomStream
+    x, y, c, count: int, problem: ProblemDefinition, stream: RandomStream
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The best ``count`` true-evaluated records by feasibility-first rank
-    and crowding, as (parameters, objectives, feasibility) arrays. When the
-    history holds fewer viable records, uniform draws pad the parameters;
-    padding rows have inf objectives and count as infeasible."""
+    """The best ``count`` of the viable rows ``x, y, c`` (see
+    `RunHistory.viable_arrays`) by feasibility-first rank and crowding, as
+    (parameters, objectives, feasibility) arrays. With fewer rows, uniform
+    draws pad the parameters; padding rows have inf objectives and count as
+    infeasible."""
     space, q = problem.space, problem.n_objectives
-    records = history.viable_records()
-    members = np.array([r.params for r in records]).reshape(-1, space.dim)
-    objs = np.array([r.objectives for r in records]).reshape(-1, q)
-    feas = np.array([r.feasible for r in records], dtype=bool)
-    if records:
+    members, objs = x.reshape(-1, space.dim), y.reshape(-1, q)
+    feas = np.all(c == 1, axis=1)
+    if members.shape[0]:
         keep = moea.rank_population(members, objs, feas).order[:count]
         members, objs, feas = members[keep], objs[keep], feas[keep]
     pad = count - members.shape[0]
     if pad > 0:
-        extra = space.lower + stream.generator().random((pad, space.dim)) * space.span
-        members = np.vstack([members, extra])
+        members = np.vstack([members, sample_mc(space, pad, stream).points])
         objs = np.vstack([objs, np.full((pad, q), np.inf)])
         feas = np.concatenate([feas, np.zeros(pad, dtype=bool)])
     return members, objs, feas
@@ -239,18 +232,15 @@ def _evaluate_and_log(
     archive: ParetoArchive,
     workers: int,
 ) -> list[EvaluationRecord]:
-    results = evaluate_batch(problem, Population(params), workers=workers, batch_id=epoch)
+    results = evaluate_batch(problem, params, workers=workers)
     records = []
-    for result, provenance in zip(results, provenances):
+    for i, (result, provenance) in enumerate(zip(results, provenances)):
         if result.error is not None:
             logger.warning(
-                "epoch %d: evaluation of candidate %d failed: %s",
-                epoch,
-                result.index,
-                result.error,
+                "epoch %d: evaluation of candidate %d failed: %s", epoch, i, result.error
             )
         rec = EvaluationRecord(
-            params=params[result.index],
+            params=params[i],
             objectives=result.objectives,
             constraints=result.constraints,
             epoch=epoch,
@@ -297,15 +287,23 @@ def run(config: RunConfig) -> RunResult:
 
     sub_blocks = DYNAMIC_SUB_BLOCKS if config.dynamic_sampling else 1
     n_sub = config.population_size // sub_blocks
+    # the viable rows as arrays: one snapshot, taken after each evaluation,
+    # serves mode selection, training, sensitivity, parents and descent
+    x, y, c = history.viable_arrays()
 
     for epoch in range(1, config.epochs + 1):
         epoch_start = time.perf_counter()
         epoch_stream = root.child(f"epoch{epoch}")
-        mode = (
-            select_surrogate_mode(history, config.surrogate.mode)
-            if config.surrogate.enabled
-            else "none"
-        )
+        mode = "none"
+        if config.surrogate.enabled:
+            mode = select_surrogate_mode(c, config.surrogate.mode)
+            if mode != config.surrogate.mode and problem.n_constraints:
+                logger.info(
+                    "epoch %d: surrogate mode %s falls back to o: %d distinct "
+                    "constraint patterns among viable records, fewer than %d",
+                    epoch, config.surrogate.mode, len(np.unique(c, axis=0)),
+                    MIN_CONSTRAINT_PATTERNS,
+                )
         feasolve_steps = 0
         effective_mode = mode
         nrmse_pairs: list[tuple[np.ndarray, np.ndarray]] = []
@@ -315,10 +313,9 @@ def run(config: RunConfig) -> RunResult:
             model = None
             if mode != "none":
                 cfg = replace(config.surrogate, mode=mode)
-                records = history.viable_records()
                 try:
                     model, schedule = train_surrogate(
-                        records, space, cfg, sub_stream.child("train")
+                        x, y, c, space, cfg, sub_stream.child("train")
                     )
                 except Exception as exc:
                     logger.warning(
@@ -335,15 +332,14 @@ def run(config: RunConfig) -> RunResult:
                         epoch,
                         sub,
                         mode,
-                        len(records),
+                        len(x),
                         schedule.fold_stop_epochs,
                         schedule.final_epochs,
                     )
 
             indices = moea.DistributionIndices.default(space.dim)
             if model is not None and config.sensitivity.enabled and model.has_objective_head:
-                train_x = np.array([r.params for r in history.viable_records()])
-                sens = compute_elasticities(model, train_x)
+                sens = compute_elasticities(model, x)
                 indices = indices_from_sensitivity(sens)
                 if config.sensitivity.inverted:
                     indices = invert_indices(indices)
@@ -352,7 +348,7 @@ def run(config: RunConfig) -> RunResult:
                 )
 
             parents, parent_objs, parent_feas = _select_parents(
-                history, n_sub, problem, sub_stream.child("parents")
+                x, y, c, n_sub, problem, sub_stream.child("parents")
             )
             provenances = [Provenance.MOEA] * n_sub
             if model is None:
@@ -363,16 +359,16 @@ def run(config: RunConfig) -> RunResult:
                 )
             else:
                 candidates = moea.generate(
-                    Population(parents),
+                    parents,
                     model.predict,
                     config.generations,
                     indices,
                     space,
                     sub_stream.child("moea"),
-                ).members
+                )
                 if config.feasolve.enabled:
                     candidates, provenances, steps = _feasolve_stage(
-                        candidates, model, config, history, epoch, result
+                        candidates, model, config, x, y, epoch, result
                     )
                     feasolve_steps += steps
 
@@ -380,6 +376,7 @@ def run(config: RunConfig) -> RunResult:
                 problem, candidates, provenances, epoch, history, archive,
                 config.workers,
             )
+            x, y, c = history.viable_arrays()
             if model is not None and model.has_objective_head:
                 y_pred, _ = model.predict(candidates)
                 for rec, pred in zip(new_records, y_pred):
@@ -400,10 +397,11 @@ def run(config: RunConfig) -> RunResult:
     return result
 
 
-def _feasolve_stage(candidates, model, config, history, epoch, result):
+def _feasolve_stage(candidates, model, config, x, y, epoch, result):
     """Rank the generated population, preserve the elite half, and refine
     the rest by descent; optionally swap the lowest-ranked explorers for
-    diverse trace samples."""
+    diverse trace samples. ``x`` and ``y`` are the viable history's
+    parameters and objectives, for the distance and nadir targets."""
     targets = _usable_targets(config.feasolve.targets, model)
     if not targets:
         logger.warning(
@@ -418,16 +416,11 @@ def _feasolve_stage(candidates, model, config, history, epoch, result):
     elite, explore = fs.hybrid_epoch_split(ranked)
     if explore.shape[0] == 0:
         return candidates, [Provenance.MOEA] * candidates.shape[0], 0
-    viable = history.viable_records()
-    train_y = np.array([r.objectives for r in viable]) if viable else None
-    train_x = np.array([r.params for r in viable]) if viable else None
-    refined, trace = fs.make_feasible(
-        Population(explore), model, fs_cfg, train_objectives=train_y,
-        train_inputs=train_x,
+    explore_out, trace = fs.make_feasible(
+        explore, model, fs_cfg, train_objectives=y, train_inputs=x
     )
     if config.export_traces:
         result.traces.append((epoch, trace))
-    explore_out = refined.members
     provenances = [Provenance.MOEA] * elite.shape[0] + [
         Provenance.FEASOLVE
     ] * explore_out.shape[0]

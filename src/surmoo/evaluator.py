@@ -1,12 +1,10 @@
-"""In-process controller-worker evaluation.
+"""In-process batch evaluation.
 
-Candidates fan out to a thread pool as an indexed batch; results fan back in
-through a single collector and are reassembled in candidate-index order
-before anything touches optimizer state, so values and ordering never depend
-on worker count or scheduling. A candidate whose evaluation raises is
-retried once and then recorded as a NaN (non-viable) result instead of
-aborting the batch. A process- or network-boundary evaluator can be slotted
-in behind the same request/result contract.
+Each row of an (N, n) parameter array is evaluated once, on a thread pool
+when more than one worker is asked for; results come back in row order, so
+values and ordering never depend on worker count or scheduling. A candidate
+whose evaluation raises is retried once and then recorded as a NaN
+(non-viable) result instead of aborting the batch.
 """
 
 from __future__ import annotations
@@ -14,80 +12,54 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import Population
 from .problems import ProblemDefinition
 
-__all__ = ["EvaluationRequest", "EvaluationResult", "evaluate_batch"]
-
-
-@dataclass(frozen=True)
-class EvaluationRequest:
-    batch_id: int
-    index: int
-    params: np.ndarray
+__all__ = ["EvaluationResult", "evaluate_batch"]
 
 
 @dataclass
 class EvaluationResult:
-    batch_id: int
-    index: int
     objectives: np.ndarray
     constraints: np.ndarray
     wall_time: float
-    worker_id: int
     error: str | None = None
 
 
-def _run_one(problem: ProblemDefinition, request: EvaluationRequest, worker_id: int) -> EvaluationResult:
+def _run_one(problem: ProblemDefinition, params: np.ndarray) -> EvaluationResult:
     start = time.perf_counter()
     error = None
     try:
-        objectives, constraints = problem.evaluate(request.params)
+        objectives, constraints = problem.evaluate(params)
     except Exception as first:
         try:
-            objectives, constraints = problem.evaluate(request.params)
-            error = None
+            objectives, constraints = problem.evaluate(params)
         except Exception:
             objectives = np.full(problem.n_objectives, np.nan)
             constraints = np.zeros(problem.n_constraints, dtype=np.int8)
             error = f"{type(first).__name__}: {first}"
     return EvaluationResult(
-        batch_id=request.batch_id,
-        index=request.index,
         objectives=np.asarray(objectives, dtype=float),
         constraints=np.asarray(constraints, dtype=np.int8),
         wall_time=time.perf_counter() - start,
-        worker_id=worker_id,
         error=error,
     )
 
 
 def evaluate_batch(
     problem: ProblemDefinition,
-    batch: Population,
+    params: np.ndarray,
     workers: int = 1,
-    batch_id: int = 0,
 ) -> list[EvaluationResult]:
-    """Evaluate every candidate exactly once; results ordered by index."""
+    """Evaluate every row of ``params`` exactly once; one result per row,
+    in row order."""
     if workers < 1:
         raise ValueError("need at least one worker")
-    members = batch.members
-    if members.size == 0 or len(batch) == 0:
-        return []
-    requests = [
-        EvaluationRequest(batch_id, i, members[i]) for i in range(len(batch))
-    ]
+    run_one = partial(_run_one, problem)
     if workers == 1:
-        results = [_run_one(problem, req, 0) for req in requests]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_one, problem, req, i % workers)
-                for i, req in enumerate(requests)
-            ]
-            results = [f.result() for f in futures]
-    results.sort(key=lambda r: r.index)
-    return results
+        return [run_one(x) for x in params]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_one, params))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Population, expit
+from .core import expit
 from .moea import RankedPopulation
 from .surrogate import InputPass, JointSurrogate
 
@@ -229,22 +229,23 @@ def _plateaued(losses: list[float], window: int, ratio: float) -> bool:
 
 
 def make_feasible(
-    candidates: Population,
+    x: np.ndarray,
     model: JointSurrogate,
     cfg: FeasolveConfig,
     train_objectives: np.ndarray | None = None,
     train_inputs: np.ndarray | None = None,
-) -> tuple[Population, DescentTrace]:
-    """Steer a candidate batch by descent on the frozen surrogate.
+) -> tuple[np.ndarray, DescentTrace]:
+    """Steer the (N, n) candidate rows ``x`` by descent on the frozen
+    surrogate.
 
     ``train_objectives`` (history objective values, NaN-free) feed the
     dynamic nadir of the objective target; ``train_inputs`` feed the
     exploration distance term. Uses Adam, or plain SGD when the
-    non-negativity target runs alone. Returns the refined batch and the full
-    descent trace.
+    non-negativity target runs alone. Returns the refined rows, a new array
+    (``x`` is not written to), and the full descent trace.
     """
     space = model.space
-    x = np.array(candidates.members, dtype=float)
+    x = np.array(x, dtype=float)
     train_y = (
         np.atleast_2d(np.asarray(train_objectives, dtype=float))
         if train_objectives is not None and np.size(train_objectives)
@@ -294,7 +295,7 @@ def make_feasible(
         if _plateaued(losses, cfg.plateau_window, cfg.plateau_ratio):
             trace.terminated_early = True
             break
-    return Population(x), trace
+    return x, trace
 
 
 def hybrid_epoch_split(ranked: RankedPopulation) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParameterSpace, Population, dominance_matrix
+from .core import ParameterSpace, dominance_matrix
 
 __all__ = [
     "DistributionIndices",
@@ -118,7 +118,7 @@ def crowding_distance(front_objectives: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RankedPopulation:
-    """Population with per-member front index, crowding, and feasibility."""
+    """Candidate rows with per-member front index, crowding, and feasibility."""
 
     members: np.ndarray
     front_index: np.ndarray
@@ -221,19 +221,16 @@ def polynomial_mutation(
     indices: DistributionIndices,
     space: ParameterSpace,
     rng: np.random.Generator,
-    rate: float | None = None,
 ) -> np.ndarray:
     """Polynomial mutation with per-dimension exponents 1/(eta_j + 1).
 
-    Each coordinate mutates with probability ``rate`` (default 1/n); the
-    bounded kernel delta in (-1, 1) is scaled by the dimension span and the
-    result clipped to the bounds.
+    Each coordinate mutates with probability 1/n; the bounded kernel delta
+    in (-1, 1) is scaled by the dimension span and the result clipped to the
+    bounds.
     """
     n = len(point)
-    if rate is None:
-        rate = 1.0 / n
     eta = indices.eta_mut
-    mutate = rng.random(n) < rate
+    mutate = rng.random(n) < 1.0 / n
     u = rng.random(n)
     delta = np.where(
         u < 0.5,
@@ -245,15 +242,16 @@ def polynomial_mutation(
 
 
 def generate(
-    population: Population,
+    members: np.ndarray,
     predictor,
     generations: int,
     indices: DistributionIndices,
     space: ParameterSpace,
     stream,
-) -> Population:
+) -> np.ndarray:
     """Run ``generations`` elitist NSGA-II generations entirely against
-    surrogate predictions and return the final population of the same size.
+    surrogate predictions, starting from the (N, n) parameter rows
+    ``members``, and return the final N rows.
 
     ``predictor`` maps an (N, n) parameter batch to (objectives, constraint
     probabilities), as `JointSurrogate.predict` does; `ranking_inputs` reads
@@ -262,7 +260,6 @@ def generate(
     if generations < 1:
         raise ValueError("need at least one generation")
     rng = stream.generator()
-    members = population.members.copy()
     m_pop = members.shape[0]
 
     objs, feas = ranking_inputs(predictor, members)
@@ -277,7 +274,7 @@ def generate(
         members = combined[keep]
         objs = combined_objs[keep]
         feas = combined_feas[keep]
-    return Population(members)
+    return members
 
 
 def ranking_inputs(predictor, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

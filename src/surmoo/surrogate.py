@@ -523,13 +523,7 @@ def _composite_loss(y_out, c_out, y_targets, c_targets, kind: str, grad: bool):
     return float(value), dy, dc
 
 
-def _filter_training_data(records, cfg: SurrogateConfig):
-    viable = [r for r in records if r.viable]
-    if not viable:
-        raise ValueError("no NaN-free records to train on")
-    x = np.array([r.params for r in viable])
-    y = np.array([r.objectives for r in viable])
-    c = np.array([np.asarray(r.constraints, dtype=float) for r in viable])
+def _filter_training_data(x, y, c, cfg: SurrogateConfig):
     if cfg.exclude_infeasible and c.shape[1] > 0:
         keep = c.sum(axis=1) > 0.0  # drop samples violating every constraint
         x, y, c = x[keep], y[keep], c[keep]
@@ -610,19 +604,23 @@ def _train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, pa
 
 
 def train(
-    records,
+    x: np.ndarray,
+    y: np.ndarray,
+    c: np.ndarray,
     space: ParameterSpace,
     config: SurrogateConfig,
     stream: RandomStream,
 ) -> tuple[JointSurrogate, TrainingSchedule]:
-    """Fit the joint surrogate on evaluation records.
+    """Fit the joint surrogate on NaN-free evaluated rows: parameters ``x``,
+    objectives ``y`` and constraint flags ``c`` (0/1), one row per
+    evaluation, as `RunHistory.viable_arrays` returns them.
 
     The epoch count is chosen by K-fold cross-validation: each fold trains
     with early stopping on its validation loss, the stop epochs are averaged,
     and the returned model is retrained from scratch on all data for that
     mean count.
     """
-    x, y, c = _filter_training_data(records, config)
+    x, y, c = _filter_training_data(x, y, c, config)
     n = x.shape[0]
     if n < 2 * config.folds:
         raise ValueError(

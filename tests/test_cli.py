@@ -249,6 +249,20 @@ class TestCmdRun:
         assert "workers must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_trace_samples_bounded_by_a_sub_blocks_explorers(self, tmp_path, capsys):
+        # dynamic sampling evaluates 4 sub-blocks of 10 candidates; descent
+        # refines the lower 5 of each, and only those can become trace points
+        text = (
+            "problem: srn\npopulation_size: 40\ndynamic_sampling: true\n"
+            "feasolve: {{enabled: true, trace_samples: {}}}\n"
+        )
+        ok = load_config(write_config(tmp_path, text.format(5)))
+        assert ok.feasolve.trace_samples == 5
+        bad = write_config(tmp_path, text.format(6), name="bad.yaml")
+        assert cmd_run(str(bad), None, str(tmp_path / "out")) == 2
+        assert "explorer half of a sub-block (5)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_written_config_loads_back_to_the_run_config(self, tmp_path):
         path = write_config(tmp_path)
         assert cmd_run(str(path), 5, str(tmp_path / "out")) == 0
@@ -493,7 +507,7 @@ EVERY_KEY = {
     "seed": 7,
     "epochs": 3,
     "stop": "iteration > 2",
-    "population_size": 12,
+    "population_size": 24,  # 4 sub-blocks of 6: 3 explorers each, as trace_samples
     "generations": 4,
     "initial_samples": 20,
     "sampler": "sobol",

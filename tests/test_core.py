@@ -239,13 +239,28 @@ class TestRunHistory:
         with pytest.raises(ValueError):
             history.append(make_record([0.0], epoch=0))
 
-    def test_constraint_patterns(self):
+    def test_viable_arrays_in_log_order_without_nan_rows(self):
         history = RunHistory()
-        history.append(make_record([0.0], constraints=[1, 1]))
-        history.append(make_record([0.0], constraints=[1, 0]))
-        history.append(make_record([0.0], constraints=[1, 1]))
-        history.append(make_record([np.nan], constraints=[0, 0]))  # not viable
-        assert history.constraint_patterns() == {(1, 1), (1, 0)}
+        history.append(make_record([3.0, 1.0], [1, 1], params=[0.3, 0.0]))
+        history.append(make_record([np.nan, 2.0], [1, 0], params=[0.9, 0.9]))
+        history.append(make_record([1.0, 2.0], [0, 1], params=[0.1, 0.0]))
+        history.append(make_record([2.0, 0.5], [1, 0], params=[0.2, 0.0], epoch=1))
+        x, y, c = history.viable_arrays()
+        assert np.array_equal(x, [[0.3, 0.0], [0.1, 0.0], [0.2, 0.0]])
+        assert np.array_equal(y, [[3.0, 1.0], [1.0, 2.0], [2.0, 0.5]])
+        assert np.array_equal(c, [[1, 1], [0, 1], [1, 0]]) and c.dtype == float
+
+    def test_viable_arrays_empty_when_nothing_is_viable(self):
+        history = RunHistory()
+        assert [a.shape for a in history.viable_arrays()] == [(0, 0)] * 3
+        history.append(make_record([np.nan], [1]))
+        assert [a.shape for a in history.viable_arrays()] == [(0, 0)] * 3
+
+    def test_viable_arrays_flags_without_constraints(self):
+        history = RunHistory()
+        history.extend(make_record([float(i)]) for i in range(3))
+        x, y, c = history.viable_arrays()
+        assert x.shape == (3, 2) and y.shape == (3, 1) and c.shape == (3, 0)
 
     def test_viable_and_feasible_filters(self):
         history = RunHistory()

@@ -1,3 +1,4 @@
+import re
 import time
 from dataclasses import replace
 
@@ -38,7 +39,9 @@ def small_config(**overrides):
     return RunConfig(**base)
 
 
-def history_with_patterns(patterns):
+def flags_with_patterns(patterns):
+    """The constraint-flag rows `RunHistory.viable_arrays` gives for one
+    record per pattern."""
     history = RunHistory()
     for i, pattern in enumerate(patterns):
         history.append(
@@ -47,7 +50,7 @@ def history_with_patterns(patterns):
                 np.array(pattern, dtype=np.int8), 0, "init",
             )
         )
-    return history
+    return history.viable_arrays()[2]
 
 
 class TestBudget:
@@ -176,24 +179,51 @@ class TestArchiveAndMetrics:
 
 class TestModeSelection:
     def test_single_pattern_falls_back(self):
-        history = history_with_patterns([(1, 1)] * 5)
-        assert select_surrogate_mode(history, "c+o") == "o"
+        flags = flags_with_patterns([(1, 1)] * 5)
+        assert select_surrogate_mode(flags, "c+o") == "o"
 
     def test_two_patterns_fall_back(self):
-        history = history_with_patterns([(1, 1), (0, 1), (1, 1)])
-        assert select_surrogate_mode(history, "c+o") == "o"
+        flags = flags_with_patterns([(1, 1), (0, 1), (1, 1)])
+        assert select_surrogate_mode(flags, "c+o") == "o"
 
     def test_three_patterns_keep_joint(self):
-        history = history_with_patterns([(1, 1, 1), (1, 0, 1), (0, 1, 1)])
-        assert select_surrogate_mode(history, "c+o") == "c+o"
+        flags = flags_with_patterns([(1, 1, 1), (1, 0, 1), (0, 1, 1)])
+        assert select_surrogate_mode(flags, "c+o") == "c+o"
+        assert select_surrogate_mode(flags, "c") == "c"
+
+    def test_no_viable_record_gives_objective_only(self):
+        assert select_surrogate_mode(RunHistory().viable_arrays()[2], "c") == "o"
 
     def test_unconstrained_problem_always_objective_only(self):
-        history = history_with_patterns([(), (), ()])
-        assert select_surrogate_mode(history, "c+o") == "o"
+        flags = flags_with_patterns([(), (), ()])
+        assert select_surrogate_mode(flags, "c+o") == "o"
 
     def test_objective_only_config_unchanged(self):
-        history = history_with_patterns([(1,), (0,)])
-        assert select_surrogate_mode(history, "o") == "o"
+        flags = flags_with_patterns([(1,), (0,)])
+        assert select_surrogate_mode(flags, "o") == "o"
+
+    def test_constrained_fallback_says_why_once_per_epoch(self, caplog):
+        # BNH's box holds only the (1, 1) and (0, 1) constraint patterns
+        config = small_config(
+            problem="bnh", problem_params={}, epochs=2,
+            surrogate=SurrogateConfig(mode="c", **TINY_SURROGATE),
+        )
+        with caplog.at_level("INFO", logger="surmoo"):
+            result = run(config)
+        lines = [r.getMessage() for r in caplog.records if "falls back" in r.getMessage()]
+        assert [m.mode for m in result.history.epoch_metrics[1:]] == ["o", "o"]
+        assert len(lines) == 2
+        for epoch, line in enumerate(lines, start=1):
+            assert re.fullmatch(
+                f"epoch {epoch}: surrogate mode c falls back to o: [12] distinct "
+                "constraint patterns among viable records, fewer than 3",
+                line,
+            )
+
+    def test_unconstrained_fallback_is_silent(self, caplog):
+        with caplog.at_level("INFO", logger="surmoo"):
+            run(small_config(epochs=1, surrogate=SurrogateConfig(mode="c+o", **TINY_SURROGATE)))
+        assert not any("falls back" in r.getMessage() for r in caplog.records)
 
     def test_mode_constant_within_epoch(self):
         config = small_config(
@@ -250,9 +280,9 @@ class TestFallback:
     def test_each_fit_logs_its_training_schedule(self, caplog, monkeypatch):
         fits = []
 
-        def recording_train(records, space, cfg, stream):
-            model, schedule = train_surrogate(records, space, cfg, stream)
-            fits.append((len(records), cfg.mode, schedule))
+        def recording_train(x, y, c, space, cfg, stream):
+            model, schedule = train_surrogate(x, y, c, space, cfg, stream)
+            fits.append((len(x), cfg.mode, schedule))
             return model, schedule
 
         monkeypatch.setattr(engine, "train_surrogate", recording_train)
@@ -303,7 +333,7 @@ class TestSelectParents:
         # infeasible records too
         history = self._history(problem, 3, extra=[[0.0, 3.0]])
         params, objs, feas = engine._select_parents(
-            history, 8, problem, RandomStream(1, "parents")
+            *history.viable_arrays(), 8, problem, RandomStream(1, "parents")
         )
         own = self._own_records(history, params)
         real = np.array([r is not None for r in own])
@@ -314,11 +344,19 @@ class TestSelectParents:
         ranked = rank_population(params, objs, feas)
         assert ranked.front_index[~real].min() > ranked.front_index[real].max()
 
+    def test_no_viable_row_pads_every_parent(self):
+        problem = get_problem("bnh")
+        params, objs, feas = engine._select_parents(
+            *RunHistory().viable_arrays(), 3, problem, RandomStream(1, "parents")
+        )
+        assert params.shape == (3, 2) and objs.shape == (3, 2)
+        assert np.all(np.isinf(objs)) and not np.any(feas)
+
     def test_parents_carry_their_records_own_values(self):
         problem = get_problem("bnh")
         history = self._history(problem, 12)
         params, objs, feas = engine._select_parents(
-            history, 5, problem, RandomStream(1, "parents")
+            *history.viable_arrays(), 5, problem, RandomStream(1, "parents")
         )
         own = self._own_records(history, params)
         assert len(own) == 5 and all(r is not None for r in own)

@@ -3,7 +3,6 @@ import threading
 import numpy as np
 import pytest
 
-from surmoo.core import Population
 from surmoo.evaluator import evaluate_batch
 from surmoo.problems import ProblemDefinition, make_two_sphere
 
@@ -39,23 +38,24 @@ def counting_problem(base, fail_on=None, fail_times=1):
 class TestEvaluateBatch:
     def test_worker_counts_agree(self, rng):
         base = make_two_sphere(3)
-        batch = Population(rng.random((16, 3)))
+        batch = rng.random((16, 3))
         single = evaluate_batch(base, batch, workers=1)
         parallel = evaluate_batch(base, batch, workers=8)
-        assert [r.index for r in single] == list(range(16))
-        assert [r.index for r in parallel] == list(range(16))
-        for a, b in zip(single, parallel):
-            assert np.array_equal(a.objectives, b.objectives)
+        assert len(single) == len(parallel) == 16
+        for row, a, b in zip(batch, single, parallel):
+            objectives, _ = base.evaluate(row)
+            assert np.array_equal(a.objectives, objectives)
+            assert np.array_equal(b.objectives, objectives)
             assert np.array_equal(a.constraints, b.constraints)
 
     def test_empty_batch(self):
         base = make_two_sphere(2)
-        assert evaluate_batch(base, Population(np.empty((0, 2)))) == []
+        assert evaluate_batch(base, np.empty((0, 2))) == []
 
     def test_exactly_once_per_candidate(self, rng):
         base = make_two_sphere(2)
         problem, counts = counting_problem(base)
-        batch = Population(rng.random((10, 2)))
+        batch = rng.random((10, 2))
         evaluate_batch(problem, batch, workers=4)
         assert sorted(counts.values()) == [1] * 10
 
@@ -64,7 +64,7 @@ class TestEvaluateBatch:
         bad = np.array([0.5, 0.5])
         problem, counts = counting_problem(base, fail_on=bad, fail_times=10)
         members = np.vstack([rng.random((3, 2)), bad])
-        results = evaluate_batch(problem, Population(members), workers=2)
+        results = evaluate_batch(problem, members, workers=2)
         assert len(results) == 4
         assert np.all(np.isnan(results[3].objectives))
         assert results[3].error is not None
@@ -75,15 +75,15 @@ class TestEvaluateBatch:
         base = make_two_sphere(2)
         bad = np.array([0.25, 0.25])
         problem, counts = counting_problem(base, fail_on=bad, fail_times=1)
-        results = evaluate_batch(problem, Population(bad[None, :]), workers=1)
+        results = evaluate_batch(problem, bad[None, :], workers=1)
         assert np.all(np.isfinite(results[0].objectives))
         assert results[0].error is None
         assert counts[tuple(np.round(bad, 12))] == 2  # original + retry
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            evaluate_batch(make_two_sphere(2), Population(np.zeros((1, 2))), workers=0)
+            evaluate_batch(make_two_sphere(2), np.zeros((1, 2)), workers=0)
 
     def test_wall_time_recorded(self, rng):
-        results = evaluate_batch(make_two_sphere(2), Population(rng.random((2, 2))))
+        results = evaluate_batch(make_two_sphere(2), rng.random((2, 2)))
         assert all(r.wall_time >= 0.0 for r in results)

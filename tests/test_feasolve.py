@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from surmoo import autodiff
-from surmoo.core import ParameterSpace, Population, RandomStream
+from surmoo.core import ParameterSpace, RandomStream
 from surmoo.feasolve import (
     DescentTrace,
     FeasolveConfig,
@@ -219,9 +219,9 @@ class TestMakeFeasible:
         start = np.array([[0.25, 0.5], [0.75, 0.25]])
         cfg = FeasolveConfig(targets=("objective",), plateau_window=50)
         out, trace = make_feasible(
-            Population(start), model, cfg, train_objectives=np.array([[3.0, 3.0]])
+            start, model, cfg, train_objectives=np.array([[3.0, 3.0]])
         )
-        assert np.array_equal(out.members, start)
+        assert np.array_equal(out, start)
         assert len(trace) == 50
         assert trace.terminated_early
 
@@ -230,18 +230,18 @@ class TestMakeFeasible:
         model = constraint_model(space, w=[4.0, -4.0])
         start = np.array([[0.5, 0.5]])
         cfg = FeasolveConfig(targets=("constraint",), max_iters=1000, learning_rate=0.01)
-        out, trace = make_feasible(Population(start), model, cfg)
+        out, trace = make_feasible(start, model, cfg)
         # logit grows with x1 and shrinks with x2: expect movement to (1, 0)
-        assert out.members[0, 0] > 0.9
-        assert out.members[0, 1] < 0.1
-        assert np.all(out.members >= 0.0) and np.all(out.members <= 1.0)
+        assert out[0, 0] > 0.9
+        assert out[0, 1] < 0.1
+        assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
     def test_predicted_feasibility_increases(self):
         space = unit_space(3)
         model = constraint_model(space, w=[3.0, 3.0, 3.0], bias=-4.0)
         start = np.array([[0.2, 0.1, 0.3], [0.4, 0.2, 0.1]])
         cfg = FeasolveConfig(targets=("constraint",), max_iters=200, learning_rate=0.01)
-        _, trace = make_feasible(Population(start), model, cfg)
+        _, trace = make_feasible(start, model, cfg)
         first = trace.steps[0].pred_feasibility.mean()
         last = trace.steps[-1].pred_feasibility.mean()
         assert last > first
@@ -251,7 +251,7 @@ class TestMakeFeasible:
         model = constraint_model(space, w=[10.0, 10.0])
         start = np.array([[0.9, 0.95]])
         cfg = FeasolveConfig(targets=("constraint",), max_iters=300, learning_rate=0.05)
-        _, trace = make_feasible(Population(start), model, cfg)
+        _, trace = make_feasible(start, model, cfg)
         for entry in trace.steps:
             assert np.all(entry.candidates >= 0.0) and np.all(entry.candidates <= 1.0)
 
@@ -264,9 +264,9 @@ class TestMakeFeasible:
         model = JointSurrogate(space, 2, 2, cfg, RandomStream(0, "tnk"))
         start = np.array([[0.3, 0.7]])
         fs_cfg = FeasolveConfig(targets=("distance",), max_iters=3)
-        out, trace = make_feasible(Population(start), model, fs_cfg, train_inputs=start)
+        out, trace = make_feasible(start, model, fs_cfg, train_inputs=start)
         assert trace.steps[0].loss == 0.0
-        assert np.array_equal(out.members, start)
+        assert np.array_equal(out, start)
 
     def test_sgd_used_for_zero_only_target(self):
         space = unit_space(1)
@@ -275,14 +275,14 @@ class TestMakeFeasible:
         start = np.array([[0.25]])  # prediction -2, pushes x upward
         cfg = FeasolveConfig(targets=("zero",), max_iters=5, learning_rate=0.01,
                              plateau_window=50)
-        out, trace = make_feasible(Population(start), model, cfg)
+        out, trace = make_feasible(start, model, cfg)
         # plain SGD steps: dL/dx = 2*relu(-y)*(-dy/dx) with dy/dx = 8
         x = 0.25
         for _ in range(5):
             y = 8.0 * x - 4.0
             grad = -2.0 * max(-y, 0.0) * 8.0
             x = min(max(x - 0.01 * grad, 0.0), 1.0)
-        assert out.members[0, 0] == pytest.approx(x, rel=1e-12)
+        assert out[0, 0] == pytest.approx(x, rel=1e-12)
 
 
 class TestHybridSplit:
@@ -390,8 +390,8 @@ def test_descent_and_sensitivity_never_run_the_tape(monkeypatch, rng):
     train_x = space.lower + rng.random((10, 3)) * space.span
     fs_cfg = FeasolveConfig(targets=("objective", "constraint", "distance", "zero"), max_iters=5)
     out, trace = make_feasible(
-        Population(x), model, fs_cfg, rng.uniform(0.0, 5.0, (10, 2)), train_x
+        x, model, fs_cfg, rng.uniform(0.0, 5.0, (10, 2)), train_x
     )
     assert len(trace) == 5 and not trace.aborted
-    assert not np.array_equal(out.members, x)
+    assert not np.array_equal(out, x)
     assert np.all(np.isfinite(compute_elasticities(model, train_x).s_bar))

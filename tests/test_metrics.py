@@ -153,6 +153,20 @@ class TestHvAuc:
         with pytest.raises(ValueError):
             hv_auc([1.0])
 
+    @given(st.lists(st.integers(0, 2**20), min_size=2, max_size=300))
+    @settings(max_examples=50, deadline=None)
+    def test_equals_pure_python_trapezoid(self, ticks):
+        # multiples of 2**-10 below 2**10: every half-sum and partial sum is
+        # exact, so the summation order cannot matter
+        series = [t / 1024.0 for t in ticks]
+        expected = sum((a + b) / 2.0 for a, b in zip(series, series[1:]))
+        assert hv_auc(series) == expected
+
+    def test_needs_no_numpy_trapezoid(self, monkeypatch):
+        # np.trapezoid exists only from numpy 2.0; pyproject allows 1.24
+        monkeypatch.delattr(np, "trapezoid", raising=False)
+        assert hv_auc([0.0, 1.0, 1.0]) == 1.5
+
 
 class TestIGD:
     def test_identical_fronts(self):

@@ -5,7 +5,7 @@ import pytest
 
 from surmoo import surrogate
 from surmoo.autodiff import Tensor, bce_with_logits
-from surmoo.core import EvaluationRecord, ParameterSpace, RandomStream
+from surmoo.core import EvaluationRecord, ParameterSpace, RandomStream, RunHistory
 from surmoo.surrogate import (
     ADAM_EPS,
     OBJECTIVE_LOSSES,
@@ -24,12 +24,14 @@ def unit_space(n=2):
     return ParameterSpace(tuple(f"x{i}" for i in range(n)), np.zeros(n), np.ones(n))
 
 
-def records_from(x, y, c=None):
-    recs = []
+def rows_from(x, y, c=None):
+    """The training rows of a history holding one record per row of ``x``:
+    `RunHistory.viable_arrays`, so NaN rows are dropped as in a run."""
+    history = RunHistory()
     for i in range(x.shape[0]):
         flags = c[i] if c is not None else np.empty(0, dtype=np.int8)
-        recs.append(EvaluationRecord(x[i], np.atleast_1d(y[i]), flags, 0, "init"))
-    return recs
+        history.append(EvaluationRecord(x[i], np.atleast_1d(y[i]), flags, 0, "init"))
+    return history.viable_arrays()
 
 
 def affine_model(space, w_combined, bias, q=None, k=0, mode="o"):
@@ -141,7 +143,7 @@ class TestTraining:
         x = rng.random((40, 2))
         y = np.full((40, 1), 3.0)
         cfg = SurrogateConfig(mode="o", blocks=1, block_dim=16, batch_size=64)
-        model, _ = train(records_from(x, y), space, cfg, RandomStream(5, "t"))
+        model, _ = train(*rows_from(x, y), space, cfg, RandomStream(5, "t"))
         grid = np.stack(
             np.meshgrid(np.linspace(0, 1, 7), np.linspace(0, 1, 7)), axis=-1
         ).reshape(-1, 2)
@@ -154,7 +156,7 @@ class TestTraining:
         y = rng.random((4, 1))
         cfg = SurrogateConfig(mode="o", folds=3)
         with pytest.raises(ValueError, match="at least 6"):
-            train(records_from(x, y), space, cfg, RandomStream(0))
+            train(*rows_from(x, y), space, cfg, RandomStream(0))
 
     def test_nan_records_filtered(self, rng):
         space = unit_space(2)
@@ -162,7 +164,7 @@ class TestTraining:
         y = np.full((20, 1), 2.0)
         y[::4] = np.nan
         cfg = SurrogateConfig(mode="o", blocks=1, block_dim=8, batch_size=64)
-        model, _ = train(records_from(x, y), space, cfg, RandomStream(1))
+        model, _ = train(*rows_from(x, y), space, cfg, RandomStream(1))
         pred, _ = model.predict(x[:3])
         assert np.all(np.isfinite(pred))
 
@@ -173,7 +175,7 @@ class TestTraining:
         cfg = SurrogateConfig(mode="o", blocks=1, block_dim=8, batch_size=64)
         preds = []
         for _ in range(2):
-            model, schedule = train(records_from(x, y), space, cfg, RandomStream(3, "fix"))
+            model, schedule = train(*rows_from(x, y), space, cfg, RandomStream(3, "fix"))
             preds.append(model.predict(x[:5])[0])
         assert np.array_equal(preds[0], preds[1])
 
@@ -184,7 +186,7 @@ class TestTraining:
         c = (x[:, :1] > 0.3).astype(np.int8)
         c = np.hstack([c, (x[:, 1:] > 0.6).astype(np.int8)])
         cfg = SurrogateConfig(mode="c+o", blocks=1, block_dim=12, batch_size=64)
-        model, _ = train(records_from(x, y, c), space, cfg, RandomStream(9))
+        model, _ = train(*rows_from(x, y, c), space, cfg, RandomStream(9))
         y_pred, c_pred = model.predict(x)
         assert y_pred.shape == (30, 1)
         assert c_pred.shape == (30, 2)
@@ -195,7 +197,7 @@ class TestTraining:
         x = rng.random((12, 2))
         y = x[:, :1]
         cfg = SurrogateConfig(mode="o", blocks=1, block_dim=8, batch_size=64)
-        _, schedule = train(records_from(x, y), space, cfg, RandomStream(2))
+        _, schedule = train(*rows_from(x, y), space, cfg, RandomStream(2))
         assert len(schedule.fold_stop_epochs) == cfg.folds
         assert schedule.e_max == 10_000 and schedule.patience == 250
         expected = int(round(float(np.mean(schedule.fold_stop_epochs))))
@@ -209,7 +211,7 @@ class TestPrediction:
         y = x.sum(axis=1, keepdims=True)
         c = (x[:, :1] > 0.5).astype(np.int8)
         cfg = SurrogateConfig(mode=mode, blocks=1, block_dim=8, batch_size=64)
-        model, _ = train(records_from(x, y, c), space, cfg, RandomStream(4))
+        model, _ = train(*rows_from(x, y, c), space, cfg, RandomStream(4))
         return model
 
     def test_no_batch_coupling(self, rng):
@@ -329,7 +331,7 @@ class TestCheckpoint:
         y = np.column_stack([x[:, 0] ** 2, np.abs(x[:, 1])])
         c = (x[:, :1] > 1.0).astype(np.int8)
         cfg = SurrogateConfig(mode="c+o", blocks=1, block_dim=8, batch_size=64)
-        model, _ = train(records_from(x, y, c), space, cfg, RandomStream(6))
+        model, _ = train(*rows_from(x, y, c), space, cfg, RandomStream(6))
         path = tmp_path / "model.npz"
         save_checkpoint(model, path)
         restored = load_checkpoint(path)
@@ -547,10 +549,10 @@ class TestExplicitPasses:
         x = rng.random((15, 2))
         y = np.column_stack([x.sum(axis=1) ** 2, np.sin(3.0 * x[:, 0])])
         c = np.column_stack([x[:, 0] > 0.3, x[:, 1] > 0.6]).astype(np.int8)
-        records = records_from(x, y, c)
-        model, schedule = train(records, unit_space(2), cfg, RandomStream(4, "ref"))
+        rows = rows_from(x, y, c)
+        model, schedule = train(*rows, unit_space(2), cfg, RandomStream(4, "ref"))
         monkeypatch.setattr(surrogate, "_train_single", tape_train_single)
-        ref_model, ref_schedule = train(records, unit_space(2), cfg, RandomStream(4, "ref"))
+        ref_model, ref_schedule = train(*rows, unit_space(2), cfg, RandomStream(4, "ref"))
         assert schedule == ref_schedule
         for name, t in model.params.items():
             assert np.array_equal(t.data, ref_model.params[name].data), name
