@@ -228,6 +228,10 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--config", required=True, help="YAML run configuration")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", required=True, help="run directory to create")
+    p_run.add_argument(
+        "-v", "--verbose", action="store_true",
+        help="print the engine's INFO lines (fit schedules, mode fallbacks) to stderr",
+    )
 
     p_report = sub.add_parser("report", help="compare finished runs")
     p_report.add_argument("run_dirs", nargs="+", help="run directories")
@@ -248,7 +252,17 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        return cmd_run(args.config, args.seed, args.out)
+        if not args.verbose:
+            return cmd_run(args.config, args.seed, args.out)
+        handler = logging.StreamHandler()  # stderr
+        level = logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+        try:
+            return cmd_run(args.config, args.seed, args.out)
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
     if args.command == "report":
         return cmd_report(args.run_dirs, args.metric, args.reference, args.fmt, args.output)
     if args.command == "bench":

@@ -11,6 +11,15 @@ budget is initial_samples + epochs * population_size: trace re-anchoring
 points, when enabled, replace the lowest-ranked explorer candidates instead
 of adding evaluations.
 
+With ``dynamic_sampling`` an epoch runs as four sub-blocks of
+population_size / 4 candidates each, and the surrogate is refit on the
+grown history before each one. The K CV folds that choose the training
+epoch count run only in the epoch's first sub-block whose fit succeeds
+(normally sub-block 0); each later sub-block retrains the final model from
+scratch on all its viable rows for that count, and its schedule's
+``fold_stop_epochs`` is empty. Without dynamic sampling every fit runs the
+folds.
+
 If surrogate training fails in an epoch (for example, too few viable
 records), the epoch falls back to one plain NSGA-II variation step on the
 same parents, ranked by their true values, and the event is logged. Both
@@ -86,7 +95,7 @@ class RunConfig:
     initial_samples: int = 100
     sampler: str = "slhc"
     workers: int = 1
-    dynamic_sampling: bool = False
+    dynamic_sampling: bool = False  # four refits per epoch; see the module docstring
     export_traces: bool = False
     save_surrogates: bool = False
     surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
@@ -307,6 +316,7 @@ def run(config: RunConfig) -> RunResult:
         feasolve_steps = 0
         effective_mode = mode
         nrmse_pairs: list[tuple[np.ndarray, np.ndarray]] = []
+        cv_sub = cv_epochs = None  # the epoch's first successful fit and its count
 
         for sub in range(sub_blocks):
             sub_stream = epoch_stream.child(f"sub{sub}")
@@ -315,7 +325,8 @@ def run(config: RunConfig) -> RunResult:
                 cfg = replace(config.surrogate, mode=mode)
                 try:
                     model, schedule = train_surrogate(
-                        x, y, c, space, cfg, sub_stream.child("train")
+                        x, y, c, space, cfg, sub_stream.child("train"),
+                        final_epochs=cv_epochs,
                     )
                 except Exception as exc:
                     logger.warning(
@@ -326,14 +337,19 @@ def run(config: RunConfig) -> RunResult:
                     )
                     model = None
                 else:
+                    if cv_sub is None:
+                        cv_sub, cv_epochs = sub, schedule.final_epochs
+                        source = f"fold stop epochs {schedule.fold_stop_epochs}"
+                    else:
+                        source = f"folds reused from sub-block {cv_sub}"
                     logger.info(
                         "epoch %d sub-block %d: surrogate mode %s fitted on %d viable "
-                        "records; fold stop epochs %s, final epochs %d",
+                        "records; %s, final epochs %d",
                         epoch,
                         sub,
                         mode,
                         len(x),
-                        schedule.fold_stop_epochs,
+                        source,
                         schedule.final_epochs,
                     )
 

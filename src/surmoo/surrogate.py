@@ -87,6 +87,12 @@ def epoch_budget(n_samples: int) -> tuple[int, int]:
 
 @dataclass
 class TrainingSchedule:
+    """How one `train` call chose and spent its epochs. ``fold_stop_epochs``
+    holds each CV fold's stop epoch, and ``final_epochs`` their rounded mean,
+    for which the returned model trained on all rows. An empty
+    ``fold_stop_epochs`` means no fold ran in this fit: ``final_epochs`` was
+    passed in, reused from an earlier fit of the same epoch."""
+
     e_max: int
     patience: int
     fold_stop_epochs: list[int]
@@ -610,16 +616,23 @@ def train(
     space: ParameterSpace,
     config: SurrogateConfig,
     stream: RandomStream,
+    final_epochs: int | None = None,
 ) -> tuple[JointSurrogate, TrainingSchedule]:
     """Fit the joint surrogate on NaN-free evaluated rows: parameters ``x``,
     objectives ``y`` and constraint flags ``c`` (0/1), one row per
     evaluation, as `RunHistory.viable_arrays` returns them.
 
-    The epoch count is chosen by K-fold cross-validation: each fold trains
-    with early stopping on its validation loss, the stop epochs are averaged,
-    and the returned model is retrained from scratch on all data for that
-    mean count.
+    Without ``final_epochs`` the epoch count is chosen by K-fold
+    cross-validation: each fold trains with early stopping on its validation
+    loss, the stop epochs are averaged, and the returned model is retrained
+    from scratch on all data for that mean count. Given ``final_epochs``, no
+    fold runs: the final model trains for that many epochs, from the same
+    ``stream`` draws as after the folds, and the schedule's
+    ``fold_stop_epochs`` is empty. The engine cross-validates once per
+    dynamic-sampling epoch and passes the count on to the epoch's later fits.
     """
+    if final_epochs is not None and final_epochs < 1:
+        raise ValueError(f"final_epochs must be at least 1, got {final_epochs}")
     x, y, c = _filter_training_data(x, y, c, config)
     n = x.shape[0]
     if n < 2 * config.folds:
@@ -630,7 +643,7 @@ def train(
     k = c.shape[1]
     e_max, patience = epoch_budget(n)
 
-    fold_chunks = np.array_split(np.arange(n), config.folds)
+    fold_chunks = np.array_split(np.arange(n), config.folds) if final_epochs is None else []
     stops: list[int] = []
     for f, val_idx in enumerate(fold_chunks):
         train_idx = np.setdiff1d(np.arange(n), val_idx)
@@ -652,7 +665,8 @@ def train(
         )
         stops.append(max(stop, 1))
 
-    final_epochs = max(1, int(round(float(np.mean(stops)))))
+    if final_epochs is None:
+        final_epochs = max(1, int(round(float(np.mean(stops)))))
     final_stream = stream.child("final")
     model = JointSurrogate(space, q, k, config, final_stream.child("init"))
     norm = OutputNormalizer.fit(y) if model.has_objective_head else None

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 import subprocess
@@ -401,6 +402,20 @@ class TestMainEntry:
     def test_run_via_main(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+    def test_verbose_run_prints_the_fit_lines_to_stderr(self, tmp_path, capsys):
+        config = str(write_config(tmp_path))
+        assert main(["run", "-v", "--config", config, "--out", str(tmp_path / "v")]) == 0
+        verbose = capsys.readouterr()
+        fits = [line for line in verbose.err.splitlines() if "fitted on" in line]
+        assert [line.split(":")[0] for line in fits] == [
+            "epoch 1 sub-block 0", "epoch 2 sub-block 0"
+        ]
+        assert main(["run", "--config", config, "--out", str(tmp_path / "q")]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert quiet.out == verbose.out.replace(str(tmp_path / "v"), str(tmp_path / "q"))
+        assert logging.getLogger("surmoo").handlers == []
 
 
 SCIPY_PROBE = """\

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from surmoo import engine
+from surmoo import engine, surrogate
 from surmoo.core import EvaluationRecord, RandomStream, RunHistory
 from surmoo.engine import (
     RunConfig,
@@ -280,8 +280,8 @@ class TestFallback:
     def test_each_fit_logs_its_training_schedule(self, caplog, monkeypatch):
         fits = []
 
-        def recording_train(x, y, c, space, cfg, stream):
-            model, schedule = train_surrogate(x, y, c, space, cfg, stream)
+        def recording_train(x, y, c, space, cfg, stream, final_epochs=None):
+            model, schedule = train_surrogate(x, y, c, space, cfg, stream, final_epochs)
             fits.append((len(x), cfg.mode, schedule))
             return model, schedule
 
@@ -300,7 +300,13 @@ class TestFallback:
         for sub, (line, (rows, mode, schedule)) in enumerate(zip(lines, fits)):
             assert line.startswith(f"epoch 1 sub-block {sub}: surrogate mode {mode} ")
             assert f"fitted on {rows} viable records" in line
-            assert f"fold stop epochs {schedule.fold_stop_epochs}" in line
+            if sub == 0:
+                assert len(schedule.fold_stop_epochs) == config.surrogate.folds
+                assert f"fold stop epochs {schedule.fold_stop_epochs}" in line
+            else:
+                assert schedule.fold_stop_epochs == []
+                assert schedule.final_epochs == fits[0][2].final_epochs
+                assert "; folds reused from sub-block 0, final epochs" in line
             assert line.endswith(f"final epochs {schedule.final_epochs}")
 
     def test_surrogate_disabled_runs_plain_loop(self):
@@ -309,6 +315,75 @@ class TestFallback:
         for m in result.history.epoch_metrics[1:]:
             assert m.mode == "none"
             assert np.isnan(m.nrmse)
+
+
+def spy_folds_per_fit(monkeypatch):
+    """Spy on `surrogate._train_single`. The returned function gives, for
+    the calls so far, the number of CV folds each fit ran, in fit order: a
+    fold call has a validation split, and a fit's last call (the final
+    model) has none."""
+    calls = []
+    single = surrogate._train_single
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("val") is not None)
+        return single(*args, **kwargs)
+
+    monkeypatch.setattr(surrogate, "_train_single", spy)
+
+    def folds_per_fit():
+        counts, folds = [], 0
+        for validated in calls:
+            if validated:
+                folds += 1
+            else:
+                counts.append(folds)
+                folds = 0
+        return counts
+
+    return folds_per_fit
+
+
+class TestCrossValidationOncePerEpoch:
+    SURROGATE = SurrogateConfig(mode="o", blocks=1, block_dim=4, learning_rate=0.1)
+
+    def test_dynamic_epoch_cross_validates_in_sub_block_0_only(self, monkeypatch):
+        folds_per_fit = spy_folds_per_fit(monkeypatch)
+        run(small_config(dynamic_sampling=True, population_size=8, surrogate=self.SURROGATE))
+        assert folds_per_fit() == [3, 0, 0, 0] * 2
+
+    def test_failed_first_fit_moves_the_folds_to_the_next_sub_block(
+        self, caplog, monkeypatch
+    ):
+        folds_per_fit = spy_folds_per_fit(monkeypatch)
+        tries = []
+
+        def fail_first(*args, **kwargs):
+            tries.append(kwargs["final_epochs"])
+            if len(tries) == 1:
+                raise RuntimeError("diverged")
+            return train_surrogate(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "train_surrogate", fail_first)
+        config = small_config(
+            epochs=1, dynamic_sampling=True, population_size=8, surrogate=self.SURROGATE
+        )
+        with caplog.at_level("INFO", logger="surmoo"):
+            result = run(config)
+        assert folds_per_fit() == [3, 0, 0]
+        assert tries[:2] == [None, None] and tries[2] == tries[3] >= 1
+        lines = [r.getMessage() for r in caplog.records if "fitted on" in r.getMessage()]
+        assert [line.split(":")[0] for line in lines] == [
+            f"epoch 1 sub-block {sub}" for sub in (1, 2, 3)
+        ]
+        assert "; fold stop epochs [" in lines[0]
+        assert all("; folds reused from sub-block 1, final epochs" in line for line in lines[1:])
+        assert result.history.epoch_metrics[1].mode == "none"
+
+    def test_every_epoch_without_dynamic_sampling_cross_validates(self, monkeypatch):
+        folds_per_fit = spy_folds_per_fit(monkeypatch)
+        run(small_config(epochs=3, surrogate=self.SURROGATE))
+        assert folds_per_fit() == [3, 3, 3]
 
 
 class TestSelectParents:

@@ -13,6 +13,7 @@ from surmoo.surrogate import (
     JointSurrogate,
     OutputNormalizer,
     SurrogateConfig,
+    TrainingSchedule,
     epoch_budget,
     load_checkpoint,
     save_checkpoint,
@@ -202,6 +203,43 @@ class TestTraining:
         assert schedule.e_max == 10_000 and schedule.patience == 250
         expected = int(round(float(np.mean(schedule.fold_stop_epochs))))
         assert schedule.final_epochs == max(1, expected)
+
+    def test_given_final_epochs_skips_the_folds_only(self, rng, monkeypatch):
+        space = unit_space(2)
+        x = rng.random((24, 2))
+        y = np.hstack([x.sum(axis=1, keepdims=True), x[:, :1] * 3.0])
+        c = (x[:, :1] > 0.4).astype(np.int8)
+        cfg = SurrogateConfig(mode="c+o", blocks=1, block_dim=8, learning_rate=0.05)
+        rows = rows_from(x, y, c)
+        full, schedule = train(*rows, space, cfg, RandomStream(4, "reuse"))
+        assert len(schedule.fold_stop_epochs) == cfg.folds
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("val"))
+            return single(*args, **kwargs)
+
+        single = surrogate._train_single
+        monkeypatch.setattr(surrogate, "_train_single", spy)
+        reused, reused_schedule = train(
+            *rows, space, cfg, RandomStream(4, "reuse"), final_epochs=schedule.final_epochs
+        )
+        assert calls == [None]  # one unvalidated fit: the final model
+        assert reused_schedule == TrainingSchedule(
+            schedule.e_max, schedule.patience, [], schedule.final_epochs
+        )
+        assert reused.out_norm.state() == full.out_norm.state()
+        full_weights, reused_weights = full.weight_arrays(), reused.weight_arrays()
+        assert full_weights.keys() == reused_weights.keys()
+        for name, w in full_weights.items():
+            assert np.array_equal(reused_weights[name], w), name
+
+    def test_final_epochs_below_one_rejected(self, rng):
+        x = rng.random((12, 2))
+        with pytest.raises(ValueError, match="final_epochs must be at least 1"):
+            train(*rows_from(x, x[:, :1]), unit_space(2), SurrogateConfig(mode="o"),
+                  RandomStream(0), final_epochs=0)
 
 
 class TestPrediction:
