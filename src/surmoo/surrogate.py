@@ -11,7 +11,11 @@ output, from which `InputPass` takes input gradients without computing any
 parameter gradient. One vectorized Adam step updates one flat parameter
 vector, of which the ``params`` tensors are views. Each array operation is
 the one the autodiff tape (`forward`) would record, in the tape's order, so
-the explicit passes agree with it bit for bit. Residual blocks use layer
+on float64 arrays the explicit passes agree with it bit for bit. The passes
+and Adam keep the dtype they are given. Every fit trains in float32, with
+float64 loss sums, and `train` upcasts the weights of the model it returns
+to float64, so prediction, input gradients and checkpoints run in float64
+on float32-representable weights. Residual blocks use layer
 normalization (not batch statistics) so single-point inference and input
 gradients are batch-independent, and the default hidden activation is
 softplus so gradients are smooth everywhere; a ReLU mode is available.
@@ -41,6 +45,9 @@ __all__ = [
 
 LAYER_NORM_EPS = 1e-5
 ADAM_EPS = 1e-8
+# a Python float, not np.log(2.0): a float64 scalar would promote float32
+# arrays to float64 under numpy 2's promotion rules
+LOG_2 = float(np.log(2.0))
 MODES = ("o", "c", "c+o")
 OBJECTIVE_LOSSES = ("mse", "huber", "log_cosh", "weighted_log_cosh", "distance_mse", "relative")
 
@@ -286,19 +293,21 @@ class JointSurrogate:
             x_hat = centered / sigma
             z = x_hat * p[f"block{i}.ln_scale"].data + p[f"block{i}.ln_shift"].data
             u = z @ p[f"block{i}.fc1.w"].data + p[f"block{i}.fc1.b"].data
+            e = None
             if softplus:
-                a = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
+                e = np.exp(-np.abs(u))
+                a = np.maximum(u, 0.0) + np.log1p(e)
             else:
                 a = u * (u > 0.0)
             mask1 = mask2 = None
             if p1 > 0.0:
-                mask1 = (dropout_rng.random(a.shape) >= p1) / (1.0 - p1)
+                mask1 = np.divide(dropout_rng.random(a.shape) >= p1, 1.0 - p1, dtype=a.dtype)
                 a = a * mask1
             o = a @ p[f"block{i}.fc2.w"].data + p[f"block{i}.fc2.b"].data
             if p2 > 0.0:
-                mask2 = (dropout_rng.random(o.shape) >= p2) / (1.0 - p2)
+                mask2 = np.divide(dropout_rng.random(o.shape) >= p2, 1.0 - p2, dtype=o.dtype)
                 o = o * mask2
-            blocks.append((x_hat, sigma, z, u, mask1, a, mask2))
+            blocks.append((x_hat, sigma, z, u, e, mask1, a, mask2))
             h = h + o
         y_out = c_out = None
         if self.has_objective_head:
@@ -332,13 +341,15 @@ class JointSurrogate:
             dh_head = g @ p[f"{head}.w"].data.T
             dh = dh_head if dh is None else dh + dh_head
         for i in reversed(range(self.config.blocks)):
-            x_hat, sigma, z, u, mask1, a, mask2 = blocks[i]
+            x_hat, sigma, z, u, e, mask1, a, mask2 = blocks[i]
             g = dh if mask2 is None else dh * mask2
             dense(f"block{i}.fc2", a, g)
             g = g @ p[f"block{i}.fc2.w"].data.T
             if mask1 is not None:
                 g = g * mask1
-            g = g * expit(u) if softplus else g * (u > 0.0)
+            # softplus' = expit(u), from the forward's exp(-|u|) by the
+            # operations of `core.expit`
+            g = g * (np.where(u >= 0, 1.0, e) / (1.0 + e)) if softplus else g * (u > 0.0)
             dense(f"block{i}.fc1", z, g)
             g = g @ p[f"block{i}.fc1.w"].data.T
             if grads is not None:
@@ -355,7 +366,8 @@ class JointSurrogate:
         """Copy the weights into one flat vector and rebind every ``params``
         tensor as a view into it. Returns (parameters, gradient, gradient
         views keyed like ``params``); the gradient vector has the same
-        layout as the parameter vector."""
+        layout and dtype as the parameter vector, which has the weights'
+        dtype (float32 while `_train_single` runs)."""
         flat = np.concatenate([t.data.ravel() for t in self.params.values()])
         grad = np.zeros_like(flat)
         grads = {}
@@ -434,7 +446,7 @@ class Adam:
     whole-vector passes with fresh temporaries cost more than the arithmetic.
     """
 
-    CHUNK = 1 << 15  # elements, 256 KiB per array
+    CHUNK = 1 << 15  # elements: 128 KiB per float32 array, 256 KiB per float64 one
 
     def __init__(self, flat: np.ndarray, grad: np.ndarray, lr: float):
         self.flat = flat
@@ -481,7 +493,7 @@ def _objective_loss(pred: np.ndarray, targets: np.ndarray, kind: str, grad: bool
     if kind in ("mse", "distance_mse"):
         w = 1.0 / (1.0 + np.abs(targets)) if kind == "distance_mse" else None
         sq = r * r
-        value = (sq if w is None else sq * w).sum() * inv
+        value = (sq if w is None else sq * w).sum(dtype=np.float64) * inv
         if not grad:
             return value, None
         g = (inv if w is None else inv * w) * r
@@ -489,8 +501,8 @@ def _objective_loss(pred: np.ndarray, targets: np.ndarray, kind: str, grad: bool
     a = np.abs(r)
     if kind == "huber":
         # quadratic within |r| <= 1, linear outside
-        mask = (a <= 1.0).astype(float)
-        value = (r * r * 0.5 * mask + (a - 0.5) * (1.0 - mask)).sum() * inv
+        mask = (a <= 1.0).astype(r.dtype)
+        value = (r * r * 0.5 * mask + (a - 0.5) * (1.0 - mask)).sum(dtype=np.float64) * inv
         if not grad:
             return value, None
         g = inv * mask * 0.5 * r
@@ -498,15 +510,15 @@ def _objective_loss(pred: np.ndarray, targets: np.ndarray, kind: str, grad: bool
     if kind in ("log_cosh", "weighted_log_cosh"):
         w = 1.0 / (np.abs(targets) + 1.0) if kind == "weighted_log_cosh" else None
         e = np.exp(a * -2.0)
-        log_cosh = a + np.log1p(e) - np.log(2.0)
-        value = (log_cosh if w is None else log_cosh * w).sum() * inv
+        log_cosh = a + np.log1p(e) - LOG_2
+        value = (log_cosh if w is None else log_cosh * w).sum(dtype=np.float64) * inv
         if not grad:
             return value, None
         g = inv if w is None else inv * w
         return value, (g + g / (1.0 + e) * e * -2.0) * np.sign(r)
     if kind == "relative":
         w = 1.0 / (np.abs(targets) + 1e-12)
-        value = (a * w).sum() * inv
+        value = (a * w).sum(dtype=np.float64) * inv
         return value, (inv * w * np.sign(r) if grad else None)
     raise ValueError(f"unknown objective loss {kind!r}")
 
@@ -522,7 +534,7 @@ def _composite_loss(y_out, c_out, y_targets, c_targets, kind: str, grad: bool):
     if c_out is not None:
         inv = 1.0 / c_out.size
         bce = np.maximum(c_out, 0.0) - c_out * c_targets + np.log1p(np.exp(-np.abs(c_out)))
-        bce_value = bce.sum() * inv
+        bce_value = bce.sum(dtype=np.float64) * inv
         value = bce_value if value is None else value + bce_value
         if grad:
             dc = inv * (expit(c_out) - c_targets)
@@ -574,16 +586,25 @@ def _epoch_pass(model, opt, grads, x_unit, y_t, c_t, batch_size, rng) -> float:
 def _train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, patience=None):
     """Train up to ``epochs`` epochs; returns the epoch count actually run.
 
+    Training runs in float32: weights, gradients, Adam moments, activations,
+    unit-box inputs and targets. Loss sums are float64, so early stopping
+    compares float64 values. The weights stay float32 on return; `train`
+    upcasts the model it returns.
+
     With a validation split, early stopping monitors the validation loss at
     the given patience; weights are never restored to the best epoch. A
     non-finite loss aborts at the current epoch.
     """
-    x_unit = model._unit(x)
+    f32 = np.float32
+    for t in model.params.values():
+        t.data = t.data.astype(f32)
+    x_unit = model._unit(x).astype(f32)
+    y_targets, c_targets = y_targets.astype(f32), c_targets.astype(f32)
     flat, grad, grads = model._flat_parameters()
     opt = Adam(flat, grad, cfg.learning_rate)
     if val is not None:
         vx, vy, vc = val
-        vx_unit = model._unit(vx)
+        vx_unit, vy, vc = model._unit(vx).astype(f32), vy.astype(f32), vc.astype(f32)
     best_val = np.inf
     since_best = 0
     for done in range(epochs):
@@ -630,6 +651,10 @@ def train(
     ``stream`` draws as after the folds, and the schedule's
     ``fold_stop_epochs`` is empty. The engine cross-validates once per
     dynamic-sampling epoch and passes the count on to the epoch's later fits.
+
+    Every fit, fold or final, trains in float32 with float64 loss sums (see
+    `_train_single`); the returned model's weights are float64, each one a
+    float32 value.
     """
     if final_epochs is not None and final_epochs < 1:
         raise ValueError(f"final_epochs must be at least 1, got {final_epochs}")
@@ -681,6 +706,7 @@ def train(
         config,
         final_stream.child("epochs").generator(),
     )
+    model.load_weight_arrays(model.weight_arrays())  # float64 for inference
     schedule = TrainingSchedule(e_max, patience, stops, final_epochs)
     return model, schedule
 

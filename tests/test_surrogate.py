@@ -279,6 +279,16 @@ class TestPrediction:
         _, c = model.predict(rng.random((50, 2)))
         assert np.all((c > 0.0) & (c < 1.0))
 
+    def test_float32_fit_infers_in_float64(self, rng):
+        model = self._trained(rng)
+        assert all(w.dtype == np.float64 for w in model.weight_arrays().values())
+        pts = rng.random((5, 2))
+        y, c = model.predict(pts)
+        assert y.dtype == np.float64 and c.dtype == np.float64
+        batch = InputPass(model, pts)
+        assert batch.gradient(dy=np.ones_like(batch.y)).dtype == np.float64
+        assert batch.gradient(dc=np.ones_like(batch.c_logits)).dtype == np.float64
+
     def test_inference_deterministic(self, rng):
         model = self._trained(rng)
         pts = rng.random((5, 2))
@@ -372,6 +382,8 @@ class TestCheckpoint:
         model, _ = train(*rows_from(x, y, c), space, cfg, RandomStream(6))
         path = tmp_path / "model.npz"
         save_checkpoint(model, path)
+        with np.load(path) as data:  # the format stores float64 weights
+            assert all(data[key].dtype == np.float64 for key in data.files if key.startswith("w::"))
         restored = load_checkpoint(path)
         for name, tensor in model.params.items():
             assert np.array_equal(tensor.data, restored.params[name].data)
@@ -583,17 +595,65 @@ class TestExplicitPasses:
         ids=["one_batch", "minibatches"],
     )
     def test_train_equals_tape_reference_loop(self, cfg, monkeypatch):
+        # `train` fits in float32 and the tape loop in float64: the CV
+        # schedules agree exactly, a short fit's weights to float32 rounding,
+        # and the returned weights are float64 holding float32 values
         rng = np.random.default_rng(4)
         x = rng.random((15, 2))
         y = np.column_stack([x.sum(axis=1) ** 2, np.sin(3.0 * x[:, 0])])
         c = np.column_stack([x[:, 0] > 0.3, x[:, 1] > 0.6]).astype(np.int8)
         rows = rows_from(x, y, c)
-        model, schedule = train(*rows, unit_space(2), cfg, RandomStream(4, "ref"))
-        monkeypatch.setattr(surrogate, "_train_single", tape_train_single)
-        ref_model, ref_schedule = train(*rows, unit_space(2), cfg, RandomStream(4, "ref"))
+        fits = []
+        for single in (surrogate._train_single, tape_train_single):
+            monkeypatch.setattr(surrogate, "_train_single", single)
+            stream = RandomStream(4, "ref")
+            fits.append((train(*rows, unit_space(2), cfg, stream),
+                         train(*rows, unit_space(2), cfg, stream, final_epochs=20)[0]))
+        ((model, schedule), short), ((_, ref_schedule), ref_short) = fits
         assert schedule == ref_schedule
-        for name, t in model.params.items():
-            assert np.array_equal(t.data, ref_model.params[name].data), name
+        for name, t in short.params.items():
+            np.testing.assert_allclose(t.data, ref_short.params[name].data, rtol=1e-3, err_msg=name)
+        for name, w in model.weight_arrays().items():
+            assert w.dtype == np.float64, name
+            assert np.array_equal(w.astype(np.float32).astype(np.float64), w), name
+
+    @pytest.mark.parametrize("dropout", [(0.0, 0.0), (0.2, 0.1)], ids=["no_dropout", "dropout"])
+    @pytest.mark.parametrize("loss", OBJECTIVE_LOSSES)
+    def test_float32_step_stays_float32(self, loss, dropout, monkeypatch):
+        # nothing in a float32 training step may promote to float64: the
+        # masks take their operand's dtype, and loss constants stay weak
+        x, y, c = _gradient_fixture()
+        f32 = np.float32
+        for activation in ("softplus", "relu"):
+            cfg = SurrogateConfig(
+                mode="c+o", blocks=2, block_dim=6, activation=activation,
+                dropout=dropout, objective_loss=loss,
+            )
+            model = JointSurrogate(GRAD_SPACE, 2, 2, cfg, RandomStream(3, "f32"))
+            for t in model.params.values():
+                t.data = t.data.astype(f32)
+            flat, grad, grads = model._flat_parameters()
+            seen = []
+            backward = model._backward
+
+            def spy(cache, dy, dc, grads=None):
+                seen.append((cache, dy, dc))
+                return backward(cache, dy, dc, grads)
+
+            monkeypatch.setattr(model, "_backward", spy)
+            value = surrogate._train_step(
+                model, surrogate.Adam(flat, grad, 0.01), grads,
+                model._unit(x).astype(f32), y.astype(f32), c.astype(f32),
+                np.random.default_rng(5),
+            )
+            assert np.isfinite(value)
+            (x_unit, blocks, h), dy, dc = seen[0]
+            arrays = {"x_unit": x_unit, "h": h, "dy": dy, "dc": dc, "grad": grad, "flat": flat}
+            names = ("x_hat", "sigma", "z", "u", "e", "mask1", "a", "mask2")
+            for i, block in enumerate(blocks):
+                arrays.update({f"{name}{i}": a for name, a in zip(names, block) if a is not None})
+            for name, a in arrays.items():
+                assert a.dtype == f32, (activation, name)
 
     def test_flat_adam_equals_per_parameter_adam(self, monkeypatch):
         # small chunks, so chunk edges fall inside parameter tensors
