@@ -637,8 +637,9 @@ class TestExplicitPasses:
             backward = model._backward
 
             def spy(cache, dy, dc, grads=None):
-                seen.append((cache, dy, dc))
-                return backward(cache, dy, dc, grads)
+                dh = backward(cache, dy, dc, grads)
+                seen.append((cache, dy, dc, dh))
+                return dh
 
             monkeypatch.setattr(model, "_backward", spy)
             value = surrogate._train_step(
@@ -647,8 +648,10 @@ class TestExplicitPasses:
                 np.random.default_rng(5),
             )
             assert np.isfinite(value)
-            (x_unit, blocks, h), dy, dc = seen[0]
-            arrays = {"x_unit": x_unit, "h": h, "dy": dy, "dc": dc, "grad": grad, "flat": flat}
+            # the parameter gradients are written through out= views, which
+            # cast silently; dh carries every backward intermediate instead
+            (x_unit, blocks, h), dy, dc, dh = seen[0]
+            arrays = {"x_unit": x_unit, "h": h, "dy": dy, "dc": dc, "dh": dh}
             names = ("x_hat", "sigma", "z", "u", "e", "mask1", "a", "mask2")
             for i, block in enumerate(blocks):
                 arrays.update({f"{name}{i}": a for name, a in zip(names, block) if a is not None})
