@@ -12,7 +12,6 @@ from .core import (
     Provenance,
     RandomStream,
     RunHistory,
-    dominates,
     is_feasible,
 )
 from .engine import RunConfig, RunResult, SensitivityConfig, run
@@ -37,7 +36,6 @@ __all__ = [
     "RunResult",
     "SensitivityConfig",
     "SurrogateConfig",
-    "dominates",
     "get_problem",
     "is_feasible",
     "run",

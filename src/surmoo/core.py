@@ -11,7 +11,7 @@ dominance computation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "RunHistory",
     "RandomStream",
     "is_feasible",
-    "dominates",
     "dominance_matrix",
     "nondominated_mask",
     "expit",
@@ -80,10 +79,6 @@ class ParameterSpace:
     def span(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
@@ -105,23 +100,10 @@ def is_feasible(flags) -> bool:
     return bool(np.all(flags == 1))
 
 
-def dominates(a, b) -> bool:
-    """Weak Pareto dominance with at least one strict improvement.
-
-    Raises on NaN input; NaN records must be filtered upstream.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("objective vectors must have equal length")
-    if np.any(np.isnan(a)) or np.any(np.isnan(b)):
-        raise ValueError("dominance is undefined for NaN objectives")
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
 def dominance_matrix(a, b) -> np.ndarray:
     """Pairwise dominance between two point sets: ``dom[i, j]`` is True when
-    ``a[i]`` dominates ``b[j]`` in the sense of `dominates`.
+    ``a[i]`` is no worse than ``b[j]`` in every objective and better in at
+    least one.
 
     Raises on NaN input or on differing objective counts. One comparison per
     objective keeps the temporaries at ``len(a) x len(b)``.
@@ -259,10 +241,6 @@ class RunHistory:
         if self._records and rec.epoch < self._records[-1].epoch:
             raise ValueError("record epochs must be monotone")
         self._records.append(rec)
-
-    def extend(self, records) -> None:
-        for rec in records:
-            self.append(rec)
 
     def snapshot(self, metrics: EpochMetrics) -> None:
         if self._metrics and metrics.epoch <= self._metrics[-1].epoch:

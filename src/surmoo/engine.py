@@ -196,17 +196,13 @@ def recompute_metrics(records) -> list[dict]:
     ]
 
 
-def _history_context(history: RunHistory):
-    feasible = history.feasible_records()
-    if not feasible:
-        return None
-    return shared_normalization([np.array([r.objectives for r in feasible])])
-
-
 def _archive_hv(archive: ParetoArchive, history: RunHistory) -> float:
-    context = _history_context(history)
-    if context is None or len(archive) == 0:
+    """The archive's hypervolume, normalized by the feasible history's
+    nadir; 0 when nothing feasible has been found."""
+    feasible = history.feasible_records()
+    if not feasible or len(archive) == 0:
         return 0.0
+    context = shared_normalization([np.array([r.objectives for r in feasible])])
     return normalized_hypervolume(archive.objectives(), context)
 
 
@@ -353,15 +349,13 @@ def run(config: RunConfig) -> RunResult:
                         schedule.final_epochs,
                     )
 
-            indices = moea.DistributionIndices.default(space.dim)
+            eta = np.full(space.dim, moea.ETA_DEFAULT)
             if model is not None and config.sensitivity.enabled and model.has_objective_head:
-                sens = compute_elasticities(model, x)
-                indices = indices_from_sensitivity(sens)
+                s_bar = compute_elasticities(model, x)
+                eta = indices_from_sensitivity(s_bar)
                 if config.sensitivity.inverted:
-                    indices = invert_indices(indices)
-                result.sensitivity.append(
-                    SensitivitySnapshot(epoch, sens.s_bar, indices.eta_cross.copy())
-                )
+                    eta = invert_indices(eta)
+                result.sensitivity.append(SensitivitySnapshot(epoch, s_bar, eta))
 
             parents, parent_objs, parent_feas = _select_parents(
                 x, y, c, n_sub, problem, sub_stream.child("parents")
@@ -371,14 +365,14 @@ def run(config: RunConfig) -> RunResult:
                 effective_mode = "none"
                 ranked = moea.rank_population(parents, parent_objs, parent_feas)
                 candidates = moea.offspring(
-                    ranked, indices, space, sub_stream.child("variation").generator()
+                    ranked, eta, space, sub_stream.child("variation").generator()
                 )
             else:
                 candidates = moea.generate(
                     parents,
                     model.predict,
                     config.generations,
-                    indices,
+                    eta,
                     space,
                     sub_stream.child("moea"),
                 )
@@ -468,9 +462,6 @@ def _epoch_nrmse(pairs) -> float:
         return float("nan")
     y_true = np.array([p[0] for p in pairs])
     y_pred = np.array([p[1] for p in pairs])
-    ranges = y_true.max(axis=0) - y_true.min(axis=0)
-    if not np.any(ranges > 0.0):
-        return float("nan")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return nrmse(y_true, y_pred)

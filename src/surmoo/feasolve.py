@@ -59,6 +59,8 @@ class FeasolveConfig:
         # after the first step; a negative one slices from the front
         if self.max_iters < 1 or self.plateau_window < 1:
             raise ValueError("max_iters and plateau_window must be at least 1")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be positive")
         self.targets = tuple(self.targets)
         if not self.targets:
             raise ValueError("at least one descent target is required")

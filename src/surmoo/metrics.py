@@ -32,7 +32,6 @@ __all__ = [
     "NormalizationContext",
     "hypervolume",
     "normalized_hypervolume",
-    "normalized_hypervolumes",
     "shared_normalization",
     "hv_auc",
     "igd",
@@ -150,12 +149,6 @@ def normalized_hypervolume(front, context: NormalizationContext) -> float:
         return 0.0
     unit = context.normalize(front)
     return hypervolume(unit, context.reference)
-
-
-def normalized_hypervolumes(fronts) -> list[float]:
-    """Normalized hypervolume per front under one shared nadir."""
-    context = shared_normalization(fronts)
-    return [normalized_hypervolume(front, context) for front in fronts]
 
 
 def hv_auc(hv_per_epoch) -> float:

@@ -9,8 +9,9 @@ Constraint handling is feasibility-first: predicted-feasible candidates
 (every constraint probability >= 0.5, see `ranking_inputs`) always rank
 ahead of predicted-infeasible ones; within each group candidates are sorted
 into non-dominated fronts by objectives. Candidates with NaN predictions
-are parked in a final worst front. Crossover and mutation use per-dimension
-distribution indices so sensitivity information can shape the search per
+are parked in a final worst front. Crossover and mutation share one
+per-parameter distribution index array ``eta``, with entries in
+[ETA_MIN, ETA_MAX], so sensitivity information can shape the search per
 parameter.
 """
 
@@ -23,7 +24,6 @@ import numpy as np
 from .core import ParameterSpace, dominance_matrix
 
 __all__ = [
-    "DistributionIndices",
     "RankedPopulation",
     "fast_nondominated_sort",
     "crowding_distance",
@@ -42,27 +42,6 @@ ETA_DEFAULT = 20.0
 ETA_MIN, ETA_MAX = 1.0, 30.0
 FEASIBILITY_THRESHOLD = 0.5
 CROSSOVER_PROB = 0.9
-
-
-@dataclass(frozen=True)
-class DistributionIndices:
-    """Per-parameter SBX and polynomial-mutation spread indices in [1, 30]."""
-
-    eta_cross: np.ndarray
-    eta_mut: np.ndarray
-
-    def __post_init__(self):
-        cross = np.asarray(self.eta_cross, dtype=float)
-        mut = np.asarray(self.eta_mut, dtype=float)
-        object.__setattr__(self, "eta_cross", cross)
-        object.__setattr__(self, "eta_mut", mut)
-        for name, eta in (("eta_cross", cross), ("eta_mut", mut)):
-            if np.any(eta < ETA_MIN) or np.any(eta > ETA_MAX):
-                raise ValueError(f"{name} must lie in [{ETA_MIN}, {ETA_MAX}]")
-
-    @classmethod
-    def default(cls, n: int, eta: float = ETA_DEFAULT) -> "DistributionIndices":
-        return cls(np.full(n, eta), np.full(n, eta))
 
 
 def fast_nondominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
@@ -198,13 +177,12 @@ def constrained_tournament(
 def sbx_crossover(
     parent1: np.ndarray,
     parent2: np.ndarray,
-    indices: DistributionIndices,
+    eta: np.ndarray,
     space: ParameterSpace,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulated binary crossover with per-dimension spread exponents
     1/(eta_j + 1); children are clipped to the bounds."""
-    eta = indices.eta_cross
     u = rng.random(len(parent1))
     beta = np.where(
         u <= 0.5,
@@ -218,7 +196,7 @@ def sbx_crossover(
 
 def polynomial_mutation(
     point: np.ndarray,
-    indices: DistributionIndices,
+    eta: np.ndarray,
     space: ParameterSpace,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -229,7 +207,6 @@ def polynomial_mutation(
     bounds.
     """
     n = len(point)
-    eta = indices.eta_mut
     mutate = rng.random(n) < 1.0 / n
     u = rng.random(n)
     delta = np.where(
@@ -245,7 +222,7 @@ def generate(
     members: np.ndarray,
     predictor,
     generations: int,
-    indices: DistributionIndices,
+    eta: np.ndarray,
     space: ParameterSpace,
     stream,
 ) -> np.ndarray:
@@ -264,7 +241,7 @@ def generate(
 
     objs, feas = ranking_inputs(predictor, members)
     for _ in range(generations):
-        children = offspring(rank_population(members, objs, feas), indices, space, rng)
+        children = offspring(rank_population(members, objs, feas), eta, space, rng)
         off_objs, off_feas = ranking_inputs(predictor, children)
         combined = np.vstack([members, children])
         combined_objs = np.vstack([objs, off_objs])
@@ -296,7 +273,7 @@ def ranking_inputs(predictor, members: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def offspring(
     ranked: RankedPopulation,
-    indices: DistributionIndices,
+    eta: np.ndarray,
     space: ParameterSpace,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -315,10 +292,10 @@ def offspring(
         )
         p1, p2 = ranked.members[i1], ranked.members[i2]
         if rng.random() < CROSSOVER_PROB:
-            c1, c2 = sbx_crossover(p1, p2, indices, space, rng)
+            c1, c2 = sbx_crossover(p1, p2, eta, space, rng)
         else:
             c1, c2 = p1.copy(), p2.copy()
-        children.append(polynomial_mutation(c1, indices, space, rng))
+        children.append(polynomial_mutation(c1, eta, space, rng))
         if len(children) < m_pop:
-            children.append(polynomial_mutation(c2, indices, space, rng))
+            children.append(polynomial_mutation(c2, eta, space, rng))
     return np.array(children)

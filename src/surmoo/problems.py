@@ -1,8 +1,8 @@
-"""Built-in benchmark problems: generic range-distance objective helpers, an
-analytic two-sphere trade-off, a thin-feasibility-band problem whose joint
-feasible region is far too small for random sampling to hit, and the
-classic constrained biobjective suite (BNH, SRN, TNK) with constraints
-binarized to satisfied/violated flags.
+"""Built-in benchmark problems, by name in `PROBLEM_REGISTRY`: a two-sphere
+trade-off whose Pareto set is a known segment, a thin-feasibility-band
+problem whose joint feasible region is far too small for random sampling to
+hit, and the classic constrained biobjective suite (BNH, SRN, TNK) with
+constraints binarized to satisfied/violated flags.
 
 Reference feasibility rates under uniform sampling were measured by Monte
 Carlo ahead of time (1e7 samples for thin_band, 1e6 for the suite) and are
@@ -21,13 +21,11 @@ from .core import ParameterSpace
 
 __all__ = [
     "ProblemDefinition",
-    "range_distance_objective",
     "make_two_sphere",
     "make_thin_band",
     "make_bnh",
     "make_srn",
     "make_tnk",
-    "make_constrained_suite",
     "get_problem",
     "check_problem_params",
     "PROBLEM_REGISTRY",
@@ -44,22 +42,7 @@ class ProblemDefinition:
     n_constraints: int
     evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     feasibility_rate: float | None = None  # uniform-sampling joint rate
-    pareto_front: Callable[[int], np.ndarray] | None = None
     description: str = ""
-
-
-def range_distance_objective(value: float, lower: float, upper: float) -> float:
-    """Squared distance from a measured value to a target range.
-
-    Zero inside [lower, upper]; NaN propagates (non-viable measurement).
-    """
-    if lower > upper:
-        raise ValueError("range lower bound exceeds upper bound")
-    if np.isnan(value):
-        return float("nan")
-    if lower <= value <= upper:
-        return 0.0
-    return float(min(abs(value - lower), abs(value - upper)) ** 2)
 
 
 def _unit_space(n: int) -> ParameterSpace:
@@ -75,8 +58,7 @@ def make_two_sphere(
 ) -> ProblemDefinition:
     """Unconstrained biobjective benchmark f1 = |x-a|^2, f2 = |x-b|^2.
 
-    The Pareto set is exactly the segment [a, b]; the analytic front is
-    (t^2, (1-t)^2) * |a-b|^2 for t in [0, 1].
+    The Pareto set is exactly the segment [a, b].
     """
     a = np.full(n, 0.25) if a is None else np.asarray(a, dtype=float)
     b = np.full(n, 0.75) if b is None else np.asarray(b, dtype=float)
@@ -84,7 +66,6 @@ def make_two_sphere(
         raise ValueError("anchor points must match the dimension")
     if np.allclose(a, b):
         raise ValueError("anchor points must differ")
-    gap_sq = float(np.sum((a - b) ** 2))
 
     def evaluate(x: np.ndarray):
         x = np.asarray(x, dtype=float)
@@ -93,10 +74,6 @@ def make_two_sphere(
             np.empty(0, dtype=np.int8),
         )
 
-    def front(n_points: int) -> np.ndarray:
-        t = np.linspace(0.0, 1.0, n_points)
-        return np.column_stack([t**2 * gap_sq, (1.0 - t) ** 2 * gap_sq])
-
     return ProblemDefinition(
         name="two_sphere",
         space=_unit_space(n),
@@ -104,7 +81,6 @@ def make_two_sphere(
         n_constraints=0,
         evaluate=evaluate,
         feasibility_rate=1.0,
-        pareto_front=front,
         description="distance-to-two-anchors trade-off; Pareto set is the segment [a, b]",
     )
 
@@ -149,7 +125,6 @@ def make_thin_band(n: int = 6, nan_outside: float | None = None) -> ProblemDefin
         n_constraints=3,
         evaluate=evaluate,
         feasibility_rate=THIN_BAND_RATE,
-        pareto_front=None,
         description="two-sphere objectives on a thin jointly-feasible band",
     )
 
@@ -231,10 +206,6 @@ def make_tnk() -> ProblemDefinition:
         feasibility_rate=0.0506,  # 1e6-sample Monte Carlo
         description="Tanaka constrained biobjective benchmark",
     )
-
-
-def make_constrained_suite() -> list[ProblemDefinition]:
-    return [make_bnh(), make_srn(), make_tnk()]
 
 
 PROBLEM_REGISTRY: dict[str, Callable[..., ProblemDefinition]] = {

@@ -288,8 +288,9 @@ def write_run_directory(result: RunResult, out_dir) -> Path:
 
 
 def read_evaluations(run_dir) -> list[EvaluationRecord]:
-    """Parse an evaluations log; a truncated final line is an error, not a
-    silent drop."""
+    """Parse an evaluations log. A truncated or corrupt line, such as one
+    missing a key or not holding a JSON object, raises ``ValueError`` with
+    its line number: it is an error, not a silent drop."""
     path = Path(run_dir) / EVALUATIONS_FILE
     records: list[EvaluationRecord] = []
     with open(path) as fh:
@@ -299,40 +300,44 @@ def read_evaluations(run_dir) -> list[EvaluationRecord]:
                 continue
             try:
                 payload = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}:{lineno}: truncated or corrupt record ({exc})"
-                ) from None
-            objectives = [
-                np.nan if v is None else float(v) for v in payload["objectives"]
-            ]
-            records.append(
-                EvaluationRecord(
-                    params=np.array(payload["params"], dtype=float),
-                    objectives=np.array(objectives, dtype=float),
-                    constraints=np.array(payload["constraints"], dtype=np.int8),
-                    epoch=int(payload["epoch"]),
-                    provenance=payload["provenance"],
+                objectives = [
+                    np.nan if v is None else float(v) for v in payload["objectives"]
+                ]
+                records.append(
+                    EvaluationRecord(
+                        params=np.array(payload["params"], dtype=float),
+                        objectives=np.array(objectives, dtype=float),
+                        constraints=np.array(payload["constraints"], dtype=np.int8),
+                        epoch=int(payload["epoch"]),
+                        provenance=payload["provenance"],
+                    )
                 )
-            )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: truncated or corrupt record ({exc!r})"
+                ) from None
     return records
 
 
 def read_metrics(run_dir) -> list[dict]:
+    """Parse a metrics CSV; a row that does not hold one value of the right
+    type per column raises ``ValueError`` with its line number."""
     path = Path(run_dir) / METRICS_FILE
     rows: list[dict] = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != METRICS_COLUMNS:
             raise ValueError(f"{path}: unexpected metrics header {header}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            parts = line.strip().split(",")
-            row = dict(zip(METRICS_COLUMNS, parts))
-            for key in ("epoch", "cumulative_evals", "feasible_count", "feasolve_steps"):
-                row[key] = int(row[key])
-            for key in ("hv_norm", "nrmse", "wall_seconds"):
-                row[key] = float(row[key])
+            try:
+                row = dict(zip(METRICS_COLUMNS, line.strip().split(","), strict=True))
+                for key in ("epoch", "cumulative_evals", "feasible_count", "feasolve_steps"):
+                    row[key] = int(row[key])
+                for key in ("hv_norm", "nrmse", "wall_seconds"):
+                    row[key] = float(row[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad metrics row ({exc})") from None
             rows.append(row)
     return rows

@@ -3,7 +3,8 @@
 Expressions are parsed once at configuration load and evaluated against the
 optimization history after each epoch. Only a safe subset is allowed:
 comparisons, boolean connectives, basic arithmetic, numeric literals, the
-``iteration`` counter, and window aggregates like ``max(recent('hv', 3))``.
+``iteration`` counter, and window aggregates like ``max(recent('hv', 3))``,
+whose metric name is the only place a string may appear.
 Anything else is rejected at parse time, so a bad expression fails the run
 before it starts, never in the middle.
 """
@@ -58,6 +59,7 @@ class StopExpression:
         self._code = compile(tree, "<stop-expression>", "eval")
 
     def _validate(self, tree: ast.Expression) -> None:
+        metric_names = set()  # recent()'s first arguments; a walk meets calls first
         for node in ast.walk(tree):
             if not isinstance(node, _ALLOWED_NODES):
                 raise ValueError(
@@ -70,12 +72,15 @@ class StopExpression:
                     )
                 if isinstance(node.func, ast.Name) and node.func.id == "recent":
                     self._validate_recent(node)
+                    metric_names.add(id(node.args[0]))
             if isinstance(node, ast.Name) and node.id not in _ALLOWED_CALLS | {"iteration"}:
                 raise ValueError(f"unknown name {node.id!r} in stop expression")
-            if isinstance(node, ast.Constant) and not isinstance(
-                node.value, (int, float, str, bool)
-            ):
-                raise ValueError("only numeric and string literals are allowed")
+            if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float, bool)):
+                if not isinstance(node.value, str) or id(node) not in metric_names:
+                    raise ValueError(
+                        "only numeric literals are allowed, and a string only as "
+                        "recent()'s metric name"
+                    )
 
     @staticmethod
     def _validate_recent(node: ast.Call) -> None:
@@ -93,7 +98,9 @@ class StopExpression:
     def evaluate(self, iteration: int, series: dict[str, list[float]]) -> bool:
         """Evaluate against the history. ``series`` maps metric names to
         their per-epoch values; an empty window yields NaN so unguarded
-        aggregates never stop the run spuriously."""
+        aggregates never stop the run spuriously, and for the same reason an
+        arithmetic error (a division by zero, an overflowing window) counts
+        as not satisfied."""
 
         def recent(name: str, window: int) -> list[float]:
             values = series.get(name, [])
@@ -109,4 +116,7 @@ class StopExpression:
             "len": len,
             "abs": abs,
         }
-        return bool(eval(self._code, {"__builtins__": {}}, env))
+        try:
+            return bool(eval(self._code, {"__builtins__": {}}, env))
+        except ArithmeticError:
+            return False

@@ -78,6 +78,12 @@ class SurrogateConfig:
         if self.objective_loss not in OBJECTIVE_LOSSES:
             raise ValueError(f"objective_loss must be one of {OBJECTIVE_LOSSES}")
         self.dropout = tuple(float(p) for p in self.dropout)
+        if len(self.dropout) != 2 or not all(0.0 <= p < 1.0 for p in self.dropout):
+            raise ValueError("dropout must hold two probabilities in [0, 1)")
+        if self.folds < 2 or self.batch_size < 1 or self.hidden_dim < 1:
+            raise ValueError("need folds >= 2, batch_size >= 1, hidden_multiplier * block_dim >= 1")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be positive")
         if self.outlier_threshold is not None:
             self.outlier_threshold = float(self.outlier_threshold)
 

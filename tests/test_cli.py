@@ -286,6 +286,34 @@ class TestCmdRun:
         assert re.search(match, capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "section, entry, match",
+        [
+            ("surrogate", "dropout: [0.1]", "dropout must hold two probabilities"),
+            ("surrogate", "dropout: [1.0, 0.0]", "dropout must hold two probabilities"),
+            ("surrogate", "dropout: [0.1, 0.1, 0.1]", "dropout must hold two probabilities"),
+            ("surrogate", "dropout: [-0.5, 0]", "dropout must hold two probabilities"),
+            ("surrogate", "folds: 1", "need folds >= 2"),
+            ("surrogate", "folds: 0", "need folds >= 2"),
+            ("surrogate", "batch_size: 0", "need .*batch_size >= 1"),
+            ("surrogate", "hidden_multiplier: 0.0", "need .*hidden_multiplier \\* block_dim >= 1"),
+            ("surrogate", "learning_rate: 0.0", "learning_rate must be positive"),
+            ("surrogate", "learning_rate: -0.01", "learning_rate must be positive"),
+            ("feasolve", "learning_rate: -0.05", "learning_rate must be positive"),
+        ],
+    )
+    def test_setting_that_cannot_fit_or_descend_is_a_config_error(
+        self, tmp_path, capsys, section, entry, match
+    ):
+        # a run would exit 0 with any of these: every fit fails and falls back
+        # to plain NSGA-II, or a non-positive step trains or descends backwards
+        text = MINIMAL_CONFIG.replace("  batch_size: 128\n", "")
+        text += f"  {entry}\n" if section == "surrogate" else f"{section}:\n  {entry}\n"
+        bad = write_config(tmp_path, text)
+        assert cmd_run(str(bad), None, str(tmp_path / "out")) == 2
+        assert re.search(f"error: {section}: {match}", capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_run_failure_logs_traceback_at_debug(self, tmp_path, capsys, caplog, monkeypatch):
         def diverge(config):
             raise FloatingPointError("simulator diverged")
@@ -327,6 +355,29 @@ class TestLogs:
             fh.write('{"epoch": 3, "provenance": "moea", "par')
         with pytest.raises(ValueError, match="truncated or corrupt"):
             read_evaluations(run_dir)
+
+    @pytest.mark.parametrize(
+        "name, damaged_line",
+        [
+            ("evaluations.ndjson", '{"epoch": 3, "provenance": "moea", "objectives": [1.0]}'),
+            ("evaluations.ndjson", "[1, 2]"),
+            ("metrics.csv", "3,1"),
+        ],
+    )
+    def test_damaged_line_is_reported_with_its_number(self, tmp_path, capsys, name, damaged_line):
+        # a record without params, a line that is not an object and a short
+        # metrics row, each reported by path and line rather than as a bare
+        # KeyError or TypeError
+        run_dir = synthetic_run_dir(tmp_path, "damaged", [[1.0, 2.0]])
+        path = tmp_path / "damaged" / name
+        lineno = len(path.read_text().splitlines()) + 1
+        with open(path, "a") as fh:
+            fh.write(damaged_line + "\n")
+        reader = read_evaluations if name == "evaluations.ndjson" else read_metrics
+        with pytest.raises(ValueError, match=f"{name}:{lineno}: "):
+            reader(run_dir)
+        assert cmd_report([run_dir]) == 2
+        assert f"{name}:{lineno}: " in capsys.readouterr().err
 
     def test_records_are_one_json_object_per_line(self, tmp_path):
         run_dir = synthetic_run_dir(tmp_path, "lines", [[1.0, 2.0], [2.0, 1.0]])

@@ -13,7 +13,6 @@ from surmoo.core import (
     RandomStream,
     RunHistory,
     dominance_matrix,
-    dominates,
     expit,
     is_feasible,
     nondominated_mask,
@@ -74,6 +73,11 @@ class TestExpit:
         value = expit(0.25)
         assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
         assert value == oracle_expit(0.25)
+
+
+def dominates(a, b) -> bool:
+    """The dominance relation on one pair, through the program's kernel."""
+    return bool(dominance_matrix(a, b)[0, 0])
 
 
 class TestDominance:
@@ -215,8 +219,6 @@ class TestParameterSpace:
     def test_basic(self):
         space = ParameterSpace(("a", "b"), [0, -1], [1, 1])
         assert space.dim == 2
-        assert space.contains([0.5, 0.0])
-        assert not space.contains([2.0, 0.0])
         assert np.allclose(space.clip([2.0, -3.0]), [1.0, -1.0])
 
     def test_zero_width_rejected(self):
@@ -258,7 +260,8 @@ class TestRunHistory:
 
     def test_viable_arrays_flags_without_constraints(self):
         history = RunHistory()
-        history.extend(make_record([float(i)]) for i in range(3))
+        for i in range(3):
+            history.append(make_record([float(i)]))
         x, y, c = history.viable_arrays()
         assert x.shape == (3, 2) and y.shape == (3, 1) and c.shape == (3, 0)
 

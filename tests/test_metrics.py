@@ -10,7 +10,6 @@ from surmoo.metrics import (
     hypervolume,
     igd,
     normalized_hypervolume,
-    normalized_hypervolumes,
     nrmse,
     set_coverage,
     shared_normalization,
@@ -106,9 +105,9 @@ class TestNormalizedHypervolume:
         assert normalized_hypervolume([[0.0] * 4], context) == pytest.approx(1.4641)
 
     def test_single_point_at_nadir(self):
-        fronts = [np.array([[2.0, 4.0]])]
-        values = normalized_hypervolumes(fronts)
-        assert values[0] == pytest.approx((1.1 - 1.0) ** 2)
+        front = np.array([[2.0, 4.0]])
+        value = normalized_hypervolume(front, shared_normalization([front]))
+        assert value == pytest.approx((1.1 - 1.0) ** 2)
 
     def test_front_at_ideal_point(self):
         context = NormalizationContext(np.array([1.0, 1.0]), np.zeros(2))
@@ -132,7 +131,7 @@ class TestNormalizedHypervolume:
         context = shared_normalization([front])
         assert context.shift[0] == -200.0 and context.shift[1] == 0.0
         assert np.all(context.normalize(front) >= 0.0)
-        assert normalized_hypervolumes([front])[0] <= 1.1**2
+        assert normalized_hypervolume(front, context) <= 1.1**2
 
     def test_empty_front_scores_zero(self):
         context = NormalizationContext(np.ones(2), np.zeros(2))

@@ -5,7 +5,7 @@ import pytest
 
 from surmoo.core import ParameterSpace, RandomStream
 from surmoo.moea import (
-    DistributionIndices,
+    ETA_DEFAULT,
     constrained_tournament,
     crowding_distance,
     fast_nondominated_sort,
@@ -146,7 +146,7 @@ class TestTournament:
 class TestSBX:
     def test_median_draw_returns_parents(self):
         space = unit_space(3)
-        indices = DistributionIndices.default(3)
+        indices = np.full(3, ETA_DEFAULT)
         p1 = np.array([0.2, 0.4, 0.6])
         p2 = np.array([0.3, 0.1, 0.9])
         c1, c2 = sbx_crossover(p1, p2, indices, space, FixedRng(0.5))
@@ -156,13 +156,13 @@ class TestSBX:
         space = unit_space(4)
         p = rng.random(4)
         for eta in (1.0, 30.0):
-            indices = DistributionIndices.default(4, eta)
+            indices = np.full(4, eta)
             c1, c2 = sbx_crossover(p, p, indices, space, rng)
             assert np.allclose(c1, p) and np.allclose(c2, p)
 
     def test_children_within_bounds(self, rng):
         space = unit_space(5)
-        indices = DistributionIndices.default(5)
+        indices = np.full(5, ETA_DEFAULT)
         for _ in range(50):
             c1, c2 = sbx_crossover(rng.random(5), rng.random(5), indices, space, rng)
             assert np.all((c1 >= 0) & (c1 <= 1)) and np.all((c2 >= 0) & (c2 <= 1))
@@ -180,7 +180,7 @@ class TestSBX:
         p2 = np.full(trials, 0.7)
         spreads = {}
         for eta in (1.0, 30.0):
-            indices = DistributionIndices(np.full(trials, eta), np.full(trials, eta))
+            indices = np.full(trials, eta)
             c1, _ = sbx_crossover(p1, p2, indices, space, gen)
             spreads[eta] = np.abs(c1 - p1).mean()
         assert spreads[30.0] < spreads[1.0]
@@ -192,7 +192,7 @@ class TestPolynomialMutation:
     def test_median_draw_no_displacement(self):
         space = unit_space(1)
         p = np.array([0.2])
-        out = polynomial_mutation(p, DistributionIndices.default(1), space, FixedRng(0.5))
+        out = polynomial_mutation(p, np.full(1, ETA_DEFAULT), space, FixedRng(0.5))
         # u = 0.5 makes delta exactly 0 even though the coordinate mutates
         assert np.allclose(out, p)
 
@@ -202,7 +202,7 @@ class TestPolynomialMutation:
         p = np.zeros(1)
         means = []
         for eta in (1.0, 10.0, 30.0):
-            indices = DistributionIndices([eta], [eta])
+            indices = np.array([eta])
             steps = [polynomial_mutation(p, indices, space, gen) - p for _ in range(5000)]
             means.append(np.abs(steps).mean())
         assert means[0] > means[1] > means[2]
@@ -227,7 +227,7 @@ class TestGenerate:
     def setup_method(self):
         self.problem = make_two_sphere(2)
         self.space = self.problem.space
-        self.indices = DistributionIndices.default(2)
+        self.eta = np.full(2, ETA_DEFAULT)
 
     def _start_pop(self, size=16):
         gen = np.random.default_rng(123)
@@ -236,7 +236,7 @@ class TestGenerate:
     def test_population_size_invariant(self):
         pop = self._start_pop()
         out = generate(
-            pop, exact_sphere_predictor(self.problem), 5, self.indices,
+            pop, exact_sphere_predictor(self.problem), 5, self.eta,
             self.space, RandomStream(1, "gen"),
         )
         assert out.shape == pop.shape
@@ -244,7 +244,7 @@ class TestGenerate:
     def test_bounds_respected(self):
         out = generate(
             self._start_pop(), exact_sphere_predictor(self.problem), 5,
-            self.indices, self.space, RandomStream(2, "gen"),
+            self.eta, self.space, RandomStream(2, "gen"),
         )
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
@@ -252,7 +252,7 @@ class TestGenerate:
         runs = [
             generate(
                 self._start_pop(), exact_sphere_predictor(self.problem), 4,
-                self.indices, self.space, RandomStream(3, "gen"),
+                self.eta, self.space, RandomStream(3, "gen"),
             )
             for _ in range(2)
         ]
@@ -263,7 +263,7 @@ class TestGenerate:
         objs, _ = exact_sphere_predictor(self.problem)(members)
         ranked = rank_population(members, objs, np.ones(9, dtype=bool))
         runs = [
-            offspring(ranked, self.indices, self.space, np.random.default_rng(5))
+            offspring(ranked, self.eta, self.space, np.random.default_rng(5))
             for _ in range(2)
         ]
         assert runs[0].shape == (ranked.size, 2)
@@ -281,7 +281,7 @@ class TestGenerate:
             return segment_distance(members[front], a, b).mean()
 
         before = front_distance(pop)
-        out = generate(pop, predictor, 10, self.indices, self.space, RandomStream(4, "gen"))
+        out = generate(pop, predictor, 10, self.eta, self.space, RandomStream(4, "gen"))
         after = front_distance(out)
         assert after < before
 
@@ -310,7 +310,7 @@ class TestGenerate:
         prev_best = prev_objs[fast_nondominated_sort(prev_objs)[0]]
         for g in range(5):
             pop = generate(
-                pop, predictor, 1, self.indices, self.space,
+                pop, predictor, 1, self.eta, self.space,
                 RandomStream(50 + g, "gen"),
             )
             objs, _ = predictor(pop)

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from surmoo.core import ParameterSpace, RandomStream
-from surmoo.moea import DistributionIndices
 from surmoo.sensitivity import (
-    SensitivityIndices,
     compute_elasticities,
     indices_from_sensitivity,
     invert_indices,
@@ -36,17 +34,17 @@ class TestElasticities:
         space = ParameterSpace(("a", "b"), [0.0, 0.0], [1.0, 1.0])
         model = affine_model(space, np.zeros((2, 2)), [4.0, -1.0])
         model.out_norm = None
-        sens = compute_elasticities(model, rng.random((10, 2)))
-        assert np.allclose(sens.s_bar, 0.0)
+        s_bar = compute_elasticities(model, rng.random((10, 2)))
+        assert np.allclose(s_bar, 0.0)
 
     def test_exact_linear_model(self):
         # y = 2 * x1, sampled at x1 = 3: elasticity |2 * 3| = 6
         space = ParameterSpace(("a", "b"), [0.0, 0.0], [10.0, 10.0])
         model = linear_model(space, [2.0, 0.0])
         x = np.array([[3.0, 5.0]])
-        sens = compute_elasticities(model, x)
-        assert sens.s_bar[0] == pytest.approx(6.0, rel=1e-12)
-        assert sens.s_bar[1] == pytest.approx(0.0, abs=1e-12)
+        s_bar = compute_elasticities(model, x)
+        assert s_bar[0] == pytest.approx(6.0, rel=1e-12)
+        assert s_bar[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_finite_differences(self, rng):
         space = ParameterSpace(("a", "b", "c"), [0.5, 1.0, 2.0], [2.0, 3.0, 4.0])
@@ -68,8 +66,7 @@ class TestElasticities:
                     expected[j] += abs((fp - fm) / (2 * h) * x[i, j])
         expected /= 2 * x.shape[0]
 
-        sens = compute_elasticities(model, x)
-        assert np.allclose(sens.s_bar, expected, rtol=1e-3)
+        assert np.allclose(compute_elasticities(model, x), expected, rtol=1e-3)
 
     def test_scaling_model_doubles_elasticity(self, rng):
         space = ParameterSpace(("a", "b"), [0.0, 0.0], [1.0, 1.0])
@@ -77,10 +74,10 @@ class TestElasticities:
         model = JointSurrogate(space, 1, 0, cfg, RandomStream(4, "scale"))
         model.out_norm = None
         x = rng.random((12, 2))
-        base = compute_elasticities(model, x).s_bar
+        base = compute_elasticities(model, x)
         model.params["head_obj.w"].data = model.params["head_obj.w"].data * 2.0
         model.params["head_obj.b"].data = model.params["head_obj.b"].data * 2.0
-        doubled = compute_elasticities(model, x).s_bar
+        doubled = compute_elasticities(model, x)
         assert np.allclose(doubled, 2.0 * base, rtol=1e-12)
 
     def test_batching_does_not_change_result(self, rng):
@@ -89,54 +86,46 @@ class TestElasticities:
         model = JointSurrogate(space, 1, 0, cfg, RandomStream(4, "scale"))
         model.out_norm = None
         x = rng.random((40, 2))
-        full = compute_elasticities(model, x).s_bar
-        chunked = compute_elasticities(model, x, batch_size=7).s_bar
+        full = compute_elasticities(model, x)
+        chunked = compute_elasticities(model, x, batch_size=7)
         assert np.allclose(full, chunked, rtol=1e-12)
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            SensitivityIndices(np.array([-0.1]))
 
 
 class TestIndexMapping:
     def test_zero_sensitivity(self):
-        eta = indices_from_sensitivity(SensitivityIndices(np.array([0.0])))
-        assert eta.eta_cross[0] == 1.0
+        eta = indices_from_sensitivity(np.array([0.0]))
+        assert eta[0] == 1.0
 
     def test_unit_sensitivity(self):
-        eta = indices_from_sensitivity(SensitivityIndices(np.array([1.0])))
-        assert eta.eta_cross[0] == 21.0
+        eta = indices_from_sensitivity(np.array([1.0]))
+        assert eta[0] == 21.0
 
     def test_large_sensitivity_clips(self):
-        eta = indices_from_sensitivity(SensitivityIndices(np.array([5.0])))
-        assert eta.eta_cross[0] == 30.0
-
-    def test_crossover_equals_mutation(self):
-        eta = indices_from_sensitivity(SensitivityIndices(np.array([0.3, 0.9])))
-        assert np.array_equal(eta.eta_cross, eta.eta_mut)
+        eta = indices_from_sensitivity(np.array([5.0]))
+        assert eta[0] == 30.0
 
     def test_monotone_and_bounded(self, rng):
         values = np.sort(rng.uniform(0, 3, 32))
-        eta = indices_from_sensitivity(SensitivityIndices(values)).eta_cross
+        eta = indices_from_sensitivity(values)
         assert np.all(np.diff(eta) >= 0)
         assert np.all((eta >= 1.0) & (eta <= 30.0))
 
     def test_argmax_preserved(self, rng):
         for _ in range(20):
             values = rng.uniform(0, 2, 6)
-            eta = indices_from_sensitivity(SensitivityIndices(values)).eta_cross
+            eta = indices_from_sensitivity(values)
             assert eta[np.argmax(values)] == eta.max()
 
 
 class TestInversion:
     def test_low_becomes_high(self):
-        inv = invert_indices(DistributionIndices(np.array([1.0]), np.array([1.0])))
-        assert inv.eta_cross[0] == 20.0
+        inv = invert_indices(np.array([1.0]))
+        assert inv[0] == 20.0
 
     def test_high_clips_to_low(self):
-        inv = invert_indices(DistributionIndices(np.array([21.0]), np.array([21.0])))
-        assert inv.eta_cross[0] == 1.0
+        inv = invert_indices(np.array([21.0]))
+        assert inv[0] == 1.0
 
     def test_fixed_point(self):
-        inv = invert_indices(DistributionIndices(np.array([10.5]), np.array([10.5])))
-        assert inv.eta_cross[0] == 10.5
+        inv = invert_indices(np.array([10.5]))
+        assert inv[0] == 10.5

@@ -36,6 +36,15 @@ class TestParsing:
         with pytest.raises(ValueError, match="literal metric name"):
             StopExpression("max(recent(iteration, 2)) < 1")
 
+    @pytest.mark.parametrize(
+        "source", ["len(recent('hv', 'x')) > 0", "'a' < 1", "max(recent('hv', 2)) < 1 or 'q'"]
+    )
+    def test_string_outside_a_metric_name_rejected(self, source):
+        # a string anywhere else meets a comparison, a window or `bool` only
+        # when the expression is evaluated, after an epoch of the run
+        with pytest.raises(ValueError, match="a string only as recent\\(\\)'s metric name"):
+            StopExpression(source)
+
     def test_syntax_error_reported(self):
         with pytest.raises(ValueError, match="invalid stop expression"):
             StopExpression("iteration >")
@@ -79,3 +88,15 @@ class TestEvaluation:
         expr = StopExpression("max(recent('evals', 1)) >= 100 + 50")
         assert expr.evaluate(1, {"evals": [150.0]})
         assert not expr.evaluate(1, {"evals": [149.0]})
+
+    @pytest.mark.parametrize(
+        "source, series",
+        [
+            ("max(recent('hv', 2)) / min(recent('hv', 2)) < 1.001", {"hv": [0.0, 0.0]}),
+            ("len(recent('hv', 1e400)) > 0", {"hv": [0.5]}),
+        ],
+    )
+    def test_arithmetic_error_is_not_satisfied(self, source, series):
+        # like an empty window's NaN, a division by zero or an overflowing
+        # window must not end a run partway through
+        assert not StopExpression(source).evaluate(3, series)
