@@ -14,11 +14,11 @@ of adding evaluations.
 With ``dynamic_sampling`` an epoch runs as four sub-blocks of
 population_size / 4 candidates each, and the surrogate is refit on the
 grown history before each one. The K CV folds that choose the training
-epoch count run only in the epoch's first sub-block whose fit succeeds
-(normally sub-block 0); each later sub-block retrains the final model from
-scratch on all its viable rows for that count, and its schedule's
-``fold_stop_epochs`` is empty. Without dynamic sampling every fit runs the
-folds.
+epoch count, the mean of their best-validation epochs, run only in the
+epoch's first sub-block whose fit succeeds (normally sub-block 0); each
+later sub-block retrains the final model from scratch on all its viable rows
+for that count, and its schedule's fold lists are empty. Without dynamic
+sampling every fit runs the folds.
 
 If surrogate training fails in an epoch (for example, too few viable
 records), the epoch falls back to one plain NSGA-II variation step on the
@@ -335,7 +335,10 @@ def run(config: RunConfig) -> RunResult:
                 else:
                     if cv_sub is None:
                         cv_sub, cv_epochs = sub, schedule.final_epochs
-                        source = f"fold stop epochs {schedule.fold_stop_epochs}"
+                        source = (
+                            f"fold stop epochs {schedule.fold_stop_epochs}, "
+                            f"best epochs {schedule.fold_best_epochs}"
+                        )
                     else:
                         source = f"folds reused from sub-block {cv_sub}"
                     logger.info(

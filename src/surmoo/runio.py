@@ -289,8 +289,10 @@ def write_run_directory(result: RunResult, out_dir) -> Path:
 
 def read_evaluations(run_dir) -> list[EvaluationRecord]:
     """Parse an evaluations log. A truncated or corrupt line, such as one
-    missing a key or not holding a JSON object, raises ``ValueError`` with
-    its line number: it is an error, not a silent drop."""
+    missing a key or not holding a JSON object, or a record whose params,
+    objectives or constraints shape differs from the first record's,
+    raises ``ValueError`` with its line number: it is an error, not a
+    silent drop."""
     path = Path(run_dir) / EVALUATIONS_FILE
     records: list[EvaluationRecord] = []
     with open(path) as fh:
@@ -316,6 +318,13 @@ def read_evaluations(run_dir) -> list[EvaluationRecord]:
                 raise ValueError(
                     f"{path}:{lineno}: truncated or corrupt record ({exc!r})"
                 ) from None
+            for name in ("params", "objectives", "constraints"):
+                got, want = getattr(records[-1], name).shape, getattr(records[0], name).shape
+                if got != want:
+                    raise ValueError(
+                        f"{path}:{lineno}: {name} has shape {got}, "
+                        f"the first record's has shape {want}"
+                    )
     return records
 
 

@@ -5,8 +5,10 @@ optimization history after each epoch. Only a safe subset is allowed:
 comparisons, boolean connectives, basic arithmetic, numeric literals, the
 ``iteration`` counter, and window aggregates like ``max(recent('hv', 3))``,
 whose metric name is the only place a string may appear.
-Anything else is rejected at parse time, so a bad expression fails the run
-before it starts, never in the middle.
+Anything else is rejected at parse time, and so is an expression that
+raises a type error (``recent('hv', 2) < 1`` compares a list with a number)
+when evaluated once on one finite value per metric, so a bad expression
+fails the run before it starts, not in the middle.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ class StopExpression:
             raise ValueError(f"invalid stop expression: {exc}") from None
         self._validate(tree)
         self._code = compile(tree, "<stop-expression>", "eval")
+        try:
+            self.evaluate(0, {name: [1.0] for name in STOP_METRICS})
+        except TypeError as exc:
+            raise ValueError(f"invalid stop expression: {exc}") from None
 
     def _validate(self, tree: ast.Expression) -> None:
         metric_names = set()  # recent()'s first arguments; a walk meets calls first

@@ -101,14 +101,16 @@ def epoch_budget(n_samples: int) -> tuple[int, int]:
 @dataclass
 class TrainingSchedule:
     """How one `train` call chose and spent its epochs. ``fold_stop_epochs``
-    holds each CV fold's stop epoch, and ``final_epochs`` their rounded mean,
-    for which the returned model trained on all rows. An empty
-    ``fold_stop_epochs`` means no fold ran in this fit: ``final_epochs`` was
-    passed in, reused from an earlier fit of the same epoch."""
+    holds the epochs each CV fold ran, ``fold_best_epochs`` the epoch of each
+    fold's last validation improvement (0 if none), and ``final_epochs`` the
+    rounded mean of the best epochs, for which the returned model trained on
+    all rows. Empty fold lists mean no fold ran in this fit: ``final_epochs``
+    was passed in, reused from an earlier fit of the same epoch."""
 
     e_max: int
     patience: int
     fold_stop_epochs: list[int]
+    fold_best_epochs: list[int]
     final_epochs: int
 
 
@@ -590,7 +592,8 @@ def _epoch_pass(model, opt, grads, x_unit, y_t, c_t, batch_size, rng) -> float:
 
 
 def _train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, patience=None):
-    """Train up to ``epochs`` epochs; returns the epoch count actually run.
+    """Train up to ``epochs`` epochs; returns the epoch count actually run
+    and the epoch of the last validation improvement (0 without one).
 
     Training runs in float32: weights, gradients, Adam moments, activations,
     unit-box inputs and targets. Loss sums are float64, so early stopping
@@ -598,8 +601,9 @@ def _train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, pa
     upcasts the model it returns.
 
     With a validation split, early stopping monitors the validation loss at
-    the given patience; weights are never restored to the best epoch. A
-    non-finite loss aborts at the current epoch.
+    the given patience; weights are never restored to the best epoch, whose
+    count `train` uses for the final fit. A non-finite loss aborts at the
+    current epoch.
     """
     f32 = np.float32
     for t in model.params.values():
@@ -612,28 +616,28 @@ def _train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, pa
         vx, vy, vc = val
         vx_unit, vy, vc = model._unit(vx).astype(f32), vy.astype(f32), vc.astype(f32)
     best_val = np.inf
-    since_best = 0
+    best = since_best = 0
     for done in range(epochs):
         train_loss = _epoch_pass(
             model, opt, grads, x_unit, y_targets, c_targets, cfg.batch_size, rng
         )
         if not np.isfinite(train_loss):
-            return done
+            return done, best
         if val is not None:
             y_out, c_out, _ = model._forward(vx_unit)
             vloss, _, _ = _composite_loss(
                 y_out, c_out, vy, vc, cfg.objective_loss, grad=False
             )
             if not np.isfinite(vloss):
-                return done + 1
+                return done + 1, best
             if vloss < best_val:
                 best_val = vloss
-                since_best = 0
+                best, since_best = done + 1, 0
             else:
                 since_best += 1
                 if patience is not None and since_best >= patience:
-                    return done + 1
-    return epochs
+                    return done + 1, best
+    return epochs, best
 
 
 def train(
@@ -651,12 +655,14 @@ def train(
 
     Without ``final_epochs`` the epoch count is chosen by K-fold
     cross-validation: each fold trains with early stopping on its validation
-    loss, the stop epochs are averaged, and the returned model is retrained
-    from scratch on all data for that mean count. Given ``final_epochs``, no
-    fold runs: the final model trains for that many epochs, from the same
-    ``stream`` draws as after the folds, and the schedule's
-    ``fold_stop_epochs`` is empty. The engine cross-validates once per
-    dynamic-sampling epoch and passes the count on to the epoch's later fits.
+    loss, the epochs of the folds' last validation improvements are
+    averaged, and the returned model is retrained from scratch on all data
+    for that mean count, not for the later epochs at which patience stopped
+    the folds. Given ``final_epochs``, no fold runs: the final model trains
+    for that many epochs, from the same ``stream`` draws as after the folds,
+    and the schedule's fold lists are empty. The engine cross-validates once
+    per dynamic-sampling epoch and passes the count on to the epoch's later
+    fits.
 
     Every fit, fold or final, trains in float32 with float64 loss sums (see
     `_train_single`); the returned model's weights are float64, each one a
@@ -676,6 +682,7 @@ def train(
 
     fold_chunks = np.array_split(np.arange(n), config.folds) if final_epochs is None else []
     stops: list[int] = []
+    bests: list[int] = []
     for f, val_idx in enumerate(fold_chunks):
         train_idx = np.setdiff1d(np.arange(n), val_idx)
         fold_stream = stream.child(f"fold{f}")
@@ -683,7 +690,7 @@ def train(
         norm = OutputNormalizer.fit(y[train_idx]) if model.has_objective_head else None
         y_tr = norm.transform(y[train_idx]) if norm else np.zeros((len(train_idx), 0))
         y_va = norm.transform(y[val_idx]) if norm else np.zeros((len(val_idx), 0))
-        stop = _train_single(
+        stop, best = _train_single(
             model,
             x[train_idx],
             y_tr,
@@ -695,9 +702,10 @@ def train(
             patience=patience,
         )
         stops.append(max(stop, 1))
+        bests.append(best)
 
     if final_epochs is None:
-        final_epochs = max(1, int(round(float(np.mean(stops)))))
+        final_epochs = max(1, int(round(float(np.mean(bests)))))
     final_stream = stream.child("final")
     model = JointSurrogate(space, q, k, config, final_stream.child("init"))
     norm = OutputNormalizer.fit(y) if model.has_objective_head else None
@@ -713,7 +721,7 @@ def train(
         final_stream.child("epochs").generator(),
     )
     model.load_weight_arrays(model.weight_arrays())  # float64 for inference
-    schedule = TrainingSchedule(e_max, patience, stops, final_epochs)
+    schedule = TrainingSchedule(e_max, patience, stops, bests, final_epochs)
     return model, schedule
 
 

@@ -286,6 +286,13 @@ class TestCmdRun:
         assert re.search(match, capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    def test_stop_expression_type_error_is_a_config_error(self, tmp_path, capsys):
+        # the first epoch's check used to raise it, and the run exited 1
+        bad = write_config(tmp_path, MINIMAL_CONFIG + "stop: \"recent('hv', 2) < 1\"\n")
+        assert cmd_run(str(bad), None, str(tmp_path / "out")) == 2
+        assert "invalid stop expression: '<' not supported" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "section, entry, match",
         [
@@ -378,6 +385,26 @@ class TestLogs:
             reader(run_dir)
         assert cmd_report([run_dir]) == 2
         assert f"{name}:{lineno}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["params", "objectives", "constraints"])
+    def test_record_of_another_length_is_reported_with_its_number(self, tmp_path, capsys, name):
+        # the replay's dominance check used to fail on it with a bare traceback
+        run_dir = synthetic_run_dir(tmp_path, "mixed", [[1.0, 2.0]])
+        path = tmp_path / "mixed" / "evaluations.ndjson"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[-1])
+        record[name] = [*record[name], 1]
+        with open(path, "a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        first = len(json.loads(lines[0])[name])
+        message = (
+            f"evaluations.ndjson:{len(lines) + 1}: {name} has shape ({first + 1},), "
+            f"the first record's has shape ({first},)"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_evaluations(run_dir)
+        assert cmd_report([run_dir]) == 2
+        assert message in capsys.readouterr().err
 
     def test_records_are_one_json_object_per_line(self, tmp_path):
         run_dir = synthetic_run_dir(tmp_path, "lines", [[1.0, 2.0], [2.0, 1.0]])

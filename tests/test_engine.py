@@ -302,9 +302,13 @@ class TestFallback:
             assert f"fitted on {rows} viable records" in line
             if sub == 0:
                 assert len(schedule.fold_stop_epochs) == config.surrogate.folds
-                assert f"fold stop epochs {schedule.fold_stop_epochs}" in line
+                assert len(schedule.fold_best_epochs) == config.surrogate.folds
+                assert (
+                    f"; fold stop epochs {schedule.fold_stop_epochs}, "
+                    f"best epochs {schedule.fold_best_epochs}, final epochs"
+                ) in line
             else:
-                assert schedule.fold_stop_epochs == []
+                assert schedule.fold_stop_epochs == schedule.fold_best_epochs == []
                 assert schedule.final_epochs == fits[0][2].final_epochs
                 assert "; folds reused from sub-block 0, final epochs" in line
             assert line.endswith(f"final epochs {schedule.final_epochs}")
@@ -376,7 +380,7 @@ class TestCrossValidationOncePerEpoch:
         assert [line.split(":")[0] for line in lines] == [
             f"epoch 1 sub-block {sub}" for sub in (1, 2, 3)
         ]
-        assert "; fold stop epochs [" in lines[0]
+        assert "; fold stop epochs [" in lines[0] and "], best epochs [" in lines[0]
         assert all("; folds reused from sub-block 1, final epochs" in line for line in lines[1:])
         assert result.history.epoch_metrics[1].mode == "none"
 

@@ -45,6 +45,32 @@ class TestParsing:
         with pytest.raises(ValueError, match="a string only as recent\\(\\)'s metric name"):
             StopExpression(source)
 
+    @pytest.mark.parametrize("source", ["recent('hv', 2) < 1", "max(1) < 2", "len(iteration) > 0"])
+    def test_type_error_rejected_at_parse_time(self, source):
+        # a list compared with a number, the max of one number and the length
+        # of the counter used to raise TypeError after a run's first epoch
+        with pytest.raises(ValueError, match="invalid stop expression"):
+            StopExpression(source)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "iteration > 2",
+            "iteration > 3",
+            "iteration > 3 and max(recent('ecov', 3)) < 0.1",
+            "max(recent('hv', 2)) < 0.1",
+            "max(recent('hv', 3)) < 0.1",
+            "min(recent('hv', 10)) > 0.2",
+            "iteration > 1 or max(recent('hv', 1)) > 0.9",
+            "max(recent('evals', 1)) >= 100 + 50",
+            "max(recent('feasible_count', 1)) >= 20",
+            "max(recent('hv', 2)) / min(recent('hv', 2)) < 1.001",
+            "len(recent('hv', 1e400)) > 0",
+        ],
+    )
+    def test_expressions_the_other_tests_use_still_parse(self, source):
+        StopExpression(source)
+
     def test_syntax_error_reported(self):
         with pytest.raises(ValueError, match="invalid stop expression"):
             StopExpression("iteration >")

@@ -200,9 +200,36 @@ class TestTraining:
         cfg = SurrogateConfig(mode="o", blocks=1, block_dim=8, batch_size=64)
         _, schedule = train(*rows_from(x, y), space, cfg, RandomStream(2))
         assert len(schedule.fold_stop_epochs) == cfg.folds
+        assert len(schedule.fold_best_epochs) == cfg.folds
         assert schedule.e_max == 10_000 and schedule.patience == 250
-        expected = int(round(float(np.mean(schedule.fold_stop_epochs))))
+        expected = int(round(float(np.mean(schedule.fold_best_epochs))))
         assert schedule.final_epochs == max(1, expected)
+        # no loss here is non-finite, so a fold that ended before e_max was
+        # stopped by patience, `patience` epochs after its best
+        pairs = zip(schedule.fold_stop_epochs, schedule.fold_best_epochs)
+        stopped = [(stop, best) for stop, best in pairs if stop < schedule.e_max]
+        assert stopped
+        assert all(stop - best == schedule.patience for stop, best in stopped)
+
+    def test_fold_stopped_by_non_finite_validation_loss_reports_best_before_it(
+        self, rng, monkeypatch
+    ):
+        # each fold's validation loss falls for three epochs, rises, then is
+        # NaN: the fold stops after epoch 5, and its best epoch is 3
+        script = iter([3.0, 2.0, 1.0, 1.5, np.nan] * 3)
+        composite = surrogate._composite_loss
+
+        def scripted(y_out, c_out, y_targets, c_targets, kind, grad):
+            value, dy, dc = composite(y_out, c_out, y_targets, c_targets, kind, grad)
+            return (value if grad else next(script)), dy, dc
+
+        monkeypatch.setattr(surrogate, "_composite_loss", scripted)
+        x = rng.random((12, 2))
+        cfg = SurrogateConfig(mode="o", blocks=1, block_dim=8, batch_size=64)
+        _, schedule = train(*rows_from(x, x[:, :1]), unit_space(2), cfg, RandomStream(2))
+        assert schedule.fold_stop_epochs == [5, 5, 5]
+        assert schedule.fold_best_epochs == [3, 3, 3]
+        assert schedule.final_epochs == 3
 
     def test_given_final_epochs_skips_the_folds_only(self, rng, monkeypatch):
         space = unit_space(2)
@@ -227,7 +254,7 @@ class TestTraining:
         )
         assert calls == [None]  # one unvalidated fit: the final model
         assert reused_schedule == TrainingSchedule(
-            schedule.e_max, schedule.patience, [], schedule.final_epochs
+            schedule.e_max, schedule.patience, [], [], schedule.final_epochs
         )
         assert reused.out_norm.state() == full.out_norm.state()
         full_weights, reused_weights = full.weight_arrays(), reused.weight_arrays()
@@ -472,7 +499,7 @@ def tape_composite_loss(model, x, y_targets, c_targets, train, rng):
 def tape_train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, patience=None):
     opt = TapeAdam(model.params, cfg.learning_rate)
     best_val = np.inf
-    since_best = 0
+    best = since_best = 0
     n = x.shape[0]
     for done in range(1, epochs + 1):
         order = rng.permutation(n) if n > cfg.batch_size else np.arange(n)
@@ -484,25 +511,25 @@ def tape_train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None
                 model, Tensor(x[idx]), y_targets[idx], c_targets[idx], True, rng
             )
             if not np.isfinite(loss.item()):
-                return done - 1
+                return done - 1, best
             loss.backward()
             opt.step()
             total += loss.item() * len(idx)
         if not np.isfinite(total / n):
-            return done - 1
+            return done - 1, best
         if val is not None:
             vx, vy, vc = val
             vloss = tape_composite_loss(model, Tensor(vx), vy, vc, False, None).item()
             if not np.isfinite(vloss):
-                return done
+                return done, best
             if vloss < best_val:
                 best_val = vloss
-                since_best = 0
+                best, since_best = done, 0
             else:
                 since_best += 1
                 if patience is not None and since_best >= patience:
-                    return done
-    return epochs
+                    return done, best
+    return epochs, best
 
 
 GRAD_SPACE = ParameterSpace(("a", "b", "c"), [0.0, -1.0, 2.0], [2.0, 1.0, 5.0])
