@@ -17,6 +17,7 @@ from .core import (
 from .engine import RunConfig, RunResult, SensitivityConfig, run
 from .feasolve import FeasolveConfig
 from .problems import PROBLEM_REGISTRY, ProblemDefinition, get_problem
+from .stopping import StopConfig
 from .surrogate import JointSurrogate, SurrogateConfig
 
 __version__ = "0.1.0"
@@ -35,6 +36,7 @@ __all__ = [
     "RunHistory",
     "RunResult",
     "SensitivityConfig",
+    "StopConfig",
     "SurrogateConfig",
     "get_problem",
     "is_feasible",

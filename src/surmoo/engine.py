@@ -53,7 +53,7 @@ from .evaluator import evaluate_batch
 from .metrics import normalized_hypervolume, nrmse, set_coverage, shared_normalization
 from .problems import ProblemDefinition, check_problem_params, get_problem
 from .sensitivity import compute_elasticities, indices_from_sensitivity, invert_indices
-from .stopping import StopExpression
+from .stopping import StopConfig
 from .surrogate import JointSurrogate, SurrogateConfig
 from .surrogate import train as train_surrogate
 from .sampling import check_design_size, get_sampler, sample_mc
@@ -83,13 +83,14 @@ class SensitivityConfig:
 @dataclass
 class RunConfig:
     """One run. The YAML config file has exactly this layout: each field is a
-    key, and each dataclass-valued field is a section (see `runio`)."""
+    key, and each dataclass-valued field is a section (see `runio`), `stop`
+    among them (see `stopping`)."""
 
     problem: str
     problem_params: dict = field(default_factory=dict)
     seed: int = 0
     epochs: int = 25
-    stop: str | None = None
+    stop: StopConfig = field(default_factory=StopConfig)
     population_size: int = 100  # candidates evaluated per epoch
     generations: int = 10
     initial_samples: int = 100
@@ -120,8 +121,6 @@ class RunConfig:
             raise ValueError(
                 f"trace_samples cannot exceed the explorer half of a sub-block ({explorers})"
             )
-        if self.stop is not None:
-            StopExpression(self.stop)  # fail at config time, not mid-run
         try:
             check_design_size(self.sampler, self.initial_samples)
         except ValueError as exc:
@@ -263,7 +262,6 @@ def run(config: RunConfig) -> RunResult:
     root = RandomStream(config.seed)
     history = RunHistory()
     archive = ParetoArchive()
-    stop = StopExpression(config.stop) if config.stop else None
     sample = get_sampler(config.sampler)
     result = RunResult(config, problem, history, archive)
     series: dict[str, list[float]] = {
@@ -404,8 +402,8 @@ def run(config: RunConfig) -> RunResult:
             feasolve_steps, epoch_start, prev_front,
         )
         prev_front = archive.objectives() if len(archive) else None
-        if stop is not None and stop.evaluate(epoch, series):
-            logger.info("dynamic stop %r satisfied after epoch %d", config.stop, epoch)
+        if config.stop.reached(series):
+            logger.info("dynamic stop %s satisfied after epoch %d", config.stop, epoch)
             break
     return result
 
@@ -477,12 +475,14 @@ def _snapshot(history, archive, series, epoch, nrmse_value, mode, feasolve_steps
     hv_value = _archive_hv(archive, history)
     feasible_count = len(history.feasible_records())
     current_front = archive.objectives() if len(archive) else None
-    if epoch == 0 or prev_front is None or not np.size(prev_front):
-        ecov = 1.0 if current_front is not None else 0.0
-    elif current_front is None:
-        ecov = 0.0
+    # ecov: the share of the front that the previous front does not weakly
+    # dominate, so 0 once the front has stopped moving
+    if current_front is None:
+        ecov = float("nan")
+    elif prev_front is None:
+        ecov = 1.0
     else:
-        ecov = set_coverage(current_front, prev_front)
+        ecov = 1.0 - set_coverage(prev_front, current_front)
     metrics = EpochMetrics(
         epoch=epoch,
         cumulative_evals=len(history),

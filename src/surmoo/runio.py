@@ -1,12 +1,13 @@
 """Run configuration files and run-directory persistence.
 
 Configs are YAML laid out as the `RunConfig` dataclass tree: a key per
-field, a section per dataclass-valued field (`surrogate`, `feasolve`,
-`sensitivity`), and `problem_params` a free mapping checked by the problem.
-The key check, the parser and the snapshot dumper are all derived from
-`dataclasses.fields`, so no other code repeats the layout. Unknown keys are
-rejected with the offending line and a close-match suggestion, and so is a
-value that does not convert to its field's type, with its dotted key.
+field, a section per dataclass-valued field (`stop`, `surrogate`,
+`feasolve`, `sensitivity`), and `problem_params` a free mapping checked by
+the problem. The key check, the parser and the snapshot dumper are all
+derived from `dataclasses.fields`, so no other code repeats the layout.
+Unknown keys are rejected with the offending line and a close-match
+suggestion, and so is a value that does not convert to its field's type,
+with its dotted key.
 
 Results are written as newline-delimited JSON records (one evaluation per
 line; NaN objectives are serialized as null for language neutrality) plus a
@@ -124,7 +125,7 @@ def _build(cls, data: dict, lines: dict[str, int], prefix: str):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{prefix}: {exc}" if prefix else str(exc)) from None
+        raise ConfigError(f"{_at(prefix, lines)}: {exc}" if prefix else str(exc)) from None
 
 
 def _field_value(f: dataclasses.Field, value, lines: dict[str, int], path: str):
@@ -134,7 +135,7 @@ def _field_value(f: dataclasses.Field, value, lines: dict[str, int], path: str):
     ``int`` or ``float``; a boolean must be written as one, a number must
     not be one, and an int field takes no fractional float. A float field,
     an entry of a float list (``dropout``) and an optional float
-    (``outlier_threshold``) must be finite."""
+    (``outlier_threshold``, ``threshold``) must be finite."""
     default = f.default if f.default_factory is MISSING else f.default_factory()
     if dataclasses.is_dataclass(default) or isinstance(default, dict):
         value = {} if value is None else value
@@ -150,7 +151,11 @@ def _field_value(f: dataclasses.Field, value, lines: dict[str, int], path: str):
         return tuple(_finite(v, lines, path) if floats else v for v in value)
     kind = type(default)
     if kind not in (bool, int, float):
-        return _finite(value, lines, path) if "float" in str(f.type) else value
+        if "float" not in str(f.type):
+            return value
+        if isinstance(value, bool):  # float(True) would be 1.0
+            raise ConfigError(f"config key {_at(path, lines)} must be a number, not {value!r}")
+        return _finite(value, lines, path)
     try:
         # bool("flase") would be True, int(True) 1 and int(2.5) 2
         if (kind is bool) != isinstance(value, bool):

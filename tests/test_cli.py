@@ -19,6 +19,7 @@ from surmoo.core import EvaluationRecord, ParetoArchive, RunHistory
 from surmoo.core import EpochMetrics
 from surmoo.engine import RunConfig, RunResult, run
 from surmoo.problems import get_problem
+from surmoo.stopping import StopConfig
 from surmoo.runio import (
     ConfigError,
     build_run_config,
@@ -106,10 +107,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="must name a problem"):
             load_config(write_config(tmp_path, "epochs: 3\n"))
 
-    def test_bad_stop_expression_rejected_at_load(self, tmp_path):
-        text = MINIMAL_CONFIG + "stop: 'bogus > 1'\n"
-        with pytest.raises(ConfigError, match="unknown name"):
+    def test_bad_stop_section_rejected_at_load(self, tmp_path):
+        text = MINIMAL_CONFIG + "stop: {metric: bogus, threshold: 1}\n"
+        with pytest.raises(ConfigError, match="^'stop' at line 13: metric must be one of"):
             load_config(write_config(tmp_path, text))
+
+    def test_stop_section_loads(self, tmp_path):
+        text = MINIMAL_CONFIG + "stop:\n  metric: ecov\n  window: 3\n  threshold: 1e-1\n"
+        config = load_config(write_config(tmp_path, text))
+        assert config.stop == StopConfig(metric="ecov", window=3, threshold=0.1)
 
     def test_feasolve_section_round_trips(self, tmp_path):
         text = MINIMAL_CONFIG + (
@@ -158,6 +164,10 @@ class TestConfigLoading:
             ("  blocks: 1", "  blocks: 1.5", "'surrogate.blocks' at line 10 must be of type int"),
             ("  mode: o", "  mode: o\n  learning_rate: yes",
              "'surrogate.learning_rate' at line 10 must be of type float, not True"),
+            ("  mode: o", "  mode: o\n  outlier_threshold: true",
+             "'surrogate.outlier_threshold' at line 10 must be a number, not True"),
+            ("epochs: 2", "epochs: 2\nstop: {metric: hv, threshold: true}",
+             "'stop.threshold' at line 5 must be a number, not True"),
         ],
     )
     def test_number_is_not_truncated_or_taken_from_a_boolean(self, tmp_path, old, new, match):
@@ -203,7 +213,9 @@ class TestConfigLoading:
 
     def test_section_check_names_its_section(self, tmp_path):
         text = MINIMAL_CONFIG + "feasolve:\n  trace_samples: -1\n"
-        with pytest.raises(ConfigError, match="^feasolve: trace_samples must be non-negative"):
+        with pytest.raises(
+            ConfigError, match="^'feasolve' at line 13: trace_samples must be non-negative"
+        ):
             load_config(write_config(tmp_path, text))
 
 
@@ -286,11 +298,28 @@ class TestCmdRun:
         assert re.search(match, capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
-    def test_stop_expression_type_error_is_a_config_error(self, tmp_path, capsys):
-        # the first epoch's check used to raise it, and the run exited 1
-        bad = write_config(tmp_path, MINIMAL_CONFIG + "stop: \"recent('hv', 2) < 1\"\n")
+    def test_stop_string_is_a_config_error(self, tmp_path, capsys):
+        # `stop` is a section of three fields; a string is not one
+        bad = write_config(tmp_path, MINIMAL_CONFIG + "stop: \"iteration > 0\"\n")
         assert cmd_run(str(bad), None, str(tmp_path / "out")) == 2
-        assert "invalid stop expression: '<' not supported" in capsys.readouterr().err
+        assert "'stop' at line 13 must be a mapping" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, match",
+        [
+            ("{metric: bogus, threshold: 1}", "metric must be one of"),
+            ("{metric: hv, window: 0, threshold: 0.5}", "window must be at least 1"),
+            ("{metric: ecov, window: 3}", "metric 'ecov' needs a threshold"),
+            ("{threshold: 0.5}", "threshold needs a metric"),
+            ("{metric: hv, threshold: .nan}", "'stop.threshold' at line 13 must be a finite"),
+        ],
+    )
+    def test_bad_stop_section_is_a_config_error(self, tmp_path, capsys, section, match):
+        bad = write_config(tmp_path, MINIMAL_CONFIG + f"stop: {section}\n")
+        assert cmd_run(str(bad), None, str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "line 13" in err and match in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -318,7 +347,7 @@ class TestCmdRun:
         text += f"  {entry}\n" if section == "surrogate" else f"{section}:\n  {entry}\n"
         bad = write_config(tmp_path, text)
         assert cmd_run(str(bad), None, str(tmp_path / "out")) == 2
-        assert re.search(f"error: {section}: {match}", capsys.readouterr().err)
+        assert re.search(f"error: '{section}' at line \\d+: {match}", capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_run_failure_logs_traceback_at_debug(self, tmp_path, capsys, caplog, monkeypatch):
@@ -599,7 +628,7 @@ EVERY_KEY = {
     "problem_params": {"n": 6},
     "seed": 7,
     "epochs": 3,
-    "stop": "iteration > 2",
+    "stop": {"metric": "ecov", "window": 3, "threshold": 0.1},
     "population_size": 24,  # 4 sub-blocks of 6: 3 explorers each, as trace_samples
     "generations": 4,
     "initial_samples": 20,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from surmoo import engine, surrogate
-from surmoo.core import EvaluationRecord, RandomStream, RunHistory
+from surmoo.core import EvaluationRecord, ParetoArchive, RandomStream, RunHistory
 from surmoo.engine import (
     RunConfig,
     SensitivityConfig,
@@ -18,6 +18,7 @@ from surmoo.engine import (
 from surmoo.feasolve import FeasolveConfig
 from surmoo.moea import rank_population
 from surmoo.problems import get_problem
+from surmoo.stopping import StopConfig
 from surmoo.surrogate import SurrogateConfig
 from surmoo.surrogate import train as train_surrogate
 
@@ -444,23 +445,68 @@ class TestSelectParents:
 
 
 class TestDynamicStop:
-    def test_iteration_guard_stops_run(self):
-        config = small_config(epochs=10, stop="iteration > 3")
-        result = run(config)
-        assert result.history.epoch_metrics[-1].epoch == 4
-        assert len(result.history) == 16 + 4 * 10
-
-    def test_invalid_expression_rejected_at_config_time(self):
-        with pytest.raises(ValueError, match="unknown name"):
-            small_config(stop="bogus > 3")
+    # the rule reads the metric series only, so no surrogate is trained
+    def _run(self, stop, epochs=10):
+        config = small_config(
+            epochs=epochs, stop=stop, surrogate=SurrogateConfig(enabled=False)
+        )
+        return [m.epoch for m in run(config).history.epoch_metrics]
 
     def test_feasible_count_stop(self):
-        config = small_config(
-            epochs=6, stop="max(recent('feasible_count', 1)) >= 20"
-        )
-        result = run(config)
         # two_sphere is unconstrained: every evaluation is feasible
-        assert result.history.epoch_metrics[-1].epoch == 1
+        epochs = self._run(StopConfig(metric="feasible_count", window=1, threshold=20), 6)
+        assert epochs == [0, 1]
+
+    def test_evals_stop_needs_a_full_window(self):
+        # 16 + 10 per epoch evaluations: 16, 26, 36, 46; the window of
+        # three reaches 26 at epoch 3, not at epoch 2, which already has 36
+        epochs = self._run(StopConfig(metric="evals", window=3, threshold=26))
+        assert epochs == [0, 1, 2, 3]
+
+    def test_unmet_rule_runs_every_epoch(self):
+        assert self._run(StopConfig(metric="hv", window=1, threshold=2.0), 3) == [0, 1, 2, 3]
+
+
+class TestSnapshotCoverage:
+    """`_snapshot`'s ecov: the share of the front the previous front does
+    not weakly dominate."""
+
+    def _ecov(self, epochs):
+        history, archive = RunHistory(), ParetoArchive()
+        series = {name: [] for name in ("hv", "feasible_count", "nrmse", "ecov", "evals")}
+        prev_front = None
+        for epoch, rows in enumerate(epochs):
+            for objectives, feasible in rows:
+                rec = EvaluationRecord(
+                    np.array([0.5]), np.array(objectives), np.array([int(feasible)]),
+                    epoch, "init" if epoch == 0 else "moea",
+                )
+                history.append(rec)
+                archive.insert(rec)
+            engine._snapshot(
+                history, archive, series, epoch, float("nan"), "-", 0,
+                time.perf_counter(), prev_front,
+            )
+            prev_front = archive.objectives() if len(archive) else None
+        return series["ecov"]
+
+    def test_epoch_that_adds_nothing_reads_zero(self):
+        ecov = self._ecov([
+            [([0.0, 1.0], True), ([1.0, 0.0], True)],
+            [([2.0, 2.0], True), ([1.0, 0.0], True)],  # dominated, and a repeat
+        ])
+        assert ecov == [1.0, 0.0]
+
+    def test_share_of_new_members(self):
+        ecov = self._ecov([
+            [([0.0, 1.0], True), ([1.0, 0.0], True)],
+            [([0.5, 0.5], True)],
+        ])
+        assert ecov == [1.0, pytest.approx(1 / 3)]
+
+    def test_nan_until_a_front_exists(self):
+        ecov = self._ecov([[([0.0, 1.0], False)], [([1.0, 0.0], True)]])
+        assert np.isnan(ecov[0]) and ecov[1] == 1.0
 
 
 class TestFeasolveIntegration:
