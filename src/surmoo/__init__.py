@@ -3,24 +3,28 @@
 A joint differentiable model learns objectives and constraint feasibility
 from every true evaluation; its input gradients steer candidate batches
 toward feasible, high-quality regions, hybridized with an NSGA-II loop.
+
+Each exported name loads its submodule on first use (PEP 562), so neither
+``import surmoo`` nor ``surmoo report`` loads the optimizer.
 """
 
-from .core import (
-    EvaluationRecord,
-    ParameterSpace,
-    ParetoArchive,
-    Provenance,
-    RandomStream,
-    RunHistory,
-    is_feasible,
-)
-from .engine import RunConfig, RunResult, SensitivityConfig, run
-from .feasolve import FeasolveConfig
-from .problems import PROBLEM_REGISTRY, ProblemDefinition, get_problem
-from .stopping import StopConfig
-from .surrogate import JointSurrogate, SurrogateConfig
+import importlib
 
 __version__ = "0.1.0"
+
+_SUBMODULE = {
+    name: module
+    for module, names in {
+        "core": ("EvaluationRecord", "ParameterSpace", "ParetoArchive", "Provenance",
+                 "RandomStream", "RunHistory", "is_feasible"),
+        "engine": ("RunConfig", "RunResult", "SensitivityConfig", "run"),
+        "feasolve": ("FeasolveConfig",),
+        "problems": ("PROBLEM_REGISTRY", "ProblemDefinition", "get_problem"),
+        "stopping": ("StopConfig",),
+        "surrogate": ("JointSurrogate", "SurrogateConfig"),
+    }.items()
+    for name in names
+}
 
 __all__ = [
     "EvaluationRecord",
@@ -43,3 +47,13 @@ __all__ = [
     "run",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBMODULE))

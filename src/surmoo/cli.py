@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, metrics, runio
-from .core import nondominated_mask
-from .problems import PROBLEM_REGISTRY, get_problem
+# report reads logs only; run and bench import the optimizer and problems
+from . import core, metrics, runio
 
 __all__ = ["main", "cmd_run", "cmd_report", "cmd_bench"]
 
@@ -29,10 +28,17 @@ logger = logging.getLogger("surmoo")
 
 
 def cmd_run(config_path: str, seed: int | None, out_dir: str) -> int:
+    from . import engine
     try:
         config = runio.load_config(config_path)
-    except (runio.ConfigError, FileNotFoundError) as exc:
+    except (runio.ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # refuse an --out that cannot become a directory now, not after the run
+    out = Path(out_dir)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        print(f"error: --out {out_dir}: {existing} is not a directory", file=sys.stderr)
         return 2
     if seed is not None:
         config.seed = seed
@@ -73,7 +79,7 @@ def cmd_report(
         return 2
     try:
         runs = {d: _load_run(d) for d in run_dirs}
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -81,7 +87,7 @@ def cmd_report(
     all_fronts = {
         d: [
             archive.objectives() if len(archive) else np.empty((0, 0))
-            for _, _, archive in engine.replay(records)
+            for _, _, archive in core.replay(records)
         ]
         for d, (records, _) in runs.items()
     }
@@ -107,7 +113,7 @@ def cmd_report(
 
     if reference is None or reference == "union":
         merged = np.vstack(feasible_points)
-        ref_front = merged[nondominated_mask(merged)]
+        ref_front = merged[core.nondominated_mask(merged)]
     else:
         if reference not in final_fronts or not final_fronts[reference].size:
             print(
@@ -156,15 +162,23 @@ def cmd_report(
                 values["igd"] = values["epsilon"] = values["coverage"] = float("nan")
             rows.append([d] + [repr(float(values[k])) for k in wanted])
 
-    _emit_table(header, rows, fmt, output)
+    _emit_table(header, rows, fmt)
+    if output:
+        try:
+            Path(output).write_text(_csv(header, rows))
+        except OSError as exc:
+            print(f"error: could not write --output: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 
-def _emit_table(header, rows, fmt: str, output: str | None) -> None:
+def _csv(header, rows) -> str:
+    return "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+
+
+def _emit_table(header, rows, fmt: str) -> None:
     if fmt == "csv":
-        lines = [",".join(header)] + [",".join(row) for row in rows]
-        text = "\n".join(lines) + "\n"
-        print(text, end="")
+        print(_csv(header, rows), end="")
     else:
         widths = [
             max(len(str(header[i])), *(len(row[i]) for row in rows)) if rows else len(header[i])
@@ -175,12 +189,10 @@ def _emit_table(header, rows, fmt: str, output: str | None) -> None:
         print("-" * len(line))
         for row in rows:
             print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    if output:
-        lines = [",".join(header)] + [",".join(row) for row in rows]
-        Path(output).write_text("\n".join(lines) + "\n")
 
 
 def cmd_bench(action: str, name: str | None = None) -> int:
+    from .problems import PROBLEM_REGISTRY, get_problem
     if action == "list":
         print(f"{'name':12s} {'n':>4s} {'q':>3s} {'k':>3s} {'feasible_rate':>14s}")
         for key in sorted(PROBLEM_REGISTRY):

@@ -1,6 +1,9 @@
 """Shared domain types: search space, evaluation records, Pareto archives,
 run history, and deterministic random streams.
 
+`replay` rebuilds the history and archive epoch by epoch from an evaluation
+log alone; `engine.recompute_metrics` and `surmoo report` are built on it.
+
 All vector data is held in float64 numpy arrays; a candidate batch is an
 (N, n) array with one parameter vector per row. Objective vectors may
 contain NaN (marking a non-viable evaluation); such records are kept in the
@@ -23,6 +26,7 @@ __all__ = [
     "ParetoArchive",
     "EpochMetrics",
     "RunHistory",
+    "replay",
     "RandomStream",
     "is_feasible",
     "dominance_matrix",
@@ -276,6 +280,26 @@ class RunHistory:
             np.array([r.objectives for r in viable]),
             np.array([r.constraints for r in viable], dtype=float),
         )
+
+
+def replay(records):
+    """Rebuild a run's history and archive from its evaluation log.
+
+    Yields ``(epoch, history, archive)`` for every epoch from 0 to the last
+    one in the log, after that epoch's records were appended and inserted in
+    log order, as the engine did; an epoch without records yields the state
+    unchanged. The same two objects grow from one step to the next.
+    """
+    by_epoch: dict[int, list] = {}
+    for rec in records:
+        by_epoch.setdefault(rec.epoch, []).append(rec)
+    history = RunHistory()
+    archive = ParetoArchive()
+    for epoch in range(max(by_epoch, default=-1) + 1):
+        for rec in by_epoch.get(epoch, []):
+            history.append(rec)
+            archive.insert(rec)
+        yield epoch, history, archive
 
 
 _SEED_MASK = (1 << 64) - 1

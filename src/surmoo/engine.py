@@ -25,9 +25,6 @@ records), the epoch falls back to one plain NSGA-II variation step on the
 same parents, ranked by their true values, and the event is logged. Both
 epoch kinds draw children from `moea.offspring`. Every failed evaluation is
 logged too, with its epoch, candidate index and error.
-
-`replay` rebuilds the history and archive epoch by epoch from an evaluation
-log alone; `recompute_metrics` and `surmoo report` are built on it.
 """
 
 from __future__ import annotations
@@ -48,6 +45,7 @@ from .core import (
     Provenance,
     RandomStream,
     RunHistory,
+    replay,
 )
 from .evaluator import evaluate_batch
 from .metrics import normalized_hypervolume, nrmse, set_coverage, shared_normalization
@@ -155,26 +153,6 @@ def select_surrogate_mode(flags: np.ndarray, configured: str) -> str:
     if flags.size == 0 or len(np.unique(flags, axis=0)) < MIN_CONSTRAINT_PATTERNS:
         return "o"
     return configured
-
-
-def replay(records):
-    """Rebuild a run's history and archive from its evaluation log.
-
-    Yields ``(epoch, history, archive)`` for every epoch from 0 to the last
-    one in the log, after that epoch's records were appended and inserted in
-    log order, as the engine did; an epoch without records yields the state
-    unchanged. The same two objects grow from one step to the next.
-    """
-    by_epoch: dict[int, list] = {}
-    for rec in records:
-        by_epoch.setdefault(rec.epoch, []).append(rec)
-    history = RunHistory()
-    archive = ParetoArchive()
-    for epoch in range(max(by_epoch, default=-1) + 1):
-        for rec in by_epoch.get(epoch, []):
-            history.append(rec)
-            archive.insert(rec)
-        yield epoch, history, archive
 
 
 def recompute_metrics(records) -> list[dict]:

@@ -24,13 +24,14 @@ import json
 import math
 from dataclasses import MISSING
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import yaml
 
 from .core import EvaluationRecord, EpochMetrics
-from .engine import RunConfig, RunResult
-from .surrogate import save_checkpoint
+
+if TYPE_CHECKING:  # yaml and the optimizer load where a config is read or written
+    from .engine import RunConfig, RunResult
 
 __all__ = [
     "ConfigError",
@@ -70,6 +71,7 @@ class ConfigError(ValueError):
 def _key_lines(text: str) -> dict[str, int]:
     """Map dotted key paths to 1-based line numbers using the YAML node
     graph; best effort, used only for diagnostics."""
+    import yaml
     lines: dict[str, int] = {}
     try:
         root = yaml.compose(text, Loader=yaml.SafeLoader)
@@ -91,6 +93,7 @@ def _key_lines(text: str) -> dict[str, int]:
 
 def load_config(path) -> RunConfig:
     """Parse and validate a YAML run configuration."""
+    import yaml
     text = Path(path).read_text()
     try:
         data = yaml.safe_load(text)
@@ -106,6 +109,7 @@ def load_config(path) -> RunConfig:
 def build_run_config(data: dict, lines: dict[str, int] | None = None) -> RunConfig:
     """Build a `RunConfig` from a parsed config mapping; ``lines`` maps dotted
     key paths to line numbers for error messages."""
+    from .engine import RunConfig
     return _build(RunConfig, data, lines or {}, "")
 
 
@@ -237,6 +241,8 @@ def _metrics_row(m: EpochMetrics) -> str:
 
 
 def write_run_directory(result: RunResult, out_dir) -> Path:
+    import yaml
+    from .surrogate import save_checkpoint
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / CONFIG_FILE).write_text(

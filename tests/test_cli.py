@@ -365,6 +365,25 @@ class TestCmdRun:
         assert failures[0].exc_info[0] is FloatingPointError
         assert not (tmp_path / "out").exists()
 
+    def test_config_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert cmd_run(str(tmp_path), None, str(tmp_path / "out")) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/run"])
+    def test_out_under_an_existing_file_is_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        # the run used to execute in full, then lose its results to a
+        # FileExistsError from write_run_directory
+        (tmp_path / "taken").write_text("keep me\n")
+        calls = []
+        monkeypatch.setattr(engine, "run", lambda config: calls.append(config))
+        assert cmd_run(str(write_config(tmp_path)), None, str(tmp_path / out)) == 2
+        assert calls == []
+        assert "is not a directory" in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == "keep me\n"
+
 
 class TestLogs:
     def test_float_round_trip_bit_exact(self, tmp_path):
@@ -482,6 +501,21 @@ class TestCmdReport:
         assert target.exists()
         assert target.read_text().startswith("run,")
 
+    def test_run_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        not_a_dir = tmp_path / "run.txt"
+        not_a_dir.write_text("")
+        assert cmd_report([str(not_a_dir)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_2_after_the_table(self, tmp_path, capsys):
+        run_dir = synthetic_run_dir(tmp_path, "filed", [[1.0, 2.0]])
+        target = tmp_path / "missing" / "table.csv"
+        assert cmd_report([run_dir], metric="all", output=str(target)) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("run ")
+        assert "error: could not write --output" in captured.err
+        assert not target.parent.exists()
+
 
 class TestCmdBench:
     def test_list_includes_all_problems(self, capsys):
@@ -525,12 +559,17 @@ class TestMainEntry:
         assert logging.getLogger("surmoo").handlers == []
 
 
-SCIPY_PROBE = """\
+# the scipy, surmoo and yaml modules loaded by a bare `import surmoo`, and
+# after `surmoo.cli` ran the command given as arguments, if any
+MODULES_PROBE = """\
 import json, sys
+import surmoo
+bare = list(sys.modules)
 from surmoo import cli
 if len(sys.argv) > 1:
     assert cli.main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+watched = lambda names: sorted(m for m in names if m.startswith(("scipy", "surmoo", "yaml")))
+print(json.dumps({"import surmoo": watched(bare), "loaded": watched(sys.modules)}))
 """
 
 # joint surrogate with descent and sensitivity: every code path that takes a
@@ -549,15 +588,19 @@ sensitivity: {enabled: true}
 """
 
 
-def _scipy_modules_loaded(*argv) -> list[str]:
+def _modules_loaded(*argv) -> dict[str, list[str]]:
     src = str(Path(surmoo.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        [sys.executable, "-c", MODULES_PROBE, *argv],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _scipy_modules_loaded(*argv) -> list[str]:
+    return [m for m in _modules_loaded(*argv)["loaded"] if m.startswith("scipy")]
 
 
 class TestStartup:
@@ -585,6 +628,44 @@ class TestStartup:
         assert _scipy_modules_loaded("run", "--config", str(config), "--out", str(out)) == []
         final = read_metrics(out)[-1]
         assert final["mode"] == "c+o" and final["feasolve_steps"] > 0
+
+    # a report only reads and replays logs, so it loads no optimizer module
+    # and no yaml; the package's names load their submodule on first use
+    def test_bare_import_loads_no_submodule(self):
+        assert _modules_loaded()["import surmoo"] == ["surmoo"]
+
+    def test_report_loads_only_the_log_reading_modules(self, tmp_path):
+        run_dir = synthetic_run_dir(tmp_path, "lazy", [[1.0, 2.0], [2.0, 1.0]])
+        loaded = _modules_loaded("report", run_dir, "--metric", "all")["loaded"]
+        assert loaded == [
+            "surmoo", "surmoo.cli", "surmoo.core", "surmoo.metrics", "surmoo.runio",
+        ]
+
+    def test_every_exported_name_is_its_defining_modules_object(self):
+        from surmoo import core, feasolve, problems, stopping, surrogate
+
+        defined_in = {
+            core: ["EvaluationRecord", "ParameterSpace", "ParetoArchive", "Provenance",
+                   "RandomStream", "RunHistory", "is_feasible"],
+            engine: ["RunConfig", "RunResult", "SensitivityConfig", "run"],
+            feasolve: ["FeasolveConfig"],
+            problems: ["PROBLEM_REGISTRY", "ProblemDefinition", "get_problem"],
+            stopping: ["StopConfig"],
+            surrogate: ["JointSurrogate", "SurrogateConfig"],
+        }
+        names = [name for names in defined_in.values() for name in names]
+        assert sorted(names + ["__version__"]) == sorted(surmoo.__all__)
+        for module, exported in defined_in.items():
+            for name in exported:
+                assert getattr(surmoo, name) is getattr(module, name), name
+        assert set(surmoo.__all__) <= set(dir(surmoo))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            surmoo.no_such_name
+
+    def test_engine_replay_is_core_replay(self):
+        from surmoo import core
+
+        assert engine.replay is core.replay
 
 
 class TestBuildRunConfig:
