@@ -11,6 +11,12 @@ budget is initial_samples + epochs * population_size: trace re-anchoring
 points, when enabled, replace the lowest-ranked explorer candidates instead
 of adding evaluations.
 
+`_sub_block` runs one sub-block, from the fit to the evaluation, and returns
+a `SubBlock` record of it (see that class) with its model; `run` keeps the
+records in `RunResult.blocks` and reads each epoch's mode, descent steps and
+NRMSE from them. The model stays out of the record, so a run keeps only the
+models that ``save_surrogates`` asks for.
+
 With ``dynamic_sampling`` an epoch runs as four sub-blocks of
 population_size / 4 candidates each, and the surrogate is refit on the
 grown history before each one. The K CV folds that choose the training
@@ -52,7 +58,7 @@ from .metrics import normalized_hypervolume, nrmse, set_coverage, shared_normali
 from .problems import ProblemDefinition, check_problem_params, get_problem
 from .sensitivity import compute_elasticities, indices_from_sensitivity, invert_indices
 from .stopping import StopConfig
-from .surrogate import JointSurrogate, SurrogateConfig
+from .surrogate import JointSurrogate, SurrogateConfig, TrainingSchedule
 from .surrogate import train as train_surrogate
 from .sampling import check_design_size, get_sampler, sample_mc
 
@@ -62,6 +68,7 @@ __all__ = [
     "RunConfig",
     "SensitivityConfig",
     "RunResult",
+    "SubBlock",
     "run",
     "select_surrogate_mode",
     "replay",
@@ -113,8 +120,7 @@ class RunConfig:
                 f"dynamic sampling splits epochs into {DYNAMIC_SUB_BLOCKS} "
                 "sub-iterations; population_size must be divisible by 4"
             )
-        sub_blocks = DYNAMIC_SUB_BLOCKS if self.dynamic_sampling else 1
-        explorers = self.population_size // sub_blocks // 2
+        explorers = self.population_size // self.sub_blocks // 2
         if self.feasolve.trace_samples > explorers:
             raise ValueError(
                 f"trace_samples cannot exceed the explorer half of a sub-block ({explorers})"
@@ -127,12 +133,27 @@ class RunConfig:
             ) from None
         check_problem_params(self.problem, self.problem_params)
 
+    @property
+    def sub_blocks(self) -> int:
+        return DYNAMIC_SUB_BLOCKS if self.dynamic_sampling else 1
+
 
 @dataclass
-class SensitivitySnapshot:
+class SubBlock:
+    """What one sub-block of an epoch did. ``schedule`` is None when no
+    surrogate was fitted, ``s_bar`` when no sensitivity was taken, and
+    ``trace`` unless ``export_traces`` is set; ``objective_pairs`` holds the
+    (true, predicted) objectives of the viable evaluated candidates."""
+
     epoch: int
-    s_bar: np.ndarray
+    sub: int
+    schedule: TrainingSchedule | None
+    s_bar: np.ndarray | None
     eta: np.ndarray
+    descent_steps: int
+    trace: fs.DescentTrace | None
+    records: list[EvaluationRecord]
+    objective_pairs: list[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -141,8 +162,7 @@ class RunResult:
     problem: ProblemDefinition
     history: RunHistory
     archive: ParetoArchive
-    sensitivity: list[SensitivitySnapshot] = field(default_factory=list)
-    traces: list[tuple[int, fs.DescentTrace]] = field(default_factory=list)
+    blocks: list[SubBlock] = field(default_factory=list)
     surrogates: list[tuple[int, JointSurrogate]] = field(default_factory=list)
 
 
@@ -199,7 +219,7 @@ def _select_parents(
         members, objs, feas = members[keep], objs[keep], feas[keep]
     pad = count - members.shape[0]
     if pad > 0:
-        members = np.vstack([members, sample_mc(space, pad, stream).points])
+        members = np.vstack([members, sample_mc(space, pad, stream)])
         objs = np.vstack([objs, np.full((pad, q), np.inf)])
         feas = np.concatenate([feas, np.zeros(pad, dtype=bool)])
     return members, objs, feas
@@ -236,47 +256,27 @@ def _evaluate_and_log(
 
 def run(config: RunConfig) -> RunResult:
     problem = get_problem(config.problem, **config.problem_params)
-    space = problem.space
     root = RandomStream(config.seed)
     history = RunHistory()
     archive = ParetoArchive()
-    sample = get_sampler(config.sampler)
     result = RunResult(config, problem, history, archive)
     series: dict[str, list[float]] = {
-        "hv": [],
-        "feasible_count": [],
-        "nrmse": [],
-        "ecov": [],
-        "evals": [],
+        key: [] for key in ("hv", "feasible_count", "nrmse", "ecov", "evals")
     }
 
     start = time.perf_counter()
-    design = sample(space, config.initial_samples, root.child("init"))
-    _evaluate_and_log(
-        problem,
-        design.points,
-        [Provenance.INIT] * design.points.shape[0],
-        0,
-        history,
-        archive,
-        config.workers,
-    )
-    _snapshot(
-        history, archive, series, 0, float("nan"), "-", 0, start, prev_front=None,
-    )
+    design = get_sampler(config.sampler)(problem.space, config.initial_samples, root.child("init"))
+    provenances = [Provenance.INIT] * design.shape[0]
+    _evaluate_and_log(problem, design, provenances, 0, history, archive, config.workers)
+    _snapshot(history, archive, series, 0, float("nan"), "-", 0, start, prev_front=None)
     prev_front = archive.objectives() if len(archive) else None
-
-    sub_blocks = DYNAMIC_SUB_BLOCKS if config.dynamic_sampling else 1
-    n_sub = config.population_size // sub_blocks
-    # the viable rows as arrays: one snapshot, taken after each evaluation,
-    # serves mode selection, training, sensitivity, parents and descent
-    x, y, c = history.viable_arrays()
 
     for epoch in range(1, config.epochs + 1):
         epoch_start = time.perf_counter()
         epoch_stream = root.child(f"epoch{epoch}")
         mode = "none"
         if config.surrogate.enabled:
+            c = history.viable_arrays()[2]
             mode = select_surrogate_mode(c, config.surrogate.mode)
             if mode != config.surrogate.mode and problem.n_constraints:
                 logger.info(
@@ -285,99 +285,24 @@ def run(config: RunConfig) -> RunResult:
                     epoch, config.surrogate.mode, len(np.unique(c, axis=0)),
                     MIN_CONSTRAINT_PATTERNS,
                 )
-        feasolve_steps = 0
-        effective_mode = mode
-        nrmse_pairs: list[tuple[np.ndarray, np.ndarray]] = []
-        cv_sub = cv_epochs = None  # the epoch's first successful fit and its count
-
-        for sub in range(sub_blocks):
-            sub_stream = epoch_stream.child(f"sub{sub}")
-            model = None
-            if mode != "none":
-                cfg = replace(config.surrogate, mode=mode)
-                try:
-                    model, schedule = train_surrogate(
-                        x, y, c, space, cfg, sub_stream.child("train"),
-                        final_epochs=cv_epochs,
-                    )
-                except Exception as exc:
-                    logger.warning(
-                        "epoch %d: surrogate training failed (%s); "
-                        "falling back to no-surrogate variation",
-                        epoch,
-                        exc,
-                    )
-                    model = None
-                else:
-                    if cv_sub is None:
-                        cv_sub, cv_epochs = sub, schedule.final_epochs
-                        source = (
-                            f"fold stop epochs {schedule.fold_stop_epochs}, "
-                            f"best epochs {schedule.fold_best_epochs}"
-                        )
-                    else:
-                        source = f"folds reused from sub-block {cv_sub}"
-                    logger.info(
-                        "epoch %d sub-block %d: surrogate mode %s fitted on %d viable "
-                        "records; %s, final epochs %d",
-                        epoch,
-                        sub,
-                        mode,
-                        len(x),
-                        source,
-                        schedule.final_epochs,
-                    )
-
-            eta = np.full(space.dim, moea.ETA_DEFAULT)
-            if model is not None and config.sensitivity.enabled and model.has_objective_head:
-                s_bar = compute_elasticities(model, x)
-                eta = indices_from_sensitivity(s_bar)
-                if config.sensitivity.inverted:
-                    eta = invert_indices(eta)
-                result.sensitivity.append(SensitivitySnapshot(epoch, s_bar, eta))
-
-            parents, parent_objs, parent_feas = _select_parents(
-                x, y, c, n_sub, problem, sub_stream.child("parents")
+        blocks: list[SubBlock] = []
+        for sub in range(config.sub_blocks):
+            # the epoch's first fitted block: later fits reuse its epoch count
+            fitted = next((b for b in blocks if b.schedule is not None), None)
+            block, model = _sub_block(
+                config, problem, history, archive, mode, epoch, sub,
+                epoch_stream.child(f"sub{sub}"), fitted,
             )
-            provenances = [Provenance.MOEA] * n_sub
-            if model is None:
-                effective_mode = "none"
-                ranked = moea.rank_population(parents, parent_objs, parent_feas)
-                candidates = moea.offspring(
-                    ranked, eta, space, sub_stream.child("variation").generator()
-                )
-            else:
-                candidates = moea.generate(
-                    parents,
-                    model.predict,
-                    config.generations,
-                    eta,
-                    space,
-                    sub_stream.child("moea"),
-                )
-                if config.feasolve.enabled:
-                    candidates, provenances, steps = _feasolve_stage(
-                        candidates, model, config, x, y, epoch, result
-                    )
-                    feasolve_steps += steps
+            blocks.append(block)
+        result.blocks += blocks
+        if config.save_surrogates and model is not None:
+            result.surrogates.append((epoch, model))
 
-            new_records = _evaluate_and_log(
-                problem, candidates, provenances, epoch, history, archive,
-                config.workers,
-            )
-            x, y, c = history.viable_arrays()
-            if model is not None and model.has_objective_head:
-                y_pred, _ = model.predict(candidates)
-                for rec, pred in zip(new_records, y_pred):
-                    if rec.viable:
-                        nrmse_pairs.append((rec.objectives, pred))
-            if config.save_surrogates and model is not None and sub == sub_blocks - 1:
-                result.surrogates.append((epoch, model))
-
-        epoch_nrmse = _epoch_nrmse(nrmse_pairs)
+        # a sub-block whose fit failed makes the whole epoch's mode "none"
         _snapshot(
-            history, archive, series, epoch, epoch_nrmse, effective_mode,
-            feasolve_steps, epoch_start, prev_front,
+            history, archive, series, epoch, _epoch_nrmse(blocks),
+            mode if all(b.schedule is not None for b in blocks) else "none",
+            sum(b.descent_steps for b in blocks), epoch_start, prev_front,
         )
         prev_front = archive.objectives() if len(archive) else None
         if config.stop.reached(series):
@@ -386,30 +311,101 @@ def run(config: RunConfig) -> RunResult:
     return result
 
 
-def _feasolve_stage(candidates, model, config, x, y, epoch, result):
+def _sub_block(config, problem, history, archive, mode, epoch, sub, stream, fitted):
+    """Fit the surrogate in ``mode`` ("none": no fit) on the viable history,
+    take sensitivities, generate candidates on the surrogate (plain variation
+    without a model), descend, and evaluate them. ``fitted`` is the epoch's
+    first block whose fit succeeded, None before it: a fit without one runs
+    the CV folds, a fit with one reuses its epoch count. Returns the block's
+    `SubBlock` and its model, None without a fit."""
+    space = problem.space
+    # one snapshot serves training, sensitivity, parents and descent
+    x, y, c = history.viable_arrays()
+    model = schedule = s_bar = trace = None
+    if mode != "none":
+        cfg = replace(config.surrogate, mode=mode)
+        try:
+            model, schedule = train_surrogate(
+                x, y, c, space, cfg, stream.child("train"),
+                final_epochs=None if fitted is None else fitted.schedule.final_epochs,
+            )
+        except Exception as exc:
+            logger.warning(
+                "epoch %d: surrogate training failed (%s); "
+                "falling back to no-surrogate variation", epoch, exc,
+            )
+        else:
+            if fitted is None:
+                source = (
+                    f"fold stop epochs {schedule.fold_stop_epochs}, "
+                    f"best epochs {schedule.fold_best_epochs}"
+                )
+            else:
+                source = f"folds reused from sub-block {fitted.sub}"
+            logger.info(
+                "epoch %d sub-block %d: surrogate mode %s fitted on %d viable "
+                "records; %s, final epochs %d",
+                epoch, sub, mode, len(x), source, schedule.final_epochs,
+            )
+
+    eta = np.full(space.dim, moea.ETA_DEFAULT)
+    if model is not None and config.sensitivity.enabled and model.has_objective_head:
+        s_bar = compute_elasticities(model, x)
+        eta = indices_from_sensitivity(s_bar)
+        if config.sensitivity.inverted:
+            eta = invert_indices(eta)
+
+    n_sub = config.population_size // config.sub_blocks
+    parents, parent_objs, parent_feas = _select_parents(
+        x, y, c, n_sub, problem, stream.child("parents")
+    )
+    provenances = [Provenance.MOEA] * n_sub
+    if model is None:
+        ranked = moea.rank_population(parents, parent_objs, parent_feas)
+        candidates = moea.offspring(ranked, eta, space, stream.child("variation").generator())
+    else:
+        candidates = moea.generate(
+            parents, model.predict, config.generations, eta, space, stream.child("moea")
+        )
+        if config.feasolve.enabled:
+            candidates, provenances, trace = _feasolve_stage(
+                candidates, model, config, x, y, epoch
+            )
+
+    records = _evaluate_and_log(
+        problem, candidates, provenances, epoch, history, archive, config.workers
+    )
+    pairs = []
+    if model is not None and model.has_objective_head:
+        y_pred, _ = model.predict(candidates)
+        pairs = [(rec.objectives, pred) for rec, pred in zip(records, y_pred) if rec.viable]
+    block = SubBlock(
+        epoch, sub, schedule, s_bar, eta, 0 if trace is None else len(trace),
+        trace if config.export_traces else None, records, pairs,
+    )
+    return block, model
+
+
+def _feasolve_stage(candidates, model, config, x, y, epoch):
     """Rank the generated population, preserve the elite half, and refine
     the rest by descent; optionally swap the lowest-ranked explorers for
     diverse trace samples. ``x`` and ``y`` are the viable history's
-    parameters and objectives, for the distance and nadir targets."""
+    parameters and objectives, for the distance and nadir targets. Returns
+    the batch, its provenances and the descent trace, which is None when no
+    descent ran and the candidates come back unchanged."""
     targets = _usable_targets(config.feasolve.targets, model)
-    if not targets:
+    if targets:
+        objs, feas = moea.ranking_inputs(model.predict, candidates)
+        elite, explore = fs.hybrid_epoch_split(moea.rank_population(candidates, objs, feas))
+    else:
         logger.warning(
             "epoch %d: no feasolve target usable in mode %r; skipping descent",
-            epoch,
-            model.config.mode,
+            epoch, model.config.mode,
         )
-        return candidates, [Provenance.MOEA] * candidates.shape[0], 0
-    fs_cfg = replace(config.feasolve, targets=targets)
-    objs, feas = moea.ranking_inputs(model.predict, candidates)
-    ranked = moea.rank_population(candidates, objs, feas)
-    elite, explore = fs.hybrid_epoch_split(ranked)
-    if explore.shape[0] == 0:
-        return candidates, [Provenance.MOEA] * candidates.shape[0], 0
-    explore_out, trace = fs.make_feasible(
-        explore, model, fs_cfg, train_objectives=y, train_inputs=x
-    )
-    if config.export_traces:
-        result.traces.append((epoch, trace))
+    if not targets or explore.shape[0] == 0:
+        return candidates, [Provenance.MOEA] * candidates.shape[0], None
+    cfg = replace(config.feasolve, targets=targets)
+    explore_out, trace = fs.make_feasible(explore, model, cfg, train_objectives=y, train_inputs=x)
     provenances = [Provenance.MOEA] * elite.shape[0] + [
         Provenance.FEASOLVE
     ] * explore_out.shape[0]
@@ -422,7 +418,7 @@ def _feasolve_stage(candidates, model, config, x, y, epoch, result):
             provenances = provenances[: len(provenances) - n_trace] + [
                 Provenance.TRACE
             ] * n_trace
-    return batch, provenances, len(trace)
+    return batch, provenances, trace
 
 
 def _usable_targets(targets, model: JointSurrogate):
@@ -436,7 +432,8 @@ def _usable_targets(targets, model: JointSurrogate):
     return tuple(usable)
 
 
-def _epoch_nrmse(pairs) -> float:
+def _epoch_nrmse(blocks: list[SubBlock]) -> float:
+    pairs = [pair for block in blocks for pair in block.objective_pairs]
     if len(pairs) < 2:
         return float("nan")
     y_true = np.array([p[0] for p in pairs])

@@ -13,7 +13,11 @@ Results are written as newline-delimited JSON records (one evaluation per
 line; NaN objectives are serialized as null for language neutrality) plus a
 per-epoch metrics CSV. Floats serialize via their shortest round-trip
 decimal representation, so re-parsing a log reproduces the values
-bit-exactly.
+bit-exactly. The optional `sensitivity.csv` (a row per sub-block and
+parameter) and `traces.ndjson` (a line per sub-block, descent step and
+candidate) are written from `RunResult.blocks`. Each row carries a `sub`
+field after its epoch, the sub-block it came from, so the four sub-blocks of
+a dynamic-sampling epoch stay apart.
 """
 
 from __future__ import annotations
@@ -255,20 +259,23 @@ def write_run_directory(result: RunResult, out_dir) -> Path:
         fh.write(",".join(METRICS_COLUMNS) + "\n")
         for m in result.history.epoch_metrics:
             fh.write(_metrics_row(m) + "\n")
-    if result.sensitivity:
+    sensitivity = [b for b in result.blocks if b.s_bar is not None]
+    if sensitivity:
         names = result.problem.space.names
         with open(out / SENSITIVITY_FILE, "w") as fh:
-            fh.write("epoch,name,s_bar,eta\n")
-            for snap in result.sensitivity:
-                for name, s, eta in zip(names, snap.s_bar, snap.eta):
-                    fh.write(f"{snap.epoch},{name},{s!r},{eta!r}\n")
-    if result.traces:
+            fh.write("epoch,sub,name,s_bar,eta\n")
+            for b in sensitivity:
+                for name, s, eta in zip(names, b.s_bar, b.eta):
+                    fh.write(f"{b.epoch},{b.sub},{name},{float(s)!r},{float(eta)!r}\n")
+    traced = [b for b in result.blocks if b.trace is not None]
+    if traced:
         with open(out / TRACES_FILE, "w") as fh:
-            for epoch, trace in result.traces:
-                for entry in trace.steps:
+            for b in traced:
+                for entry in b.trace.steps:
                     for i, cand in enumerate(entry.candidates):
                         payload = {
-                            "epoch": epoch,
+                            "epoch": b.epoch,
+                            "sub": b.sub,
                             "step": entry.step,
                             "candidate": i,
                             "params": [float(v) for v in cand],

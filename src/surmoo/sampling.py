@@ -1,11 +1,11 @@
 """Initial-design generators: symmetric Latin hypercube (default), Latin
 hypercube, Monte Carlo, and Sobol sequences.
 
-All samplers are pure functions of (space, N, stream) and return points
-inside the bounds. SLHC and LHC place exactly one point per stratum in every
-one-dimensional projection; SLHC additionally emits points in center-mirrored
-pairs with mirrored within-stratum jitter, so pair sums equal lower+upper up
-to rounding.
+All samplers are pure functions of (space, N, stream) and return an (N, n)
+array of points inside the bounds. SLHC and LHC place exactly one point per
+stratum in every one-dimensional projection; SLHC additionally emits points
+in center-mirrored pairs with mirrored within-stratum jitter, so pair sums
+equal lower+upper up to rounding.
 
 The Sobol sampler draws the unscrambled base-2 sequence in Gray-code order
 with 30-bit direction numbers, so every coordinate is an integer below 2**30
@@ -22,14 +22,12 @@ imported.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ParameterSpace, RandomStream
 
 __all__ = [
-    "DesignMatrix",
     "sample_slhc",
     "sample_lhc",
     "sample_mc",
@@ -117,17 +115,11 @@ _SOBOL_TABLE = """\
 """
 
 
-@dataclass
-class DesignMatrix:
-    points: np.ndarray  # N x n, within bounds
-    scheme: str
-
-
 def _scale(unit: np.ndarray, space: ParameterSpace) -> np.ndarray:
     return space.lower + unit * space.span
 
 
-def sample_slhc(space: ParameterSpace, n_points: int, stream: RandomStream) -> DesignMatrix:
+def sample_slhc(space: ParameterSpace, n_points: int, stream: RandomStream) -> np.ndarray:
     """Symmetric Latin hypercube design.
 
     Requires an even ``n_points`` so every point has a mirror partner
@@ -147,10 +139,10 @@ def sample_slhc(space: ParameterSpace, n_points: int, stream: RandomStream) -> D
         jitter = rng.random(half)
         unit[:half, j] = (strata + jitter) / n_points
         unit[half:, j] = (n_points - strata - jitter) / n_points
-    return DesignMatrix(_scale(unit, space), "slhc")
+    return _scale(unit, space)
 
 
-def sample_lhc(space: ParameterSpace, n_points: int, stream: RandomStream) -> DesignMatrix:
+def sample_lhc(space: ParameterSpace, n_points: int, stream: RandomStream) -> np.ndarray:
     """Latin hypercube: one uniformly jittered point per stratum and axis."""
     check_design_size("lhc", n_points)
     rng = stream.generator()
@@ -159,15 +151,15 @@ def sample_lhc(space: ParameterSpace, n_points: int, stream: RandomStream) -> De
     for j in range(n):
         strata = rng.permutation(n_points)
         unit[:, j] = (strata + rng.random(n_points)) / n_points
-    return DesignMatrix(_scale(unit, space), "lhc")
+    return _scale(unit, space)
 
 
-def sample_mc(space: ParameterSpace, n_points: int, stream: RandomStream) -> DesignMatrix:
+def sample_mc(space: ParameterSpace, n_points: int, stream: RandomStream) -> np.ndarray:
     """Independent uniform samples over the box."""
     check_design_size("mc", n_points)
     rng = stream.generator()
     unit = rng.random((n_points, space.dim))
-    return DesignMatrix(_scale(unit, space), "mc")
+    return _scale(unit, space)
 
 
 def _direction_numbers(dim: int) -> np.ndarray:
@@ -189,7 +181,7 @@ def _direction_numbers(dim: int) -> np.ndarray:
     return v << np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint64)
 
 
-def sample_sobol(space: ParameterSpace, n_points: int, stream: RandomStream) -> DesignMatrix:
+def sample_sobol(space: ParameterSpace, n_points: int, stream: RandomStream) -> np.ndarray:
     """First ``n_points`` of the unscrambled base-2 Sobol sequence.
 
     Point i is the XOR of the direction numbers picked by the set bits of
@@ -205,8 +197,7 @@ def sample_sobol(space: ParameterSpace, n_points: int, stream: RandomStream) -> 
             f"falling back to Latin hypercube for n={space.dim}",
             stacklevel=2,
         )
-        design = sample_lhc(space, n_points, stream)
-        return DesignMatrix(design.points, "sobol")
+        return sample_lhc(space, n_points, stream)
     v = _direction_numbers(space.dim)
     gray = np.arange(n_points, dtype=np.uint64)
     gray ^= gray >> 1
@@ -214,7 +205,7 @@ def sample_sobol(space: ParameterSpace, n_points: int, stream: RandomStream) -> 
     for bit in range((n_points - 1).bit_length()):
         quasi[(gray >> bit) & 1 == 1] ^= v[:, bit]
     unit = quasi * 2.0**-SOBOL_BITS
-    return DesignMatrix(_scale(unit, space), "sobol")
+    return _scale(unit, space)
 
 
 SAMPLER_SCHEMES = {

@@ -16,9 +16,11 @@ and Adam keep the dtype they are given. Every fit trains in float32, with
 float64 loss sums, and `train` upcasts the weights of the model it returns
 to float64, so prediction, input gradients and checkpoints run in float64
 on float32-representable weights. Residual blocks use layer
-normalization (not batch statistics) so single-point inference and input
-gradients are batch-independent, and the default hidden activation is
-softplus so gradients are smooth everywhere; a ReLU mode is available.
+normalization (not batch statistics), so a row's prediction and input
+gradient do not depend on the rest of its batch, up to rounding: BLAS picks
+its accumulation order per batch shape, so they may differ in the last bit.
+The default hidden activation is softplus so gradients are smooth
+everywhere; a ReLU mode is available.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ class JointSurrogate:
 
     A trained instance is immutable for inference purposes and safe to share
     across threads; prediction never touches batch statistics, so batched and
-    row-by-row prediction agree exactly.
+    row-by-row prediction agree up to BLAS rounding in the last bit.
     """
 
     def __init__(

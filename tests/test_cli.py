@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import os
@@ -666,6 +667,39 @@ class TestStartup:
         from surmoo import core
 
         assert engine.replay is core.replay
+
+
+@pytest.fixture(scope="module")
+def dynamic_joint_run(tmp_path_factory):
+    """A dynamic-sampling joint run with sensitivity, descent and traces."""
+    tmp = tmp_path_factory.mktemp("dynamic")
+    config = write_config(tmp, JOINT_CONFIG + "dynamic_sampling: true\nexport_traces: true\n")
+    assert cmd_run(str(config), None, str(tmp / "out")) == 0
+    return tmp / "out"
+
+
+class TestSubBlockFiles:
+    def test_sensitivity_values_are_plain_numbers(self, dynamic_joint_run):
+        # repr of a numpy 2 scalar reads np.float64(...), which no CSV reader takes
+        with open(dynamic_joint_run / "sensitivity.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            float(row["s_bar"]), float(row["eta"])
+
+    def test_rows_of_each_sub_block_are_told_apart(self, dynamic_joint_run):
+        lines = (dynamic_joint_run / "sensitivity.csv").read_text().splitlines()
+        assert lines[0] == "epoch,sub,name,s_bar,eta"
+        rows = [tuple(line.split(",")[:3]) for line in lines[1:]]
+        assert len(set(rows)) == len(rows) == engine.DYNAMIC_SUB_BLOCKS * 2  # tnk: 2 parameters
+        traces = [
+            json.loads(line)
+            for line in (dynamic_joint_run / "traces.ndjson").read_text().splitlines()
+        ]
+        assert traces and list(traces[0])[:3] == ["epoch", "sub", "step"]
+        keys = [(t["epoch"], t["sub"], t["step"], t["candidate"]) for t in traces]
+        assert len(set(keys)) == len(keys)
+        assert {t["sub"] for t in traces} == set(range(engine.DYNAMIC_SUB_BLOCKS))
 
 
 class TestBuildRunConfig:

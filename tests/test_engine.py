@@ -391,6 +391,90 @@ class TestCrossValidationOncePerEpoch:
         assert folds_per_fit() == [3, 3, 3]
 
 
+class TestSubBlockRecords:
+    SURROGATE = SurrogateConfig(mode="o", blocks=1, block_dim=4, learning_rate=0.1)
+
+    def _descent_config(self, **overrides):
+        base = dict(
+            problem="bnh",
+            problem_params={},
+            seed=5,
+            population_size=16,
+            initial_samples=12,
+            generations=2,
+            dynamic_sampling=True,
+            surrogate=SurrogateConfig(mode="c+o", **TINY_SURROGATE),
+            feasolve=FeasolveConfig(enabled=True, targets=("objective",), max_iters=25),
+        )
+        base.update(overrides)
+        return RunConfig(**base)
+
+    @pytest.mark.parametrize("dynamic, epochs", [(True, 2), (False, 3)])
+    def test_one_block_per_sub_block_in_order(self, dynamic, epochs):
+        config = small_config(
+            dynamic_sampling=dynamic, population_size=8, epochs=epochs, surrogate=self.SURROGATE
+        )
+        result = run(config)
+        subs = engine.DYNAMIC_SUB_BLOCKS if dynamic else 1
+        assert [(b.epoch, b.sub) for b in result.blocks] == [
+            (epoch, sub) for epoch in range(1, epochs + 1) for sub in range(subs)
+        ]
+        records = [rec for b in result.blocks for rec in b.records]
+        logged = result.history.records[config.initial_samples:]
+        assert len(records) == len(logged)
+        assert all(rec is log for rec, log in zip(records, logged))
+        assert all(len(b.records) == 8 // subs for b in result.blocks)
+
+    def test_only_the_first_fit_of_a_dynamic_epoch_has_folds(self):
+        config = small_config(dynamic_sampling=True, population_size=8, surrogate=self.SURROGATE)
+        for b in run(config).blocks:
+            folds = len(b.schedule.fold_stop_epochs), len(b.schedule.fold_best_epochs)
+            assert folds == ((config.surrogate.folds,) * 2 if b.sub == 0 else (0, 0))
+
+    def test_failed_fit_has_no_schedule_and_the_epoch_no_mode(self, monkeypatch):
+        tries = []
+
+        def fail_first(*args, **kwargs):
+            tries.append(None)
+            if len(tries) == 1:
+                raise RuntimeError("diverged")
+            return train_surrogate(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "train_surrogate", fail_first)
+        config = small_config(
+            epochs=1, dynamic_sampling=True, population_size=8, surrogate=self.SURROGATE
+        )
+        result = run(config)
+        first, second, *rest = result.blocks
+        assert first.schedule is None
+        assert len(second.schedule.fold_stop_epochs) == config.surrogate.folds
+        assert all(b.schedule.fold_stop_epochs == [] for b in rest)
+        assert result.history.epoch_metrics[1].mode == "none"
+
+    def test_epoch_descent_steps_are_the_sum_of_its_blocks(self):
+        result = run(self._descent_config(epochs=2))
+        for m in result.history.epoch_metrics[1:]:
+            steps = [b.descent_steps for b in result.blocks if b.epoch == m.epoch]
+            assert len(steps) == engine.DYNAMIC_SUB_BLOCKS
+            assert m.feasolve_steps == sum(steps) > 0
+
+    def test_no_usable_target_leaves_the_candidates_to_moea(self, caplog):
+        # two_sphere has no constraints, so mode o has no constraint head
+        config = small_config(
+            feasolve=FeasolveConfig(enabled=True, targets=("constraint",)), export_traces=True
+        )
+        with caplog.at_level("WARNING", logger="surmoo"):
+            result = run(config)
+        assert sum("skipping descent" in r.getMessage() for r in caplog.records) == 2
+        assert all(b.descent_steps == 0 and b.trace is None for b in result.blocks)
+        assert {r.provenance.value for b in result.blocks for r in b.records} == {"moea"}
+
+    def test_traces_kept_only_when_exported(self):
+        kept = run(self._descent_config(epochs=1, export_traces=True)).blocks
+        assert all(b.trace is not None and len(b.trace) == b.descent_steps for b in kept)
+        assert all(b.trace is None for b in run(self._descent_config(epochs=1)).blocks)
+
+
 class TestSelectParents:
     def _history(self, problem, count, extra=()):
         points = problem.space.lower + np.random.default_rng(3).random(
@@ -540,7 +624,7 @@ class TestFeasolveIntegration:
         result = run(self._feasolve_config(feasolve=feasolve, export_traces=True))
         provenances = [r.provenance.value for r in result.history.records]
         assert provenances.count("trace") == 2 * 2  # two epochs, two picks
-        assert result.traces
+        assert any(b.trace is not None for b in result.blocks)
 
     def test_elite_half_preserved_bitwise(self):
         # rerunning the same seed without feasolve must reproduce the elite
@@ -580,6 +664,7 @@ class TestFeasolveIntegration:
     def test_sensitivity_snapshots_recorded(self):
         config = self._feasolve_config(sensitivity=SensitivityConfig(enabled=True))
         result = run(config)
-        assert result.sensitivity
-        assert result.sensitivity[0].s_bar.shape == (2,)
-        assert np.all(result.sensitivity[0].eta >= 1.0)
+        snapshots = [b for b in result.blocks if b.s_bar is not None]
+        assert snapshots
+        assert snapshots[0].s_bar.shape == (2,)
+        assert np.all(snapshots[0].eta >= 1.0)

@@ -34,7 +34,7 @@ class TestSLHC:
 
     def test_n2_one_point_per_half(self):
         design = sample_slhc(unit_space(1), 2, RandomStream(3))
-        pts = np.sort(design.points.ravel())
+        pts = np.sort(design.ravel())
         assert pts[0] < 0.5 < pts[1]
         assert pts[0] + pts[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -42,14 +42,14 @@ class TestSLHC:
         space = unit_space(3)
         for seed in range(5):
             design = sample_slhc(space, 8, RandomStream(seed))
-            strata = stratum_indices(design.points, space, 8)
+            strata = stratum_indices(design, space, 8)
             for j in range(3):
                 assert sorted(strata[:, j]) == list(range(8))
 
     def test_quartiles_n4(self):
         space = unit_space(2)
         design = sample_slhc(space, 4, RandomStream(11))
-        strata = stratum_indices(design.points, space, 4)
+        strata = stratum_indices(design, space, 4)
         for j in range(2):
             assert sorted(strata[:, j]) == [0, 1, 2, 3]
 
@@ -58,7 +58,7 @@ class TestSLHC:
         n = 10
         design = sample_slhc(space, n, RandomStream(5))
         for j in range(2):
-            sums = np.sort(design.points[: n // 2, j] + design.points[n // 2 :, j])
+            sums = np.sort(design[: n // 2, j] + design[n // 2 :, j])
             target = space.lower[j] + space.upper[j]
             stratum_width = space.span[j] / n
             assert np.all(np.abs(sums - target) < stratum_width)
@@ -71,20 +71,20 @@ class TestSLHC:
         )
         design = sample_slhc(space, 100, RandomStream(17))
         center = (space.lower + space.upper) / 2
-        assert np.allclose(design.points.mean(axis=0), center, atol=1e-9)
+        assert np.allclose(design.mean(axis=0), center, atol=1e-9)
 
 
 class TestLHC:
     def test_one_point_per_third(self):
         space = unit_space(1)
         design = sample_lhc(space, 3, RandomStream(2))
-        strata = stratum_indices(design.points, space, 3)
+        strata = stratum_indices(design, space, 3)
         assert sorted(strata[:, 0]) == [0, 1, 2]
 
     def test_stratification_exact(self):
         space = unit_space(4)
         design = sample_lhc(space, 7, RandomStream(9))
-        strata = stratum_indices(design.points, space, 7)
+        strata = stratum_indices(design, space, 7)
         for j in range(4):
             assert sorted(strata[:, j]) == list(range(7))
 
@@ -93,8 +93,8 @@ class TestMC:
     def test_single_point_in_box(self):
         space = ParameterSpace(("a",), [3.0], [4.0])
         design = sample_mc(space, 1, RandomStream(0))
-        assert design.points.shape == (1, 1)
-        assert 3.0 <= design.points[0, 0] <= 4.0
+        assert design.shape == (1, 1)
+        assert 3.0 <= design[0, 0] <= 4.0
 
 
 class TestSobol:
@@ -102,23 +102,22 @@ class TestSobol:
         # canonical unscrambled base-2 sequence in two dimensions
         design = sample_sobol(unit_space(2), 4, RandomStream(0))
         expected = np.array([[0.0, 0.0], [0.5, 0.5], [0.75, 0.25], [0.25, 0.75]])
-        assert np.allclose(design.points, expected)
+        assert np.allclose(design, expected)
 
     def test_halves_equidistribute(self):
         design = sample_sobol(unit_space(2), 4, RandomStream(0))
         for j in range(2):
-            assert np.sum(design.points[:, j] < 0.5) == 2
+            assert np.sum(design[:, j] < 0.5) == 2
 
     def test_high_dimension_falls_back_with_warning(self):
         space = unit_space(80)
         with pytest.warns(UserWarning, match="falling back"):
             design = sample_sobol(space, 8, RandomStream(1))
-        assert design.scheme == "sobol"
-        assert design.points.shape == (8, 80)
+        assert design.shape == (8, 80)
 
     def test_nonpow2_count(self):
         design = sample_sobol(unit_space(3), 5, RandomStream(0))
-        assert design.points.shape == (5, 3)
+        assert design.shape == (5, 3)
 
     @pytest.mark.parametrize("dim", range(1, SOBOL_MAX_DIM + 1))
     def test_equals_scipy_unscrambled_sequence(self, dim):
@@ -128,7 +127,7 @@ class TestSobol:
             design = sample_sobol(unit_space(dim), n, RandomStream(0))
             m = (n - 1).bit_length()
             expected = qmc.Sobol(dim, scramble=False).random_base2(m)[:n]
-            assert np.array_equal(design.points, expected), n
+            assert np.array_equal(design, expected), n
 
     def test_count_above_2_to_30_rejected(self):
         with pytest.raises(ValueError, match="at most 2\\*\\*30"):
@@ -170,8 +169,8 @@ def test_bounds_respected(seed, n_points, dim, scheme):
     space = ParameterSpace(tuple(f"x{i}" for i in range(dim)), lower, upper)
     sampler = {"lhc": sample_lhc, "mc": sample_mc, "sobol": sample_sobol}[scheme]
     design = sampler(space, n_points, RandomStream(seed))
-    assert np.all(design.points >= space.lower - 1e-12)
-    assert np.all(design.points <= space.upper + 1e-12)
+    assert np.all(design >= space.lower - 1e-12)
+    assert np.all(design <= space.upper + 1e-12)
 
 
 @given(seed=st.integers(0, 10_000), half=st.integers(1, 16), dim=st.integers(1, 8))
@@ -183,7 +182,7 @@ def test_slhc_bounds_and_symmetry(seed, half, dim):
     space = ParameterSpace(tuple(f"x{i}" for i in range(dim)), lower, upper)
     n = 2 * half
     design = sample_slhc(space, n, RandomStream(seed))
-    assert np.all(design.points >= space.lower - 1e-12)
-    assert np.all(design.points <= space.upper + 1e-12)
-    sums = design.points[:half] + design.points[half:]
+    assert np.all(design >= space.lower - 1e-12)
+    assert np.all(design <= space.upper + 1e-12)
+    sums = design[:half] + design[half:]
     assert np.allclose(sums, space.lower + space.upper, atol=1e-9)
