@@ -4,8 +4,9 @@ A joint differentiable model learns objectives and constraint feasibility
 from every true evaluation; its input gradients steer candidate batches
 toward feasible, high-quality regions, hybridized with an NSGA-II loop.
 
-Each exported name loads its submodule on first use (PEP 562), so neither
-``import surmoo`` nor ``surmoo report`` loads the optimizer.
+Each exported name loads its submodule on first use (PEP 562). A bare
+``import surmoo`` loads none, ``surmoo report`` the log readers and a config
+load `config`; ``surmoo run`` adds the optimizer, and a fit the surrogate.
 """
 
 import importlib
@@ -17,11 +18,11 @@ _SUBMODULE = {
     for module, names in {
         "core": ("EvaluationRecord", "ParameterSpace", "ParetoArchive", "Provenance",
                  "RandomStream", "RunHistory", "is_feasible"),
-        "engine": ("RunConfig", "RunResult", "SensitivityConfig", "run"),
-        "feasolve": ("FeasolveConfig",),
+        "config": ("FeasolveConfig", "RunConfig", "SensitivityConfig", "SurrogateConfig"),
+        "engine": ("RunResult", "run"),
         "problems": ("PROBLEM_REGISTRY", "ProblemDefinition", "get_problem"),
         "stopping": ("StopConfig",),
-        "surrogate": ("JointSurrogate", "SurrogateConfig"),
+        "surrogate": ("JointSurrogate",),
     }.items()
     for name in names
 }

@@ -28,7 +28,6 @@ logger = logging.getLogger("surmoo")
 
 
 def cmd_run(config_path: str, seed: int | None, out_dir: str) -> int:
-    from . import engine
     try:
         config = runio.load_config(config_path)
     except (runio.ConfigError, OSError) as exc:
@@ -42,13 +41,18 @@ def cmd_run(config_path: str, seed: int | None, out_dir: str) -> int:
         return 2
     if seed is not None:
         config.seed = seed
+    from . import engine  # only a valid config loads the optimizer
     try:
         result = engine.run(config)
     except Exception as exc:
         logger.debug("run failed", exc_info=True)
         print(f"error: run failed: {exc}", file=sys.stderr)
         return 1
-    out = runio.write_run_directory(result, out_dir)
+    try:
+        out = runio.write_run_directory(result, out_dir)
+    except OSError as exc:
+        print(f"error: could not write run directory {out_dir}: {exc}", file=sys.stderr)
+        return 2
     final = result.history.epoch_metrics[-1]
     print(
         f"run complete: {len(result.history)} evaluations over "

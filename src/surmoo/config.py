@@ -1,0 +1,147 @@
+"""`RunConfig` and its sections, with their checks: the one home of the config
+layout, which `runio` reads through `dataclasses.fields`. Loads no optimizer."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .problems import check_problem_params
+from .sampling import check_design_size
+from .stopping import StopConfig
+
+__all__ = ["RunConfig", "SensitivityConfig", "SurrogateConfig", "FeasolveConfig",
+           "DYNAMIC_SUB_BLOCKS", "MODES", "OBJECTIVE_LOSSES", "TARGETS"]
+
+DYNAMIC_SUB_BLOCKS = 4
+MODES = ("o", "c", "c+o")
+OBJECTIVE_LOSSES = ("mse", "huber", "log_cosh", "weighted_log_cosh", "distance_mse", "relative")
+TARGETS = ("objective", "constraint", "distance", "zero")
+
+
+@dataclass
+class SurrogateConfig:
+    enabled: bool = True  # read by the engine; False runs plain NSGA-II epochs
+    mode: str = "c+o"
+    blocks: int = 2
+    block_dim: int = 192
+    hidden_multiplier: float = 2.0
+    dropout: tuple[float, float] = (0.15, 0.0)
+    learning_rate: float = 0.001
+    batch_size: int = 2048
+    folds: int = 3
+    activation: str = "softplus"
+    objective_loss: str = "mse"
+    outlier_threshold: float | None = None
+    exclude_infeasible: bool = False
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        if self.blocks < 1 or self.block_dim < 1:
+            raise ValueError("blocks and block_dim must be positive")
+        if self.activation not in ("softplus", "relu"):
+            raise ValueError("activation must be 'softplus' or 'relu'")
+        if self.objective_loss not in OBJECTIVE_LOSSES:
+            raise ValueError(f"objective_loss must be one of {OBJECTIVE_LOSSES}")
+        self.dropout = tuple(float(p) for p in self.dropout)
+        if len(self.dropout) != 2 or not all(0.0 <= p < 1.0 for p in self.dropout):
+            raise ValueError("dropout must hold two probabilities in [0, 1)")
+        if self.folds < 2 or self.batch_size < 1 or self.hidden_dim < 1:
+            raise ValueError("need folds >= 2, batch_size >= 1, hidden_multiplier * block_dim >= 1")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be positive")
+        if self.outlier_threshold is not None:
+            self.outlier_threshold = float(self.outlier_threshold)
+
+    @property
+    def hidden_dim(self) -> int:
+        return int(self.hidden_multiplier * self.block_dim)
+
+
+@dataclass
+class FeasolveConfig:
+    enabled: bool = False  # read by the engine, like trace_samples
+    targets: tuple[str, ...] = ("objective", "constraint")
+    max_iters: int = 1000
+    learning_rate: float = 0.001
+    plateau_window: int = 50
+    plateau_ratio: float = 0.01
+    reference_factor: float = 1.1
+    focal_gamma: float = 2.0
+    focal_alpha: float = 0.25
+    trace_samples: int = 0  # explorers replaced by trace re-anchoring points
+
+    def __post_init__(self):
+        if self.trace_samples < 0:
+            raise ValueError("trace_samples must be non-negative")
+        # a window of 0 reads the whole loss list and reports a plateau
+        # after the first step; a negative one slices from the front
+        if self.max_iters < 1 or self.plateau_window < 1:
+            raise ValueError("max_iters and plateau_window must be at least 1")
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be positive")
+        self.targets = tuple(self.targets)
+        if not self.targets:
+            raise ValueError("at least one descent target is required")
+        unknown = set(self.targets) - set(TARGETS)
+        if unknown:
+            raise ValueError(f"unknown descent targets: {sorted(unknown)}")
+
+
+@dataclass
+class SensitivityConfig:
+    enabled: bool = False
+    inverted: bool = False
+
+
+@dataclass
+class RunConfig:
+    """One run. The YAML config file has exactly this layout: each field is a
+    key, and each dataclass-valued field is a section (see `runio`), `stop`
+    among them (see `stopping`)."""
+
+    problem: str
+    problem_params: dict = field(default_factory=dict)
+    seed: int = 0
+    epochs: int = 25
+    stop: StopConfig = field(default_factory=StopConfig)
+    population_size: int = 100  # candidates evaluated per epoch
+    generations: int = 10
+    initial_samples: int = 100
+    sampler: str = "slhc"
+    workers: int = 1
+    dynamic_sampling: bool = False  # four refits per epoch; see `engine`
+    export_traces: bool = False
+    save_surrogates: bool = False
+    surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
+    feasolve: FeasolveConfig = field(default_factory=FeasolveConfig)
+    sensitivity: SensitivityConfig = field(default_factory=SensitivityConfig)
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
+        if self.population_size < 2:
+            raise ValueError("population_size must be at least 2")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
+        if self.dynamic_sampling and self.population_size % DYNAMIC_SUB_BLOCKS:
+            raise ValueError(
+                f"dynamic sampling splits epochs into {DYNAMIC_SUB_BLOCKS} "
+                "sub-iterations; population_size must be divisible by 4"
+            )
+        explorers = self.population_size // self.sub_blocks // 2
+        if self.feasolve.trace_samples > explorers:
+            raise ValueError(
+                f"trace_samples cannot exceed the explorer half of a sub-block ({explorers})"
+            )
+        try:
+            check_design_size(self.sampler, self.initial_samples)
+        except ValueError as exc:
+            raise ValueError(
+                f"sampler {self.sampler!r} with initial_samples {self.initial_samples}: {exc}"
+            ) from None
+        check_problem_params(self.problem, self.problem_params)
+
+    @property
+    def sub_blocks(self) -> int:
+        return DYNAMIC_SUB_BLOCKS if self.dynamic_sampling else 1

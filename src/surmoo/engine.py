@@ -15,7 +15,10 @@ of adding evaluations.
 a `SubBlock` record of it (see that class) with its model; `run` keeps the
 records in `RunResult.blocks` and reads each epoch's mode, descent steps and
 NRMSE from them. The model stays out of the record, so a run keeps only the
-models that ``save_surrogates`` asks for.
+models that ``save_surrogates`` asks for. The surrogate stack (`surrogate`,
+`feasolve`, `sensitivity`) loads on the first fit: training and sensitivity
+go through this module's delegates `train_surrogate` and
+`compute_elasticities`, which tests and tracing patch.
 
 With ``dynamic_sampling`` an epoch runs as four sub-blocks of
 population_size / 4 candidates each, and the surrogate is refit on the
@@ -39,11 +42,12 @@ import logging
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import feasolve as fs
 from . import moea
+from .config import DYNAMIC_SUB_BLOCKS, RunConfig, SensitivityConfig
 from .core import (
     EpochMetrics,
     EvaluationRecord,
@@ -55,18 +59,16 @@ from .core import (
 )
 from .evaluator import evaluate_batch
 from .metrics import normalized_hypervolume, nrmse, set_coverage, shared_normalization
-from .problems import ProblemDefinition, check_problem_params, get_problem
-from .sensitivity import compute_elasticities, indices_from_sensitivity, invert_indices
-from .stopping import StopConfig
-from .surrogate import JointSurrogate, SurrogateConfig, TrainingSchedule
-from .surrogate import train as train_surrogate
-from .sampling import check_design_size, get_sampler, sample_mc
+from .problems import ProblemDefinition, get_problem
+from .sampling import get_sampler, sample_mc
+
+if TYPE_CHECKING:  # the surrogate stack loads on the first fit
+    from .feasolve import DescentTrace
+    from .surrogate import JointSurrogate, TrainingSchedule
 
 logger = logging.getLogger("surmoo")
 
 __all__ = [
-    "RunConfig",
-    "SensitivityConfig",
     "RunResult",
     "SubBlock",
     "run",
@@ -75,67 +77,7 @@ __all__ = [
     "recompute_metrics",
 ]
 
-DYNAMIC_SUB_BLOCKS = 4
 MIN_CONSTRAINT_PATTERNS = 3
-
-
-@dataclass
-class SensitivityConfig:
-    enabled: bool = False
-    inverted: bool = False
-
-
-@dataclass
-class RunConfig:
-    """One run. The YAML config file has exactly this layout: each field is a
-    key, and each dataclass-valued field is a section (see `runio`), `stop`
-    among them (see `stopping`)."""
-
-    problem: str
-    problem_params: dict = field(default_factory=dict)
-    seed: int = 0
-    epochs: int = 25
-    stop: StopConfig = field(default_factory=StopConfig)
-    population_size: int = 100  # candidates evaluated per epoch
-    generations: int = 10
-    initial_samples: int = 100
-    sampler: str = "slhc"
-    workers: int = 1
-    dynamic_sampling: bool = False  # four refits per epoch; see the module docstring
-    export_traces: bool = False
-    save_surrogates: bool = False
-    surrogate: SurrogateConfig = field(default_factory=SurrogateConfig)
-    feasolve: fs.FeasolveConfig = field(default_factory=fs.FeasolveConfig)
-    sensitivity: SensitivityConfig = field(default_factory=SensitivityConfig)
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.dynamic_sampling and self.population_size % DYNAMIC_SUB_BLOCKS:
-            raise ValueError(
-                f"dynamic sampling splits epochs into {DYNAMIC_SUB_BLOCKS} "
-                "sub-iterations; population_size must be divisible by 4"
-            )
-        explorers = self.population_size // self.sub_blocks // 2
-        if self.feasolve.trace_samples > explorers:
-            raise ValueError(
-                f"trace_samples cannot exceed the explorer half of a sub-block ({explorers})"
-            )
-        try:
-            check_design_size(self.sampler, self.initial_samples)
-        except ValueError as exc:
-            raise ValueError(
-                f"sampler {self.sampler!r} with initial_samples {self.initial_samples}: {exc}"
-            ) from None
-        check_problem_params(self.problem, self.problem_params)
-
-    @property
-    def sub_blocks(self) -> int:
-        return DYNAMIC_SUB_BLOCKS if self.dynamic_sampling else 1
 
 
 @dataclass
@@ -151,7 +93,7 @@ class SubBlock:
     s_bar: np.ndarray | None
     eta: np.ndarray
     descent_steps: int
-    trace: fs.DescentTrace | None
+    trace: DescentTrace | None
     records: list[EvaluationRecord]
     objective_pairs: list[tuple[np.ndarray, np.ndarray]]
 
@@ -201,6 +143,16 @@ def _archive_hv(archive: ParetoArchive, history: RunHistory) -> float:
         return 0.0
     context = shared_normalization([np.array([r.objectives for r in feasible])])
     return normalized_hypervolume(archive.objectives(), context)
+
+
+def train_surrogate(*args, **kwargs):
+    from .surrogate import train
+    return train(*args, **kwargs)
+
+
+def compute_elasticities(model, inputs):
+    from .sensitivity import compute_elasticities
+    return compute_elasticities(model, inputs)
 
 
 def _select_parents(
@@ -350,6 +302,7 @@ def _sub_block(config, problem, history, archive, mode, epoch, sub, stream, fitt
 
     eta = np.full(space.dim, moea.ETA_DEFAULT)
     if model is not None and config.sensitivity.enabled and model.has_objective_head:
+        from .sensitivity import indices_from_sensitivity, invert_indices
         s_bar = compute_elasticities(model, x)
         eta = indices_from_sensitivity(s_bar)
         if config.sensitivity.inverted:
@@ -393,6 +346,7 @@ def _feasolve_stage(candidates, model, config, x, y, epoch):
     parameters and objectives, for the distance and nadir targets. Returns
     the batch, its provenances and the descent trace, which is None when no
     descent ran and the candidates come back unchanged."""
+    from . import feasolve as fs
     targets = _usable_targets(config.feasolve.targets, model)
     if targets:
         objs, feas = moea.ranking_inputs(model.predict, candidates)

@@ -10,7 +10,6 @@ whose evaluation raises is retried once and then recorded as a NaN
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -61,5 +60,6 @@ def evaluate_batch(
     run_one = partial(_run_one, problem)
     if workers == 1:
         return [run_one(x) for x in params]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_one, params))

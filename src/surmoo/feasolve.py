@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import TARGETS, FeasolveConfig
 from .core import expit
 from .moea import RankedPopulation
 from .surrogate import InputPass, JointSurrogate
 
 __all__ = [
-    "FeasolveConfig",
     "DescentTrace",
     "TraceStep",
     "loss_objective",
@@ -36,37 +36,6 @@ __all__ = [
 ]
 
 EPS = 1e-12
-TARGETS = ("objective", "constraint", "distance", "zero")
-
-
-@dataclass
-class FeasolveConfig:
-    enabled: bool = False  # read by the engine, like trace_samples
-    targets: tuple[str, ...] = ("objective", "constraint")
-    max_iters: int = 1000
-    learning_rate: float = 0.001
-    plateau_window: int = 50
-    plateau_ratio: float = 0.01
-    reference_factor: float = 1.1
-    focal_gamma: float = 2.0
-    focal_alpha: float = 0.25
-    trace_samples: int = 0  # explorers replaced by trace re-anchoring points
-
-    def __post_init__(self):
-        if self.trace_samples < 0:
-            raise ValueError("trace_samples must be non-negative")
-        # a window of 0 reads the whole loss list and reports a plateau
-        # after the first step; a negative one slices from the front
-        if self.max_iters < 1 or self.plateau_window < 1:
-            raise ValueError("max_iters and plateau_window must be at least 1")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be positive")
-        self.targets = tuple(self.targets)
-        if not self.targets:
-            raise ValueError("at least one descent target is required")
-        unknown = set(self.targets) - set(TARGETS)
-        if unknown:
-            raise ValueError(f"unknown descent targets: {sorted(unknown)}")
 
 
 @dataclass

@@ -23,7 +23,6 @@ a dynamic-sampling epoch stay apart.
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import json
 import math
 from dataclasses import MISSING
@@ -34,8 +33,9 @@ import numpy as np
 
 from .core import EvaluationRecord, EpochMetrics
 
-if TYPE_CHECKING:  # yaml and the optimizer load where a config is read or written
-    from .engine import RunConfig, RunResult
+if TYPE_CHECKING:  # yaml and the config classes load where a config is read or written
+    from .config import RunConfig
+    from .engine import RunResult
 
 __all__ = [
     "ConfigError",
@@ -72,48 +72,43 @@ class ConfigError(ValueError):
     pass
 
 
-def _key_lines(text: str) -> dict[str, int]:
-    """Map dotted key paths to 1-based line numbers using the YAML node
-    graph; best effort, used only for diagnostics."""
+def _key_lines(node, prefix: str = "") -> dict[str, int]:
+    """Map the dotted key paths under the YAML node ``node`` to 1-based line
+    numbers; used only for error messages."""
     import yaml
     lines: dict[str, int] = {}
-    try:
-        root = yaml.compose(text, Loader=yaml.SafeLoader)
-    except yaml.YAMLError:
-        return lines
-    if root is None:
-        return lines
-
-    def walk(node, prefix: str):
-        if isinstance(node, yaml.MappingNode):
-            for key_node, value_node in node.value:
-                path = f"{prefix}.{key_node.value}" if prefix else str(key_node.value)
-                lines[path] = key_node.start_mark.line + 1
-                walk(value_node, path)
-
-    walk(root, "")
+    if isinstance(node, yaml.MappingNode):
+        for key_node, value_node in node.value:
+            path = f"{prefix}.{key_node.value}" if prefix else str(key_node.value)
+            lines[path] = key_node.start_mark.line + 1
+            lines.update(_key_lines(value_node, path))
     return lines
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a YAML run configuration."""
+    """Parse and validate a YAML run configuration. The text is composed
+    once; the data and the key line map are both read off its node graph."""
     import yaml
-    text = Path(path).read_text()
+    loader = yaml.SafeLoader(Path(path).read_text())
     try:
-        data = yaml.safe_load(text)
+        root = loader.get_single_node()
+        lines = _key_lines(root)
+        data = None if root is None else loader.construct_document(root)
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from None
+    finally:
+        loader.dispose()
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    return build_run_config(data, _key_lines(text))
+    return build_run_config(data, lines)
 
 
 def build_run_config(data: dict, lines: dict[str, int] | None = None) -> RunConfig:
     """Build a `RunConfig` from a parsed config mapping; ``lines`` maps dotted
     key paths to line numbers for error messages."""
-    from .engine import RunConfig
+    from .config import RunConfig
     return _build(RunConfig, data, lines or {}, "")
 
 
@@ -123,6 +118,7 @@ def _build(cls, data: dict, lines: dict[str, int], prefix: str):
     for key, value in data.items():
         path = f"{prefix}.{key}" if prefix else str(key)
         if key not in fields:
+            import difflib
             suggestion = difflib.get_close_matches(str(key), list(fields), n=1)
             hint = f"; did you mean {suggestion[0]!r}?" if suggestion else ""
             raise ConfigError(f"unknown config key {_at(path, lines)}{hint}")
@@ -246,7 +242,6 @@ def _metrics_row(m: EpochMetrics) -> str:
 
 def write_run_directory(result: RunResult, out_dir) -> Path:
     import yaml
-    from .surrogate import save_checkpoint
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / CONFIG_FILE).write_text(
@@ -293,6 +288,7 @@ def write_run_directory(result: RunResult, out_dir) -> Path:
                         }
                         fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
     if result.surrogates:
+        from .surrogate import save_checkpoint
         ckpt_dir = out / "surrogates"
         ckpt_dir.mkdir(exist_ok=True)
         for epoch, model in result.surrogates:

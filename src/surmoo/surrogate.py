@@ -31,10 +31,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import Tensor, layer_norm
+from .config import MODES, OBJECTIVE_LOSSES, SurrogateConfig
 from .core import ParameterSpace, RandomStream, expit
 
 __all__ = [
-    "SurrogateConfig",
     "TrainingSchedule",
     "OutputNormalizer",
     "JointSurrogate",
@@ -50,48 +50,6 @@ ADAM_EPS = 1e-8
 # a Python float, not np.log(2.0): a float64 scalar would promote float32
 # arrays to float64 under numpy 2's promotion rules
 LOG_2 = float(np.log(2.0))
-MODES = ("o", "c", "c+o")
-OBJECTIVE_LOSSES = ("mse", "huber", "log_cosh", "weighted_log_cosh", "distance_mse", "relative")
-
-
-@dataclass
-class SurrogateConfig:
-    enabled: bool = True  # read by the engine; False runs plain NSGA-II epochs
-    mode: str = "c+o"
-    blocks: int = 2
-    block_dim: int = 192
-    hidden_multiplier: float = 2.0
-    dropout: tuple[float, float] = (0.15, 0.0)
-    learning_rate: float = 0.001
-    batch_size: int = 2048
-    folds: int = 3
-    activation: str = "softplus"
-    objective_loss: str = "mse"
-    outlier_threshold: float | None = None
-    exclude_infeasible: bool = False
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.blocks < 1 or self.block_dim < 1:
-            raise ValueError("blocks and block_dim must be positive")
-        if self.activation not in ("softplus", "relu"):
-            raise ValueError("activation must be 'softplus' or 'relu'")
-        if self.objective_loss not in OBJECTIVE_LOSSES:
-            raise ValueError(f"objective_loss must be one of {OBJECTIVE_LOSSES}")
-        self.dropout = tuple(float(p) for p in self.dropout)
-        if len(self.dropout) != 2 or not all(0.0 <= p < 1.0 for p in self.dropout):
-            raise ValueError("dropout must hold two probabilities in [0, 1)")
-        if self.folds < 2 or self.batch_size < 1 or self.hidden_dim < 1:
-            raise ValueError("need folds >= 2, batch_size >= 1, hidden_multiplier * block_dim >= 1")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.outlier_threshold is not None:
-            self.outlier_threshold = float(self.outlier_threshold)
-
-    @property
-    def hidden_dim(self) -> int:
-        return int(self.hidden_multiplier * self.block_dim)
 
 
 def epoch_budget(n_samples: int) -> tuple[int, int]:

@@ -14,7 +14,7 @@ import yaml
 
 import surmoo
 
-from surmoo import engine
+from surmoo import engine, runio
 from surmoo.cli import cmd_bench, cmd_report, cmd_run, main
 from surmoo.core import EvaluationRecord, ParetoArchive, RunHistory
 from surmoo.core import EpochMetrics
@@ -98,6 +98,20 @@ class TestConfigLoading:
         lineno = next(i + 1 for i, l in enumerate(lines) if l.startswith("generatons"))
         with pytest.raises(ConfigError, match=f"line {lineno}"):
             load_config(write_config(tmp_path, text))
+
+    def test_config_text_is_composed_once(self, tmp_path, monkeypatch):
+        # the key line map is read off the node graph that the data is
+        # constructed from, not from a second parse of the text
+        composed = []
+        compose = yaml.SafeLoader.get_single_node
+        monkeypatch.setattr(
+            yaml.SafeLoader, "get_single_node", lambda self: composed.append(1) or compose(self)
+        )
+        assert load_config(write_config(tmp_path)).problem == "two_sphere"
+        assert composed == [1]
+        with pytest.raises(ConfigError, match="'generatons' at line 13"):
+            load_config(write_config(tmp_path, MINIMAL_CONFIG + "generatons: 3\n"))
+        assert composed == [1, 1]
 
     def test_nested_unknown_key(self, tmp_path):
         text = MINIMAL_CONFIG.replace("  mode: o", "  mode: o\n  blockdim: 4")
@@ -386,6 +400,17 @@ class TestCmdRun:
         assert (tmp_path / "taken").read_text() == "keep me\n"
 
 
+    def test_failed_write_after_the_run_exits_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(result, out_dir):
+            raise PermissionError(13, "Permission denied", str(out_dir))
+
+        monkeypatch.setattr(runio, "write_run_directory", refuse)
+        assert cmd_run(str(write_config(tmp_path)), None, str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: could not write run directory {tmp_path / 'out'}: ")
+        assert "Permission denied" in err
+
+
 class TestLogs:
     def test_float_round_trip_bit_exact(self, tmp_path):
         values = np.array([0.1, 1e-17, np.pi, np.nextafter(1.0, 2.0)])
@@ -567,11 +592,21 @@ import json, sys
 import surmoo
 bare = list(sys.modules)
 from surmoo import cli
-if len(sys.argv) > 1:
-    assert cli.main(sys.argv[1:]) == 0
+status = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 watched = lambda names: sorted(m for m in names if m.startswith(("scipy", "surmoo", "yaml")))
-print(json.dumps({"import surmoo": watched(bare), "loaded": watched(sys.modules)}))
+print(json.dumps({"import surmoo": watched(bare), "loaded": watched(sys.modules), "status": status}))
 """
+
+# the benchmark's setup statement: import surmoo and load one config
+LOAD_CONFIG_PROBE = """\
+import json, sys, surmoo
+from surmoo import runio
+runio.load_config(sys.argv[1])
+print(json.dumps({"loaded": sorted(m for m in sys.modules if m.startswith("surmoo")), "status": 0}))
+"""
+
+SURROGATE_STACK = {"surmoo.surrogate", "surmoo.autodiff", "surmoo.feasolve", "surmoo.sensitivity"}
+OPTIMIZER = SURROGATE_STACK | {"surmoo.engine", "surmoo.moea", "surmoo.metrics", "surmoo.evaluator"}
 
 # joint surrogate with descent and sensitivity: every code path that takes a
 # sigmoid (training, constraint predictions, BCE and descent gradients)
@@ -589,15 +624,19 @@ sensitivity: {enabled: true}
 """
 
 
-def _modules_loaded(*argv) -> dict[str, list[str]]:
+def _modules_loaded(*argv, probe=MODULES_PROBE, status=0) -> dict[str, list[str]]:
+    """The watched modules that ``probe`` has loaded once it ran with
+    ``argv``; the command must have exited with ``status``."""
     src = str(Path(surmoo.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", MODULES_PROBE, *argv],
+        [sys.executable, "-c", probe, *argv],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert loaded.pop("status") == status
+    return loaded
 
 
 def _scipy_modules_loaded(*argv) -> list[str]:
@@ -642,17 +681,49 @@ class TestStartup:
             "surmoo", "surmoo.cli", "surmoo.core", "surmoo.metrics", "surmoo.runio",
         ]
 
+    # a config load, the benchmark's setup statement, reads the config
+    # classes and their checks; a run loads the optimizer once its config
+    # checks out, and the surrogate stack only once it fits a surrogate
+    def test_config_load_loads_no_optimizer_module(self, tmp_path):
+        config = write_config(tmp_path, JOINT_CONFIG)
+        loaded = _modules_loaded(str(config), probe=LOAD_CONFIG_PROBE)["loaded"]
+        assert "surmoo.config" in loaded
+        assert OPTIMIZER.isdisjoint(loaded)
+
+    def test_surrogate_off_run_leaves_the_surrogate_stack_unloaded(self, tmp_path):
+        config = write_config(tmp_path, MINIMAL_CONFIG + "  enabled: false\n")
+        out = tmp_path / "out"
+        loaded = _modules_loaded("run", "--config", str(config), "--out", str(out))["loaded"]
+        assert "surmoo.engine" in loaded
+        assert SURROGATE_STACK.isdisjoint(loaded)
+        assert {row["mode"] for row in read_metrics(out)} == {"-", "none"}
+
+    def test_joint_run_loads_the_surrogate_stack(self, tmp_path):
+        config = write_config(tmp_path, JOINT_CONFIG)
+        loaded = _modules_loaded(
+            "run", "--config", str(config), "--out", str(tmp_path / "out")
+        )["loaded"]
+        assert OPTIMIZER <= set(loaded)
+
+    def test_invalid_config_exits_2_before_loading_the_engine(self, tmp_path):
+        config = write_config(tmp_path, MINIMAL_CONFIG + "epochs: 0\n")
+        loaded = _modules_loaded(
+            "run", "--config", str(config), "--out", str(tmp_path / "out"), status=2
+        )["loaded"]
+        assert "surmoo.config" in loaded
+        assert "surmoo.engine" not in loaded
+
     def test_every_exported_name_is_its_defining_modules_object(self):
-        from surmoo import core, feasolve, problems, stopping, surrogate
+        from surmoo import config, core, problems, stopping, surrogate
 
         defined_in = {
             core: ["EvaluationRecord", "ParameterSpace", "ParetoArchive", "Provenance",
                    "RandomStream", "RunHistory", "is_feasible"],
-            engine: ["RunConfig", "RunResult", "SensitivityConfig", "run"],
-            feasolve: ["FeasolveConfig"],
+            config: ["FeasolveConfig", "RunConfig", "SensitivityConfig", "SurrogateConfig"],
+            engine: ["RunResult", "run"],
             problems: ["PROBLEM_REGISTRY", "ProblemDefinition", "get_problem"],
             stopping: ["StopConfig"],
-            surrogate: ["JointSurrogate", "SurrogateConfig"],
+            surrogate: ["JointSurrogate"],
         }
         names = [name for names in defined_in.values() for name in names]
         assert sorted(names + ["__version__"]) == sorted(surmoo.__all__)
