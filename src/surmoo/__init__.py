@@ -6,7 +6,7 @@ toward feasible, high-quality regions, hybridized with an NSGA-II loop.
 
 Each exported name loads its submodule on first use (PEP 562). A bare
 ``import surmoo`` loads none, ``surmoo report`` the log readers and a config
-load `config`; ``surmoo run`` adds the optimizer, and a fit the surrogate.
+load `config`; ``surmoo run`` adds the optimizer, a fit the surrogate stack.
 """
 
 import importlib

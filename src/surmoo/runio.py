@@ -89,15 +89,15 @@ def load_config(path) -> RunConfig:
     """Parse and validate a YAML run configuration. The text is composed
     once; the data and the key line map are both read off its node graph."""
     import yaml
-    loader = yaml.SafeLoader(Path(path).read_text())
+    text = Path(path).read_text()
     try:
+        loader = yaml.SafeLoader(text)  # rejects unprintable characters
         root = loader.get_single_node()
         lines = _key_lines(root)
         data = None if root is None else loader.construct_document(root)
+        loader.dispose()
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from None
-    finally:
-        loader.dispose()
     if data is None:
         data = {}
     if not isinstance(data, dict):

@@ -113,6 +113,10 @@ class TestConfigLoading:
             load_config(write_config(tmp_path, MINIMAL_CONFIG + "generatons: 3\n"))
         assert composed == [1, 1]
 
+    def test_unprintable_character_is_a_parse_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="could not parse"):
+            load_config(write_config(tmp_path, MINIMAL_CONFIG + "seed: 3\x07\n"))
+
     def test_nested_unknown_key(self, tmp_path):
         text = MINIMAL_CONFIG.replace("  mode: o", "  mode: o\n  blockdim: 4")
         with pytest.raises(ConfigError, match="surrogate.blockdim"):
