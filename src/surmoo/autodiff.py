@@ -1,10 +1,10 @@
-"""Minimal reverse-mode automatic differentiation over numpy arrays.
+"""Minimal reverse-mode automatic differentiation over numpy arrays, and
+the surrogate's forward pass recorded on it (`surrogate_forward`).
 
-The program runs the surrogate's explicit passes and never records a tape.
-This module keeps the operations of the surrogate's tape form
-(`JointSurrogate.forward`) and of the training reference that the explicit
-passes are tested against. Arrays are float64 throughout so gradients agree
-tightly with central finite differences.
+No run imports this module: the program runs the surrogate's explicit
+passes. The tape serves the tests' bit-for-bit reference for those passes
+and the benchmark kernel ``kernel.fwd_bwd_2x192.ms``. Arrays are float64
+throughout so gradients agree tightly with central finite differences.
 
 A Tensor whose ``requires_grad`` is False is treated as a constant: no
 backward closure is recorded for it, so inference-only graphs cost a plain
@@ -16,11 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from .core import expit
+from .surrogate import LAYER_NORM_EPS
 
 __all__ = [
     "Tensor",
     "bce_with_logits",
     "layer_norm",
+    "surrogate_forward",
 ]
 
 
@@ -249,3 +251,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             x._accumulate((gx - mean_gx - x_hat * mean_gx_xhat) / sigma)
 
     return Tensor._make(out_data, (x, gamma, beta), backward)
+
+
+def surrogate_forward(model, params, x, train=False, dropout_rng=None):
+    """`JointSurrogate._forward`'s operations recorded on the tape, on a
+    parameter-space tensor ``x`` with the caller's leaf tensors ``params``
+    (keyed like ``model.params``) as the weights: (normalized-objective
+    predictions, constraint logits), None for an absent head. Dropout
+    applies only in training mode."""
+    p, cfg = params, model.config
+    x_unit = (x - Tensor(model.space.lower)) * Tensor(1.0 / model.space.span)
+    h = x_unit @ p["proj.w"] + p["proj.b"]
+    p1, p2 = cfg.dropout
+    softplus = cfg.activation == "softplus"
+    for i in range(cfg.blocks):
+        z = layer_norm(h, p[f"block{i}.ln_scale"], p[f"block{i}.ln_shift"], LAYER_NORM_EPS)
+        u = z @ p[f"block{i}.fc1.w"] + p[f"block{i}.fc1.b"]
+        a = _dropout(u.softplus() if softplus else u.relu(), p1, train, dropout_rng)
+        o = a @ p[f"block{i}.fc2.w"] + p[f"block{i}.fc2.b"]
+        h = h + _dropout(o, p2, train, dropout_rng)
+    y_out = h @ p["head_obj.w"] + p["head_obj.b"] if model.has_objective_head else None
+    c_out = h @ p["head_con.w"] + p["head_con.b"] if model.has_constraint_head else None
+    return y_out, c_out
+
+
+def _dropout(t: Tensor, p: float, train: bool, rng) -> Tensor:
+    if not train or p <= 0.0:
+        return t
+    mask = (rng.random(t.data.shape) >= p) / (1.0 - p)
+    return t * Tensor(mask)

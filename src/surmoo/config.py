@@ -118,12 +118,11 @@ class RunConfig:
     sensitivity: SensitivityConfig = field(default_factory=SensitivityConfig)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+        for name in ("epochs", "generations", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.dynamic_sampling and self.population_size % DYNAMIC_SUB_BLOCKS:
             raise ValueError(
                 f"dynamic sampling splits epochs into {DYNAMIC_SUB_BLOCKS} "

@@ -97,12 +97,11 @@ def crowding_distance(front_objectives: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RankedPopulation:
-    """Candidate rows with per-member front index, crowding, and feasibility."""
+    """Candidate rows with per-member front index and crowding."""
 
     members: np.ndarray
     front_index: np.ndarray
     crowding: np.ndarray
-    feasible: np.ndarray
     order: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -151,7 +150,7 @@ def rank_population(
     if bad.size:
         front_index[bad] = next_front
         crowding[bad] = 0.0
-    return RankedPopulation(members, front_index, crowding, feasible & valid)
+    return RankedPopulation(members, front_index, crowding)
 
 
 def constrained_tournament(
@@ -160,11 +159,10 @@ def constrained_tournament(
     ranked: RankedPopulation,
     rng: np.random.Generator,
 ) -> int:
-    """Binary tournament: feasible beats infeasible, then lower front,
-    then larger crowding, then a fair coin."""
-    fa, fb = ranked.feasible[index_a], ranked.feasible[index_b]
-    if fa != fb:
-        return index_a if fa else index_b
+    """Binary tournament: lower front, then larger crowding, then a fair
+    coin. `rank_population` puts every feasible, NaN-free member in a lower
+    front than any other, so feasible beats infeasible (Deb et al.'s
+    constrained domination, IEEE TEC 2002)."""
     ra, rb = ranked.front_index[index_a], ranked.front_index[index_b]
     if ra != rb:
         return index_a if ra < rb else index_b

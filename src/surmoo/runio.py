@@ -56,16 +56,11 @@ CONFIG_FILE = "config.yaml"
 SENSITIVITY_FILE = "sensitivity.csv"
 TRACES_FILE = "traces.ndjson"
 
-METRICS_COLUMNS = (
-    "epoch",
-    "cumulative_evals",
-    "hv_norm",
-    "feasible_count",
-    "nrmse",
-    "mode",
-    "feasolve_steps",
-    "wall_seconds",
-)
+# metrics.csv has a column per `EpochMetrics` field, written and parsed by
+# the field's type, which `core`'s postponed annotations give as its name
+METRICS_FIELDS = dataclasses.fields(EpochMetrics)
+METRICS_COLUMNS = tuple(f.name for f in METRICS_FIELDS)
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 class ConfigError(ValueError):
@@ -74,13 +69,19 @@ class ConfigError(ValueError):
 
 def _key_lines(node, prefix: str = "") -> dict[str, int]:
     """Map the dotted key paths under the YAML node ``node`` to 1-based line
-    numbers; used only for error messages."""
+    numbers, for error messages. A path written twice is a `ConfigError`:
+    YAML would keep the last of its values and drop the first unread."""
     import yaml
     lines: dict[str, int] = {}
     if isinstance(node, yaml.MappingNode):
         for key_node, value_node in node.value:
             path = f"{prefix}.{key_node.value}" if prefix else str(key_node.value)
-            lines[path] = key_node.start_mark.line + 1
+            line = key_node.start_mark.line + 1
+            if path in lines:
+                raise ConfigError(
+                    f"config key {path!r} is written twice, at lines {lines[path]} and {line}"
+                )
+            lines[path] = line
             lines.update(_key_lines(value_node, path))
     return lines
 
@@ -226,18 +227,9 @@ def _record_line(rec: EvaluationRecord) -> str:
 
 
 def _metrics_row(m: EpochMetrics) -> str:
-    return ",".join(
-        [
-            str(m.epoch),
-            str(m.cumulative_evals),
-            repr(float(m.hv_norm)),
-            str(m.feasible_count),
-            repr(float(m.nrmse)),
-            m.mode,
-            str(m.feasolve_steps),
-            repr(float(m.wall_seconds)),
-        ]
-    )
+    """A float field as its shortest round-trip repr, any other by ``str``."""
+    values = [(f.type, getattr(m, f.name)) for f in METRICS_FIELDS]
+    return ",".join(repr(float(v)) if kind == "float" else str(v) for kind, v in values)
 
 
 def write_run_directory(result: RunResult, out_dir) -> Path:
@@ -355,11 +347,8 @@ def read_metrics(run_dir) -> list[dict]:
             if not line.strip():
                 continue
             try:
-                row = dict(zip(METRICS_COLUMNS, line.strip().split(","), strict=True))
-                for key in ("epoch", "cumulative_evals", "feasible_count", "feasolve_steps"):
-                    row[key] = int(row[key])
-                for key in ("hv_norm", "nrmse", "wall_seconds"):
-                    row[key] = float(row[key])
+                values = zip(METRICS_FIELDS, line.strip().split(","), strict=True)
+                row = {f.name: _PARSERS[f.type](v) for f, v in values}
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad metrics row ({exc})") from None
             rows.append(row)

@@ -8,19 +8,20 @@ and a hand-written backward pass that writes every parameter gradient into
 one flat gradient vector (with closed-form output gradients for the BCE term
 and each objective loss) and returns the gradient at the input projection's
 output, from which `InputPass` takes input gradients without computing any
-parameter gradient. One vectorized Adam step updates one flat parameter
-vector, of which the ``params`` tensors are views. Each array operation is
-the one the autodiff tape (`forward`) would record, in the tape's order, so
-on float64 arrays the explicit passes agree with it bit for bit. The passes
-and Adam keep the dtype they are given. Every fit trains in float32, with
-float64 loss sums, and `train` upcasts the weights of the model it returns
-to float64, so prediction, input gradients and checkpoints run in float64
-on float32-representable weights. Residual blocks use layer
-normalization (not batch statistics), so a row's prediction and input
-gradient do not depend on the rest of its batch, up to rounding: BLAS picks
-its accumulation order per batch shape, so they may differ in the last bit.
-The default hidden activation is softplus so gradients are smooth
-everywhere; a ReLU mode is available.
+parameter gradient. The weights are plain arrays in ``params``; while a
+fit runs they are views of one flat parameter vector, which one vectorized
+Adam step updates. Each array operation is the one the tape form,
+`autodiff.surrogate_forward`, records, in the tape's order, so on float64
+arrays the explicit passes agree with it bit for bit; this module does not
+import the tape. The passes and Adam keep the dtype they are given. Every
+fit trains in float32, with float64 loss sums, and `train` upcasts the
+weights of the model it returns to float64, so prediction, input gradients
+and checkpoints run in float64 on float32-representable weights. Residual
+blocks use layer normalization (not batch statistics), so a row's
+prediction and input gradient do not depend on the rest of its batch, up to
+rounding: BLAS picks its accumulation order per batch shape, so they may
+differ in the last bit. The default hidden activation is softplus so
+gradients are smooth everywhere; a ReLU mode is available.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, layer_norm
 from .config import MODES, OBJECTIVE_LOSSES, SurrogateConfig
 from .core import ParameterSpace, RandomStream, expit
 
@@ -166,7 +166,7 @@ class JointSurrogate:
         self.has_constraint_head = "c" in config.mode and self.k > 0
         if not (self.has_objective_head or self.has_constraint_head):
             raise ValueError("surrogate has no active output head")
-        self.params: dict[str, Tensor] = {}
+        self.params: dict[str, np.ndarray] = {}
         self._init_weights(stream)
 
     # ------------------------------------------------------------------
@@ -175,8 +175,8 @@ class JointSurrogate:
         bound = fan_in**-0.5
         w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         b = rng.uniform(-bound, bound, size=(fan_out,))
-        self.params[f"{name}.w"] = Tensor(w, requires_grad=True)
-        self.params[f"{name}.b"] = Tensor(b, requires_grad=True)
+        self.params[f"{name}.w"] = w
+        self.params[f"{name}.b"] = b
 
     def _init_weights(self, stream: RandomStream) -> None:
         rng = stream.generator()
@@ -184,8 +184,8 @@ class JointSurrogate:
         n, d, h = self.space.dim, cfg.block_dim, cfg.hidden_dim
         self._dense_init(rng, n, d, "proj")
         for i in range(cfg.blocks):
-            self.params[f"block{i}.ln_scale"] = Tensor(np.ones(d), requires_grad=True)
-            self.params[f"block{i}.ln_shift"] = Tensor(np.zeros(d), requires_grad=True)
+            self.params[f"block{i}.ln_scale"] = np.ones(d)
+            self.params[f"block{i}.ln_shift"] = np.zeros(d)
             self._dense_init(rng, d, h, f"block{i}.fc1")
             self._dense_init(rng, h, d, f"block{i}.fc2")
         if self.has_objective_head:
@@ -195,39 +195,15 @@ class JointSurrogate:
 
     # ------------------------------------------------------------------
 
-    def forward(
-        self,
-        x: Tensor,
-        train: bool = False,
-        dropout_rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor | None, Tensor | None]:
-        """Raw heads on a parameter-space tensor, recorded on the autodiff
-        tape: (normalized-objective predictions, constraint logits). Dropout
-        is applied only in training mode. The program runs `_forward`; this
-        pass serves the tests' bit-for-bit training reference and the
-        ``kernel.fwd_bwd_2x192.ms`` benchmark kernel."""
-        p = self.params
-        x_unit = (x - Tensor(self.space.lower)) * Tensor(1.0 / self.space.span)
-        h = x_unit @ p["proj.w"] + p["proj.b"]
-        p1, p2 = self.config.dropout
-        softplus = self.config.activation == "softplus"
-        for i in range(self.config.blocks):
-            z = layer_norm(h, p[f"block{i}.ln_scale"], p[f"block{i}.ln_shift"], LAYER_NORM_EPS)
-            u = z @ p[f"block{i}.fc1.w"] + p[f"block{i}.fc1.b"]
-            a = self._dropout(u.softplus() if softplus else u.relu(), p1, train, dropout_rng)
-            o = a @ p[f"block{i}.fc2.w"] + p[f"block{i}.fc2.b"]
-            o = self._dropout(o, p2, train, dropout_rng)
-            h = h + o
-        y_out = h @ p["head_obj.w"] + p["head_obj.b"] if self.has_objective_head else None
-        c_out = h @ p["head_con.w"] + p["head_con.b"] if self.has_constraint_head else None
-        return y_out, c_out
-
-    @staticmethod
-    def _dropout(t: Tensor, p: float, train: bool, rng) -> Tensor:
-        if not train or p <= 0.0:
-            return t
-        mask = (rng.random(t.data.shape) >= p) / (1.0 - p)
-        return t * Tensor(mask)
+    def forward(self, x, train: bool = False, dropout_rng: np.random.Generator | None = None):
+        """`autodiff.surrogate_forward` on a parameter-space `autodiff.Tensor`
+        ``x``, with fresh leaf tensors for the weights. Its only caller is the
+        benchmark kernel ``kernel.fwd_bwd_2x192.ms`` (``surbench/kernels.py``);
+        it goes with the tape, once that kernel times `_forward` and
+        `_backward`."""
+        from . import autodiff
+        leaves = {name: autodiff.Tensor(w, requires_grad=True) for name, w in self.params.items()}
+        return autodiff.surrogate_forward(self, leaves, x, train, dropout_rng)
 
     # ------------------------------------------------------------------
     # explicit passes (training and batch prediction)
@@ -235,8 +211,9 @@ class JointSurrogate:
 
     def _unit(self, x: np.ndarray) -> np.ndarray:
         """Parameter-space rows mapped into the unit box, by the same array
-        operations as the first line of `forward`. Training, prediction and
-        the descent distance target all use this one map."""
+        operations as the first line of `autodiff.surrogate_forward`.
+        Training, prediction and the descent distance target all use this
+        one map."""
         return (x - self.space.lower) * (1.0 / self.space.span)
 
     def _forward(self, x_unit: np.ndarray, dropout_rng: np.random.Generator | None = None):
@@ -245,22 +222,22 @@ class JointSurrogate:
         Returns (normalized-objective predictions, constraint logits, cache);
         the cache holds the activations `_backward` needs. A dropout
         generator switches on training-mode dropout, drawing the same masks
-        in the same order as `forward`. Means are sums divided by the count,
-        as ``ndarray.mean`` computes them.
+        in the same order as `autodiff.surrogate_forward`. Means are sums
+        divided by the count, as ``ndarray.mean`` computes them.
         """
         p = self.params
         softplus = self.config.activation == "softplus"
         p1, p2 = self.config.dropout if dropout_rng is not None else (0.0, 0.0)
         d = self.config.block_dim
-        h = x_unit @ p["proj.w"].data + p["proj.b"].data
+        h = x_unit @ p["proj.w"] + p["proj.b"]
         blocks = []
         for i in range(self.config.blocks):
             centered = h - np.add.reduce(h, axis=1, keepdims=True) / d
             var = np.add.reduce(centered * centered, axis=1, keepdims=True) / d
             sigma = np.sqrt(var + LAYER_NORM_EPS)
             x_hat = centered / sigma
-            z = x_hat * p[f"block{i}.ln_scale"].data + p[f"block{i}.ln_shift"].data
-            u = z @ p[f"block{i}.fc1.w"].data + p[f"block{i}.fc1.b"].data
+            z = x_hat * p[f"block{i}.ln_scale"] + p[f"block{i}.ln_shift"]
+            u = z @ p[f"block{i}.fc1.w"] + p[f"block{i}.fc1.b"]
             e = None
             if softplus:
                 e = np.exp(-np.abs(u))
@@ -271,7 +248,7 @@ class JointSurrogate:
             if p1 > 0.0:
                 mask1 = np.divide(dropout_rng.random(a.shape) >= p1, 1.0 - p1, dtype=a.dtype)
                 a = a * mask1
-            o = a @ p[f"block{i}.fc2.w"].data + p[f"block{i}.fc2.b"].data
+            o = a @ p[f"block{i}.fc2.w"] + p[f"block{i}.fc2.b"]
             if p2 > 0.0:
                 mask2 = np.divide(dropout_rng.random(o.shape) >= p2, 1.0 - p2, dtype=o.dtype)
                 o = o * mask2
@@ -279,9 +256,9 @@ class JointSurrogate:
             h = h + o
         y_out = c_out = None
         if self.has_objective_head:
-            y_out = h @ p["head_obj.w"].data + p["head_obj.b"].data
+            y_out = h @ p["head_obj.w"] + p["head_obj.b"]
         if self.has_constraint_head:
-            c_out = h @ p["head_con.w"].data + p["head_con.b"].data
+            c_out = h @ p["head_con.w"] + p["head_con.b"]
         return y_out, c_out, (x_unit, blocks, h)
 
     def _backward(self, cache, dy, dc, grads: dict[str, np.ndarray] | None = None) -> np.ndarray:
@@ -306,24 +283,24 @@ class JointSurrogate:
             if g is None:
                 continue
             dense(head, h, g)
-            dh_head = g @ p[f"{head}.w"].data.T
+            dh_head = g @ p[f"{head}.w"].T
             dh = dh_head if dh is None else dh + dh_head
         for i in reversed(range(self.config.blocks)):
             x_hat, sigma, z, u, e, mask1, a, mask2 = blocks[i]
             g = dh if mask2 is None else dh * mask2
             dense(f"block{i}.fc2", a, g)
-            g = g @ p[f"block{i}.fc2.w"].data.T
+            g = g @ p[f"block{i}.fc2.w"].T
             if mask1 is not None:
                 g = g * mask1
             # softplus' = expit(u), from the forward's exp(-|u|) by the
             # operations of `core.expit`
             g = g * (np.where(u >= 0, 1.0, e) / (1.0 + e)) if softplus else g * (u > 0.0)
             dense(f"block{i}.fc1", z, g)
-            g = g @ p[f"block{i}.fc1.w"].data.T
+            g = g @ p[f"block{i}.fc1.w"].T
             if grads is not None:
                 np.add.reduce(g * x_hat, axis=0, out=grads[f"block{i}.ln_scale"])
                 np.add.reduce(g, axis=0, out=grads[f"block{i}.ln_shift"])
-            gx = g * p[f"block{i}.ln_scale"].data
+            gx = g * p[f"block{i}.ln_scale"]
             mean_gx = np.add.reduce(gx, axis=1, keepdims=True) / d
             mean_gx_xhat = np.add.reduce(gx * x_hat, axis=1, keepdims=True) / d
             dh = dh + (gx - mean_gx - x_hat * mean_gx_xhat) / sigma
@@ -332,19 +309,18 @@ class JointSurrogate:
 
     def _flat_parameters(self) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
         """Copy the weights into one flat vector and rebind every ``params``
-        tensor as a view into it. Returns (parameters, gradient, gradient
+        entry to a view into it. Returns (parameters, gradient, gradient
         views keyed like ``params``); the gradient vector has the same
         layout and dtype as the parameter vector, which has the weights'
         dtype (float32 while `_train_single` runs)."""
-        flat = np.concatenate([t.data.ravel() for t in self.params.values()])
+        flat = np.concatenate([w.ravel() for w in self.params.values()])
         grad = np.zeros_like(flat)
         grads = {}
         start = 0
-        for name, t in self.params.items():
-            stop = start + t.data.size
-            shape = t.data.shape
-            t.data = flat[start:stop].reshape(shape)
-            grads[name] = grad[start:stop].reshape(shape)
+        for name, w in self.params.items():
+            stop = start + w.size
+            self.params[name] = flat[start:stop].reshape(w.shape)
+            grads[name] = grad[start:stop].reshape(w.shape)
             start = stop
         return flat, grad, grads
 
@@ -365,12 +341,9 @@ class JointSurrogate:
 
     # ------------------------------------------------------------------
 
-    def weight_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data for name, t in self.params.items()}
-
     def load_weight_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, t in self.params.items():
-            t.data = np.asarray(arrays[name], dtype=np.float64)
+        """Set every weight from ``arrays`` (keyed like ``params``), as float64."""
+        self.params = {name: np.asarray(arrays[name], dtype=np.float64) for name in self.params}
 
 
 class InputPass:
@@ -397,7 +370,7 @@ class InputPass:
         if dy is not None and self._pullback is not None:
             dy = self._pullback(dy)
         dh = self.model._backward(self._cache, dy, dc)
-        return (dh @ self.model.params["proj.w"].data.T) * (1.0 / self.model.space.span)
+        return (dh @ self.model.params["proj.w"].T) * (1.0 / self.model.space.span)
 
 
 # ----------------------------------------------------------------------
@@ -566,8 +539,7 @@ def _train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, pa
     current epoch.
     """
     f32 = np.float32
-    for t in model.params.values():
-        t.data = t.data.astype(f32)
+    model.params = {name: w.astype(f32) for name, w in model.params.items()}
     x_unit = model._unit(x).astype(f32)
     y_targets, c_targets = y_targets.astype(f32), c_targets.astype(f32)
     flat, grad, grads = model._flat_parameters()
@@ -680,7 +652,7 @@ def train(
         config,
         final_stream.child("epochs").generator(),
     )
-    model.load_weight_arrays(model.weight_arrays())  # float64 for inference
+    model.load_weight_arrays(model.params)  # float64 for inference
     schedule = TrainingSchedule(e_max, patience, stops, bests, final_epochs)
     return model, schedule
 
@@ -699,7 +671,7 @@ def save_checkpoint(model: JointSurrogate, path) -> None:
         "names": list(model.space.names),
         "out_norm": model.out_norm.state() if model.out_norm else None,
     }
-    arrays = {f"w::{name}": data for name, data in model.weight_arrays().items()}
+    arrays = {f"w::{name}": w for name, w in model.params.items()}
     arrays["space_lower"] = model.space.lower
     arrays["space_upper"] = model.space.upper
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)

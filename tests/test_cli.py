@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +116,29 @@ class TestConfigLoading:
     def test_unprintable_character_is_a_parse_error(self, tmp_path):
         with pytest.raises(ConfigError, match="could not parse"):
             load_config(write_config(tmp_path, MINIMAL_CONFIG + "seed: 3\x07\n"))
+
+    @pytest.mark.parametrize(
+        "text, key, first, second",
+        [
+            (MINIMAL_CONFIG + "epochs: 7\n", "epochs", 4, 13),
+            # YAML kept the second section only: the surrogate ran enabled
+            (MINIMAL_CONFIG + "  enabled: false\nsurrogate: {mode: o}\n", "surrogate", 8, 14),
+            (MINIMAL_CONFIG.replace("{n: 2}", "{n: 2, n: 3}"), "problem_params.n", 2, 2),
+        ],
+        ids=["top_level", "section", "problem_params"],
+    )
+    def test_key_written_twice_names_both_lines(self, tmp_path, capsys, text, key, first, second):
+        path = write_config(tmp_path, text)
+        message = f"config key {key!r} is written twice, at lines {first} and {second}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+        assert cmd_run(str(path), None, str(tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
+
+    def test_one_name_in_two_sections_loads(self, tmp_path):
+        text = MINIMAL_CONFIG + "  learning_rate: 0.01\nfeasolve:\n  learning_rate: 0.02\n"
+        config = load_config(write_config(tmp_path, text))
+        assert (config.surrogate.learning_rate, config.feasolve.learning_rate) == (0.01, 0.02)
 
     def test_nested_unknown_key(self, tmp_path):
         text = MINIMAL_CONFIG.replace("  mode: o", "  mode: o\n  blockdim: 4")
@@ -433,6 +456,23 @@ class TestLogs:
         assert np.isnan(back[0].objectives[0])
         assert back[0].objectives[1] == 0.1 + 0.2
 
+    def test_metrics_csv_holds_every_epoch_metrics_field_by_its_type(self, tmp_path):
+        # a float field is written as the repr of its float, even when it
+        # holds an int, and each column parses back to its field's type
+        history = RunHistory()
+        metrics = EpochMetrics(2, 41, 1, 7, 1e-17, "c+o", 12, np.float64(0.1 + 0.2))
+        history.snapshot(metrics)
+        config = RunConfig(problem="two_sphere", population_size=2, initial_samples=1, sampler="mc")
+        result = RunResult(config, get_problem("two_sphere"), history, ParetoArchive())
+        out = write_run_directory(result, tmp_path / "run")
+        assert (out / "metrics.csv").read_text().splitlines() == [
+            "epoch,cumulative_evals,hv_norm,feasible_count,nrmse,mode,feasolve_steps,wall_seconds",
+            "2,41,1.0,7,1e-17,c+o,12,0.30000000000000004",
+        ]
+        (row,) = read_metrics(out)
+        assert row == asdict(metrics)
+        assert [type(v) for v in row.values()] == [int, int, float, int, float, str, int, float]
+
     def test_truncated_last_line_detected(self, tmp_path):
         run_dir = synthetic_run_dir(tmp_path, "trunc", [[1.0, 2.0]])
         path = tmp_path / "trunc" / "evaluations.ndjson"
@@ -609,7 +649,7 @@ runio.load_config(sys.argv[1])
 print(json.dumps({"loaded": sorted(m for m in sys.modules if m.startswith("surmoo")), "status": 0}))
 """
 
-SURROGATE_STACK = {"surmoo.surrogate", "surmoo.autodiff", "surmoo.feasolve", "surmoo.sensitivity"}
+SURROGATE_STACK = {"surmoo.surrogate", "surmoo.feasolve", "surmoo.sensitivity"}
 OPTIMIZER = SURROGATE_STACK | {"surmoo.engine", "surmoo.moea", "surmoo.metrics", "surmoo.evaluator"}
 
 # joint surrogate with descent and sensitivity: every code path that takes a
@@ -702,19 +742,31 @@ class TestStartup:
         assert SURROGATE_STACK.isdisjoint(loaded)
         assert {row["mode"] for row in read_metrics(out)} == {"-", "none"}
 
+    # the autodiff tape serves the tests' reference and a benchmark kernel;
+    # no run loads it
     def test_joint_run_loads_the_surrogate_stack(self, tmp_path):
         config = write_config(tmp_path, JOINT_CONFIG)
         loaded = _modules_loaded(
             "run", "--config", str(config), "--out", str(tmp_path / "out")
         )["loaded"]
         assert OPTIMIZER <= set(loaded)
+        assert "surmoo.autodiff" not in loaded
 
     def test_invalid_config_exits_2_before_loading_the_engine(self, tmp_path):
-        config = write_config(tmp_path, MINIMAL_CONFIG + "epochs: 0\n")
+        config = write_config(tmp_path, MINIMAL_CONFIG.replace("epochs: 2\n", "epochs: 0\n"))
         loaded = _modules_loaded(
             "run", "--config", str(config), "--out", str(tmp_path / "out"), status=2
         )["loaded"]
         assert "surmoo.config" in loaded
+        assert "surmoo.engine" not in loaded
+
+    def test_zero_generations_exit_2_before_loading_the_engine(self, tmp_path):
+        # it used to load, fit a surrogate and then fail the run with exit 1
+        text = MINIMAL_CONFIG.replace("generations: 2\n", "generations: 0\n")
+        loaded = _modules_loaded(
+            "run", "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "out"),
+            status=2,
+        )["loaded"]
         assert "surmoo.engine" not in loaded
 
     def test_every_exported_name_is_its_defining_modules_object(self):

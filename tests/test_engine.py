@@ -82,6 +82,11 @@ class TestBudget:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             RunConfig(problem="bnh", workers=0)
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_generations_below_one_rejected(self, value):
+        with pytest.raises(ValueError, match="generations must be at least 1"):
+            RunConfig(problem="bnh", generations=value)
+
     @pytest.mark.parametrize(
         "overrides, match",
         [

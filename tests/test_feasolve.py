@@ -202,12 +202,12 @@ def constraint_model(space, w, bias=0.0):
     n = space.dim
     cfg = SurrogateConfig(mode="c", blocks=1, block_dim=n, batch_size=64)
     model = JointSurrogate(space, 0, 1, cfg, RandomStream(0, "con"))
-    model.params["block0.fc2.w"].data = np.zeros((cfg.hidden_dim, n))
-    model.params["block0.fc2.b"].data = np.zeros(n)
-    model.params["proj.w"].data = np.eye(n)
-    model.params["proj.b"].data = np.zeros(n)
-    model.params["head_con.w"].data = np.asarray(w, dtype=float).reshape(n, 1)
-    model.params["head_con.b"].data = np.array([bias])
+    model.params["block0.fc2.w"] = np.zeros((cfg.hidden_dim, n))
+    model.params["block0.fc2.b"] = np.zeros(n)
+    model.params["proj.w"] = np.eye(n)
+    model.params["proj.b"] = np.zeros(n)
+    model.params["head_con.w"] = np.asarray(w, dtype=float).reshape(n, 1)
+    model.params["head_con.b"] = np.array([bias])
     return model
 
 

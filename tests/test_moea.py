@@ -120,6 +120,14 @@ class TestTournament:
         ranked = self._ranked()
         assert constrained_tournament(1, 3, ranked, FixedRng(0.3)) == 1
 
+    def test_infeasible_loses_even_where_it_dominates(self):
+        # the feasibility rule lives in the fronts alone
+        ranked = rank_population(
+            np.zeros((2, 2)), np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([True, False])
+        )
+        assert constrained_tournament(0, 1, ranked, FixedRng(0.9)) == 0
+        assert constrained_tournament(1, 0, ranked, FixedRng(0.3)) == 0
+
     def test_lower_front_wins(self):
         ranked = self._ranked()
         assert constrained_tournament(0, 1, ranked, FixedRng(0.3)) == 0
@@ -299,7 +307,6 @@ class TestGenerate:
         objs = np.array([[0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]])
         ranked = rank_population(np.zeros((3, 2)), objs, np.ones(3, dtype=bool))
         assert ranked.front_index[1] == ranked.front_index.max()
-        assert not ranked.feasible[1]
 
     def test_elitism_quality_never_regresses(self):
         # the new best front is never dominated by the previous generation's best

@@ -18,12 +18,12 @@ def linear_model(space, slope_per_input):
     w = np.diag(np.asarray(slope_per_input, dtype=float) * space.span)
     model = affine_model(space, w, np.zeros(n), q=n)
     # collapse to a single output summing the diagonal channels
-    model.params["head_obj.w"].data = np.ones((n, n)) * 0.0
-    model.params["head_obj.w"].data[:, 0] = 1.0
-    model.params["head_obj.b"].data = np.zeros(n)
+    model.params["head_obj.w"] = np.ones((n, n)) * 0.0
+    model.params["head_obj.w"][:, 0] = 1.0
+    model.params["head_obj.b"] = np.zeros(n)
     model.q = 1
-    model.params["head_obj.w"].data = model.params["head_obj.w"].data[:, :1]
-    model.params["head_obj.b"].data = model.params["head_obj.b"].data[:1]
+    model.params["head_obj.w"] = model.params["head_obj.w"][:, :1]
+    model.params["head_obj.b"] = model.params["head_obj.b"][:1]
     model.out_norm = None
     # account for the input normalizer offset: y = sum slope*(x - lower)
     return model
@@ -75,8 +75,8 @@ class TestElasticities:
         model.out_norm = None
         x = rng.random((12, 2))
         base = compute_elasticities(model, x)
-        model.params["head_obj.w"].data = model.params["head_obj.w"].data * 2.0
-        model.params["head_obj.b"].data = model.params["head_obj.b"].data * 2.0
+        model.params["head_obj.w"] = model.params["head_obj.w"] * 2.0
+        model.params["head_obj.b"] = model.params["head_obj.b"] * 2.0
         doubled = compute_elasticities(model, x)
         assert np.allclose(doubled, 2.0 * base, rtol=1e-12)
 

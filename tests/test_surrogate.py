@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surmoo import surrogate
-from surmoo.autodiff import Tensor, bce_with_logits
+from surmoo.autodiff import Tensor, bce_with_logits, surrogate_forward
 from surmoo.core import EvaluationRecord, ParameterSpace, RandomStream, RunHistory
 from surmoo.surrogate import (
     ADAM_EPS,
@@ -43,17 +43,13 @@ def affine_model(space, w_combined, bias, q=None, k=0, mode="o"):
     model = JointSurrogate(space, q, k, cfg, RandomStream(0, "affine"))
     d = cfg.block_dim
     for i in range(cfg.blocks):
-        model.params[f"block{i}.fc2.w"].data = np.zeros_like(
-            model.params[f"block{i}.fc2.w"].data
-        )
-        model.params[f"block{i}.fc2.b"].data = np.zeros_like(
-            model.params[f"block{i}.fc2.b"].data
-        )
-    model.params["proj.w"].data = w_combined.astype(float)
-    model.params["proj.b"].data = np.zeros(d)
+        model.params[f"block{i}.fc2.w"] = np.zeros_like(model.params[f"block{i}.fc2.w"])
+        model.params[f"block{i}.fc2.b"] = np.zeros_like(model.params[f"block{i}.fc2.b"])
+    model.params["proj.w"] = w_combined.astype(float)
+    model.params["proj.b"] = np.zeros(d)
     if model.has_objective_head:
-        model.params["head_obj.w"].data = np.eye(d, model.q)
-        model.params["head_obj.b"].data = np.atleast_1d(np.asarray(bias, dtype=float))
+        model.params["head_obj.w"] = np.eye(d, model.q)
+        model.params["head_obj.b"] = np.atleast_1d(np.asarray(bias, dtype=float))
     return model
 
 
@@ -257,10 +253,9 @@ class TestTraining:
             schedule.e_max, schedule.patience, [], [], schedule.final_epochs
         )
         assert reused.out_norm.state() == full.out_norm.state()
-        full_weights, reused_weights = full.weight_arrays(), reused.weight_arrays()
-        assert full_weights.keys() == reused_weights.keys()
-        for name, w in full_weights.items():
-            assert np.array_equal(reused_weights[name], w), name
+        assert full.params.keys() == reused.params.keys()
+        for name, w in full.params.items():
+            assert np.array_equal(reused.params[name], w), name
 
     def test_final_epochs_below_one_rejected(self, rng):
         x = rng.random((12, 2))
@@ -308,7 +303,7 @@ class TestPrediction:
 
     def test_float32_fit_infers_in_float64(self, rng):
         model = self._trained(rng)
-        assert all(w.dtype == np.float64 for w in model.weight_arrays().values())
+        assert all(w.dtype == np.float64 for w in model.params.values())
         pts = rng.random((5, 2))
         y, c = model.predict(pts)
         assert y.dtype == np.float64 and c.dtype == np.float64
@@ -392,7 +387,7 @@ class TestArchitecture:
         )
         assert sorted(joint.params) == sorted(plain.params)
         for name in joint.params:
-            assert np.array_equal(joint.params[name].data, plain.params[name].data)
+            assert np.array_equal(joint.params[name], plain.params[name])
 
     def test_no_active_head_rejected(self):
         with pytest.raises(ValueError, match="no active output head"):
@@ -412,8 +407,8 @@ class TestCheckpoint:
         with np.load(path) as data:  # the format stores float64 weights
             assert all(data[key].dtype == np.float64 for key in data.files if key.startswith("w::"))
         restored = load_checkpoint(path)
-        for name, tensor in model.params.items():
-            assert np.array_equal(tensor.data, restored.params[name].data)
+        for name, w in model.params.items():
+            assert np.array_equal(w, restored.params[name])
         pts = rng.random((7, 2))
         y0, c0 = model.predict(pts)
         y1, c1 = restored.predict(pts)
@@ -425,9 +420,15 @@ class TestCheckpoint:
 # ----------------------------------------------------------------------
 #
 # The reference below trains through the autodiff tape: losses built from
-# Tensor operations, one backward() over the recorded graph, and Adam
-# stepping each parameter tensor on its own. The explicit passes perform the
-# same array operations in the same order, so they must match it bit for bit.
+# Tensor operations on leaf tensors that hold the model's weights, one
+# backward() over the recorded graph, and Adam stepping each leaf on its
+# own. The explicit passes perform the same array operations in the same
+# order, so they must match it bit for bit.
+
+
+def leaves(model):
+    """A fresh leaf tensor per weight of ``model``, keyed like its params."""
+    return {name: Tensor(w, requires_grad=True) for name, w in model.params.items()}
 
 
 class TapeAdam:
@@ -483,8 +484,8 @@ def tape_objective_loss(pred, targets, kind):
     raise ValueError(kind)
 
 
-def tape_composite_loss(model, x, y_targets, c_targets, train, rng):
-    y_out, c_out = model.forward(x, train=train, dropout_rng=rng)
+def tape_composite_loss(model, params, x, y_targets, c_targets, train, rng):
+    y_out, c_out = surrogate_forward(model, params, x, train, rng)
     parts = []
     if y_out is not None:
         parts.append(tape_objective_loss(y_out, y_targets, model.config.objective_loss))
@@ -497,7 +498,17 @@ def tape_composite_loss(model, x, y_targets, c_targets, train, rng):
 
 
 def tape_train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, patience=None):
-    opt = TapeAdam(model.params, cfg.learning_rate)
+    """`surrogate._train_single` on the tape, in float64; the trained leaves
+    are written back to ``model.params``."""
+    params = leaves(model)
+    try:
+        return _tape_epochs(model, params, x, y_targets, c_targets, epochs, cfg, rng, val, patience)
+    finally:
+        model.params = {name: t.data for name, t in params.items()}
+
+
+def _tape_epochs(model, params, x, y_targets, c_targets, epochs, cfg, rng, val, patience):
+    opt = TapeAdam(params, cfg.learning_rate)
     best_val = np.inf
     best = since_best = 0
     n = x.shape[0]
@@ -508,7 +519,7 @@ def tape_train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None
             idx = order[start : start + cfg.batch_size]
             opt.zero_grad()
             loss = tape_composite_loss(
-                model, Tensor(x[idx]), y_targets[idx], c_targets[idx], True, rng
+                model, params, Tensor(x[idx]), y_targets[idx], c_targets[idx], True, rng
             )
             if not np.isfinite(loss.item()):
                 return done - 1, best
@@ -519,7 +530,7 @@ def tape_train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None
             return done - 1, best
         if val is not None:
             vx, vy, vc = val
-            vloss = tape_composite_loss(model, Tensor(vx), vy, vc, False, None).item()
+            vloss = tape_composite_loss(model, params, Tensor(vx), vy, vc, False, None).item()
             if not np.isfinite(vloss):
                 return done, best
             if vloss < best_val:
@@ -553,7 +564,7 @@ def _explicit_gradients(model, x, y, c, dropout_seed):
     kind = model.config.objective_loss
     value, dy, dc = surrogate._composite_loss(y_out, c_out, y, c, kind, grad=True)
     dh = model._backward(cache, dy, dc, grads)
-    dx = (dh @ model.params["proj.w"].data.T) * (1.0 / model.space.span)
+    dx = (dh @ model.params["proj.w"].T) * (1.0 / model.space.span)
     return value, flat, grad, grads, dx, (dy, dc)
 
 
@@ -575,16 +586,16 @@ class TestExplicitPasses:
             value, _, _, grads, dx, outs = _explicit_gradients(model, x[rows], y[rows], c[rows], 5)
             _, _, cache = model._forward(model._unit(x[rows]), np.random.default_rng(5))
             dh = model._backward(cache, *outs)  # no gradient dict: input gradient only
-            input_only = (dh @ model.params["proj.w"].data.T) * (1.0 / GRAD_SPACE.span)
+            input_only = (dh @ model.params["proj.w"].T) * (1.0 / GRAD_SPACE.span)
             assert np.array_equal(input_only, dx), (blocks, dropout)
-            leaf = Tensor(x[rows], requires_grad=True)
+            params, leaf = leaves(model), Tensor(x[rows], requires_grad=True)
             tape = tape_composite_loss(
-                model, leaf, y[rows], c[rows], True, np.random.default_rng(5)
+                model, params, leaf, y[rows], c[rows], True, np.random.default_rng(5)
             )
             tape.backward()
             assert value == tape.item()
-            assert sorted(grads) == sorted(model.params)
-            for name, t in model.params.items():
+            assert sorted(grads) == sorted(params)
+            for name, t in params.items():
                 assert np.array_equal(grads[name], t.grad), (blocks, dropout, name)
             assert np.array_equal(dx, leaf.grad), (blocks, dropout)
             if dropout == (0.0, 0.0):  # no normalizer: InputPass takes dy as is
@@ -638,9 +649,9 @@ class TestExplicitPasses:
                          train(*rows, unit_space(2), cfg, stream, final_epochs=20)[0]))
         ((model, schedule), short), ((_, ref_schedule), ref_short) = fits
         assert schedule == ref_schedule
-        for name, t in short.params.items():
-            np.testing.assert_allclose(t.data, ref_short.params[name].data, rtol=1e-3, err_msg=name)
-        for name, w in model.weight_arrays().items():
+        for name, w in short.params.items():
+            np.testing.assert_allclose(w, ref_short.params[name], rtol=1e-3, err_msg=name)
+        for name, w in model.params.items():
             assert w.dtype == np.float64, name
             assert np.array_equal(w.astype(np.float32).astype(np.float64), w), name
 
@@ -657,8 +668,7 @@ class TestExplicitPasses:
                 dropout=dropout, objective_loss=loss,
             )
             model = JointSurrogate(GRAD_SPACE, 2, 2, cfg, RandomStream(3, "f32"))
-            for t in model.params.values():
-                t.data = t.data.astype(f32)
+            model.params = {name: w.astype(f32) for name, w in model.params.items()}
             flat, grad, grads = model._flat_parameters()
             seen = []
             backward = model._backward
@@ -694,23 +704,24 @@ class TestExplicitPasses:
         flat, grad, grads = model._flat_parameters()
         assert flat.size > 5 * surrogate.Adam.CHUNK
         opt = surrogate.Adam(flat, grad, 0.01)
-        ref_opt = TapeAdam(ref.params, 0.01)
+        ref_params = leaves(ref)
+        ref_opt = TapeAdam(ref_params, 0.01)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            for name, t in ref.params.items():
+            for name, t in ref_params.items():
                 t.grad = rng.normal(size=t.data.shape)
                 grads[name][...] = t.grad
             opt.step()
             ref_opt.step()
-        for name, t in model.params.items():
-            assert np.array_equal(t.data, ref.params[name].data), name
+        for name, w in model.params.items():
+            assert np.array_equal(w, ref_params[name].data), name
 
     def test_params_are_views_of_the_flat_vector(self):
         cfg = SurrogateConfig(mode="c+o", blocks=2, block_dim=4)
         model = JointSurrogate(GRAD_SPACE, 2, 2, cfg, RandomStream(0))
-        before = {name: t.data.copy() for name, t in model.params.items()}
+        before = {name: w.copy() for name, w in model.params.items()}
         flat, _, _ = model._flat_parameters()
         assert flat.size == sum(a.size for a in before.values())
         flat += 1.0
-        for name, t in model.params.items():
-            assert np.array_equal(t.data, before[name] + 1.0)
+        for name, w in model.params.items():
+            assert np.array_equal(w, before[name] + 1.0)
