@@ -22,7 +22,7 @@ from . import core, metrics, runio
 
 __all__ = ["main", "cmd_run", "cmd_report", "cmd_bench"]
 
-REPORT_METRICS = ("hv", "hv_auc", "igd", "epsilon", "coverage", "all")
+REPORT_METRICS = ("hv", "hv_auc", "igd", "epsilon", "coverage", "all")  # "all" reports the rest
 
 logger = logging.getLogger("surmoo")
 
@@ -62,12 +62,6 @@ def cmd_run(config_path: str, seed: int | None, out_dir: str) -> int:
     return 0
 
 
-def _load_run(run_dir: str):
-    records = runio.read_evaluations(run_dir)
-    rows = runio.read_metrics(run_dir)
-    return records, rows
-
-
 def cmd_report(
     run_dirs: list[str],
     metric: str = "all",
@@ -81,8 +75,11 @@ def cmd_report(
             file=sys.stderr,
         )
         return 2
+    runs = {}
     try:
-        runs = {d: _load_run(d) for d in run_dirs}
+        for d in run_dirs:
+            runs[d] = runio.read_evaluations(d)
+            runio.read_metrics(d)  # validates metrics.csv; the report replays the log only
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -93,7 +90,7 @@ def cmd_report(
             archive.objectives() if len(archive) else np.empty((0, 0))
             for _, _, archive in core.replay(records)
         ]
-        for d, (records, _) in runs.items()
+        for d, records in runs.items()
     }
     final_fronts = {d: fronts[-1] for d, fronts in all_fronts.items() if fronts}
     dims = {front.shape[1] for front in final_fronts.values() if front.size}
@@ -111,7 +108,7 @@ def cmd_report(
     # shared nadir across every feasible evaluation of every supplied run
     feasible_by_run = [
         np.array([r.objectives for r in records if r.viable and r.feasible])
-        for records, _ in runs.values()
+        for records in runs.values()
     ]
     context = metrics.shared_normalization([f for f in feasible_by_run if f.size])
 
@@ -128,36 +125,29 @@ def cmd_report(
             return 2
         ref_front = final_fronts[reference]
 
+    # normalized hypervolume of each run's front after each epoch
+    hv_series = {
+        d: [metrics.normalized_hypervolume(f, context) if f.size else 0.0 for f in fronts]
+        for d, fronts in all_fronts.items()
+    }
     rows: list[list[str]] = []
     if metric == "hv":
         header = ["epoch"] + list(run_dirs)
-        n_epochs = max(len(f) for f in all_fronts.values())
-        for epoch in range(n_epochs):
-            row = [str(epoch)]
-            for d in run_dirs:
-                fronts = all_fronts[d]
-                if epoch < len(fronts) and fronts[epoch].size:
-                    row.append(repr(metrics.normalized_hypervolume(fronts[epoch], context)))
-                else:
-                    row.append("nan" if epoch >= len(fronts) else "0.0")
-            rows.append(row)
+        for epoch in range(max(len(series) for series in hv_series.values())):
+            rows.append([str(epoch)] + [
+                repr(hv_series[d][epoch]) if epoch < len(hv_series[d]) else "nan"
+                for d in run_dirs
+            ])
     else:
-        wanted = (
-            ["hv", "hv_auc", "igd", "epsilon", "coverage"] if metric == "all" else [metric]
-        )
+        wanted = list(REPORT_METRICS[:-1]) if metric == "all" else [metric]
         header = ["run"] + wanted
         for d in run_dirs:
-            fronts = all_fronts[d]
             final = final_fronts.get(d, np.empty((0, 0)))
-            values: dict[str, float] = {}
-            hv_series = [
-                metrics.normalized_hypervolume(f, context) if f.size else 0.0
-                for f in fronts
-            ]
-            values["hv"] = hv_series[-1] if hv_series else float("nan")
-            values["hv_auc"] = (
-                metrics.hv_auc(hv_series) if len(hv_series) >= 2 else float("nan")
-            )
+            series = hv_series[d]
+            values: dict[str, float] = {
+                "hv": series[-1] if series else float("nan"),
+                "hv_auc": metrics.hv_auc(series) if len(series) >= 2 else float("nan"),
+            }
             if final.size:
                 values["igd"] = metrics.igd(final, ref_front)
                 values["epsilon"] = metrics.epsilon_additive(final, ref_front)

@@ -67,20 +67,19 @@ class ConfigError(ValueError):
     pass
 
 
-def _key_lines(node, prefix: str = "") -> dict[str, int]:
-    """Map the dotted key paths under the YAML node ``node`` to 1-based line
+def _key_lines(node, prefix: tuple = ()) -> dict[tuple, int]:
+    """Map the key paths under the YAML node ``node`` to 1-based line
     numbers, for error messages. A path written twice is a `ConfigError`:
     YAML would keep the last of its values and drop the first unread."""
     import yaml
-    lines: dict[str, int] = {}
+    lines: dict[tuple, int] = {}
     if isinstance(node, yaml.MappingNode):
         for key_node, value_node in node.value:
-            path = f"{prefix}.{key_node.value}" if prefix else str(key_node.value)
+            path = (*prefix, str(key_node.value))
             line = key_node.start_mark.line + 1
             if path in lines:
-                raise ConfigError(
-                    f"config key {path!r} is written twice, at lines {lines[path]} and {line}"
-                )
+                where = f"at lines {lines[path]} and {line}"
+                raise ConfigError(f"config key {'.'.join(path)!r} is written twice, {where}")
             lines[path] = line
             lines.update(_key_lines(value_node, path))
     return lines
@@ -106,18 +105,19 @@ def load_config(path) -> RunConfig:
     return build_run_config(data, lines)
 
 
-def build_run_config(data: dict, lines: dict[str, int] | None = None) -> RunConfig:
-    """Build a `RunConfig` from a parsed config mapping; ``lines`` maps dotted
-    key paths to line numbers for error messages."""
+def build_run_config(data: dict, lines: dict[tuple, int] | None = None) -> RunConfig:
+    """Build a `RunConfig` from a parsed config mapping; ``lines`` maps key
+    paths, tuples of keys such as ``("surrogate", "mode")``, to line numbers
+    for error messages, which join a path with dots."""
     from .config import RunConfig
-    return _build(RunConfig, data, lines or {}, "")
+    return _build(RunConfig, data, lines or {}, ())
 
 
-def _build(cls, data: dict, lines: dict[str, int], prefix: str):
+def _build(cls, data: dict, lines: dict[tuple, int], prefix: tuple):
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        path = f"{prefix}.{key}" if prefix else str(key)
+        path = (*prefix, str(key))
         if key not in fields:
             import difflib
             suggestion = difflib.get_close_matches(str(key), list(fields), n=1)
@@ -133,7 +133,7 @@ def _build(cls, data: dict, lines: dict[str, int], prefix: str):
         raise ConfigError(f"{_at(prefix, lines)}: {exc}" if prefix else str(exc)) from None
 
 
-def _field_value(f: dataclasses.Field, value, lines: dict[str, int], path: str):
+def _field_value(f: dataclasses.Field, value, lines: dict[tuple, int], path: tuple):
     """``value`` converted to the type of the field's default: a section is
     built recursively, a mapping (``problem_params``, checked by the problem
     factory) is copied, a list becomes a tuple, and a scalar goes through
@@ -176,7 +176,7 @@ def _field_value(f: dataclasses.Field, value, lines: dict[str, int], path: str):
     return _finite(converted, lines, path)
 
 
-def _finite(value, lines: dict[str, int], path: str):
+def _finite(value, lines: dict[tuple, int], path: tuple):
     """``value`` of a float slot, unless it reads as a NaN or infinite
     number: YAML's ``.nan`` and ``.inf``, or a string such as ``nan`` that
     ``float`` takes. The range checks of the config dataclasses let NaN
@@ -190,9 +190,10 @@ def _finite(value, lines: dict[str, int], path: str):
     return value
 
 
-def _at(path: str, lines: dict[str, int]) -> str:
+def _at(path: tuple, lines: dict[tuple, int]) -> str:
     line = lines.get(path)
-    return f"{path!r} at line {line}" if line else repr(path)
+    dotted = ".".join(path)
+    return f"{dotted!r} at line {line}" if line else repr(dotted)
 
 
 def config_to_dict(config: RunConfig) -> dict:

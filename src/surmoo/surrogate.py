@@ -496,47 +496,24 @@ def _filter_training_data(x, y, c, cfg: SurrogateConfig):
     return x, y, c
 
 
-def _train_step(model, opt, grads, x_unit, y_t, c_t, rng) -> float:
-    """One forward/backward pass and Adam step on a batch of unit-box rows;
-    returns the batch loss. A non-finite loss leaves the weights untouched."""
-    y_out, c_out, cache = model._forward(x_unit, rng)
-    kind = model.config.objective_loss
-    value, dy, dc = _composite_loss(y_out, c_out, y_t, c_t, kind, grad=True)
-    if np.isfinite(value):
-        model._backward(cache, dy, dc, grads)
-        opt.step()
-    return value
-
-
-def _epoch_pass(model, opt, grads, x_unit, y_t, c_t, batch_size, rng) -> float:
-    n = x_unit.shape[0]
-    batches = [slice(None)]  # one batch trains on views, not copies
-    if n > batch_size:
-        order = rng.permutation(n)
-        batches = [order[start : start + batch_size] for start in range(0, n, batch_size)]
-    total = 0.0
-    for idx in batches:
-        bx = x_unit[idx]
-        value = _train_step(model, opt, grads, bx, y_t[idx], c_t[idx], rng)
-        if not np.isfinite(value):
-            return value
-        total += value * bx.shape[0]
-    return total / n
-
-
 def _train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, patience=None):
     """Train up to ``epochs`` epochs; returns the epoch count actually run
     and the epoch of the last validation improvement (0 without one).
 
-    Training runs in float32: weights, gradients, Adam moments, activations,
-    unit-box inputs and targets. Loss sums are float64, so early stopping
-    compares float64 values. The weights stay float32 on return; `train`
-    upcasts the model it returns.
+    An epoch is one batch of all rows (views, not copies) or, above
+    ``cfg.batch_size`` rows, the minibatches of a fresh ``rng`` permutation;
+    each batch is a forward pass (dropout masks from ``rng``), a backward
+    pass and an Adam step. Training runs in float32: weights, gradients,
+    Adam moments, activations, unit-box inputs and targets. Loss sums are
+    float64, so early stopping compares float64 values. The weights stay
+    float32 on return; `train` upcasts the model it returns.
 
     With a validation split, early stopping monitors the validation loss at
     the given patience; weights are never restored to the best epoch, whose
-    count `train` uses for the final fit. A non-finite loss aborts at the
-    current epoch.
+    count `train` uses for the final fit. A non-finite batch loss returns
+    before that batch's backward pass, leaving the weights of the last
+    finite batch and not counting its epoch; a non-finite validation loss
+    returns after its epoch.
     """
     f32 = np.float32
     model.params = {name: w.astype(f32) for name, w in model.params.items()}
@@ -547,19 +524,23 @@ def _train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, pa
     if val is not None:
         vx, vy, vc = val
         vx_unit, vy, vc = model._unit(vx).astype(f32), vy.astype(f32), vc.astype(f32)
+    n, size = x_unit.shape[0], cfg.batch_size
     best_val = np.inf
     best = since_best = 0
     for done in range(epochs):
-        train_loss = _epoch_pass(
-            model, opt, grads, x_unit, y_targets, c_targets, cfg.batch_size, rng
-        )
-        if not np.isfinite(train_loss):
-            return done, best
+        batches = np.split(rng.permutation(n), range(size, n, size)) if n > size else [slice(None)]
+        for idx in batches:
+            y_out, c_out, cache = model._forward(x_unit[idx], rng)
+            value, dy, dc = _composite_loss(
+                y_out, c_out, y_targets[idx], c_targets[idx], cfg.objective_loss, grad=True
+            )
+            if not np.isfinite(value):
+                return done, best
+            model._backward(cache, dy, dc, grads)
+            opt.step()
         if val is not None:
             y_out, c_out, _ = model._forward(vx_unit)
-            vloss, _, _ = _composite_loss(
-                y_out, c_out, vy, vc, cfg.objective_loss, grad=False
-            )
+            vloss, _, _ = _composite_loss(y_out, c_out, vy, vc, cfg.objective_loss, grad=False)
             if not np.isfinite(vloss):
                 return done + 1, best
             if vloss < best_val:
@@ -570,6 +551,25 @@ def _train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, pa
                 if patience is not None and since_best >= patience:
                     return done + 1, best
     return epochs, best
+
+
+def _fit(x, y, c, rows, epochs, space, config, stream, val_rows=None, patience=None):
+    """One `_train_single` fit of a fresh model on ``rows`` of (x, y, c),
+    validated on ``val_rows`` if given. The weights are drawn from
+    ``stream.child("init")`` and the batches from ``stream.child("epochs")``;
+    the normalizer is fitted on the objectives of ``rows`` alone. Returns
+    (model, epochs run, best epoch)."""
+    model = JointSurrogate(space, y.shape[1], c.shape[1], config, stream.child("init"))
+    norm = model.out_norm = OutputNormalizer.fit(y[rows]) if model.has_objective_head else None
+
+    def take(r):  # (x, targets, c) of rows r; without an objective head, no targets
+        y_r = y[r]
+        return x[r], (norm.transform(y_r) if norm else np.zeros((len(y_r), 0))), c[r]
+
+    val = None if val_rows is None else take(val_rows)
+    rng = stream.child("epochs").generator()
+    stop, best = _train_single(model, *take(rows), epochs, config, rng, val=val, patience=patience)
+    return model, stop, best
 
 
 def train(
@@ -596,62 +596,31 @@ def train(
     per dynamic-sampling epoch and passes the count on to the epoch's later
     fits.
 
-    Every fit, fold or final, trains in float32 with float64 loss sums (see
-    `_train_single`); the returned model's weights are float64, each one a
-    float32 value.
+    Every fit, fold or final, is one `_fit` call: a fresh model whose
+    normalizer sees that fit's training rows only. Fits train in float32
+    (see `_train_single`); the returned model's weights are float64, each
+    one a float32 value.
     """
     if final_epochs is not None and final_epochs < 1:
         raise ValueError(f"final_epochs must be at least 1, got {final_epochs}")
     x, y, c = _filter_training_data(x, y, c, config)
     n = x.shape[0]
     if n < 2 * config.folds:
-        raise ValueError(
-            f"need at least {2 * config.folds} NaN-free records, got {n}"
-        )
-    q = y.shape[1]
-    k = c.shape[1]
+        raise ValueError(f"need at least {2 * config.folds} NaN-free records, got {n}")
     e_max, patience = epoch_budget(n)
 
     fold_chunks = np.array_split(np.arange(n), config.folds) if final_epochs is None else []
-    stops: list[int] = []
-    bests: list[int] = []
+    stops, bests = [], []
     for f, val_idx in enumerate(fold_chunks):
-        train_idx = np.setdiff1d(np.arange(n), val_idx)
-        fold_stream = stream.child(f"fold{f}")
-        model = JointSurrogate(space, q, k, config, fold_stream.child("init"))
-        norm = OutputNormalizer.fit(y[train_idx]) if model.has_objective_head else None
-        y_tr = norm.transform(y[train_idx]) if norm else np.zeros((len(train_idx), 0))
-        y_va = norm.transform(y[val_idx]) if norm else np.zeros((len(val_idx), 0))
-        stop, best = _train_single(
-            model,
-            x[train_idx],
-            y_tr,
-            c[train_idx],
-            e_max,
-            config,
-            fold_stream.child("epochs").generator(),
-            val=(x[val_idx], y_va, c[val_idx]),
-            patience=patience,
-        )
+        rows = np.setdiff1d(np.arange(n), val_idx)
+        fold = stream.child(f"fold{f}")
+        _, stop, best = _fit(x, y, c, rows, e_max, space, config, fold, val_idx, patience)
         stops.append(max(stop, 1))
         bests.append(best)
 
     if final_epochs is None:
         final_epochs = max(1, int(round(float(np.mean(bests)))))
-    final_stream = stream.child("final")
-    model = JointSurrogate(space, q, k, config, final_stream.child("init"))
-    norm = OutputNormalizer.fit(y) if model.has_objective_head else None
-    model.out_norm = norm
-    y_all = norm.transform(y) if norm else np.zeros((n, 0))
-    _train_single(
-        model,
-        x,
-        y_all,
-        c,
-        final_epochs,
-        config,
-        final_stream.child("epochs").generator(),
-    )
+    model, _, _ = _fit(x, y, c, slice(None), final_epochs, space, config, stream.child("final"))
     model.load_weight_arrays(model.params)  # float64 for inference
     schedule = TrainingSchedule(e_max, patience, stops, bests, final_epochs)
     return model, schedule

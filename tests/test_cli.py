@@ -135,6 +135,21 @@ class TestConfigLoading:
         assert cmd_run(str(path), None, str(tmp_path / "out")) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("problem: tnk\nsurrogate.mode: o\nsurrogate:\n  mode: o\n", 2),
+            ("problem: tnk\nsurrogate:\n  mode: o\nsurrogate.mode: o\n", 4),
+        ],
+        ids=["dotted_first", "section_first"],
+    )
+    def test_dotted_key_is_not_its_nested_path(self, tmp_path, text, line):
+        # a literal dotted key is unknown at its own line, whatever the
+        # order, and is not the same key as the section's nested one
+        message = f"unknown config key 'surrogate.mode' at line {line};"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(write_config(tmp_path, text))
+
     def test_one_name_in_two_sections_loads(self, tmp_path):
         text = MINIMAL_CONFIG + "  learning_rate: 0.01\nfeasolve:\n  learning_rate: 0.02\n"
         config = load_config(write_config(tmp_path, text))

@@ -257,6 +257,44 @@ class TestTraining:
         for name, w in full.params.items():
             assert np.array_equal(reused.params[name], w), name
 
+    def test_each_fit_normalizes_with_its_own_training_rows(self, rng, monkeypatch):
+        # a fold's normalizer sees its training rows only, never its
+        # validation rows; the final fit's sees every row
+        x = rng.random((15, 2))
+        y = np.column_stack([np.exp(3.0 * x[:, 0]), x.sum(axis=1) * 10.0 - 4.0])
+        c = (x[:, 1:] > 0.5).astype(np.int8)
+        x, y, c = rows_from(x, y, c)
+        calls = []
+
+        def spy(model, x_fit, y_targets, c_targets, *rest, val=None, patience=None):
+            calls.append((x_fit, y_targets, c_targets, val))
+            return 1, 1  # the weights are not under test
+
+        monkeypatch.setattr(surrogate, "_train_single", spy)
+        cfg = SurrogateConfig(mode="c+o", blocks=1, block_dim=4)
+        train(x, y, c, unit_space(2), cfg, RandomStream(6))
+        *folds, final = calls
+        all_rows = np.arange(x.shape[0])
+        norm_all = OutputNormalizer.fit(y)
+        val_chunks = np.array_split(all_rows, cfg.folds)
+        assert len(folds) == cfg.folds
+        differs = []
+        for (fx, fy, fc, (vx, vy, vc)), val_rows in zip(folds, val_chunks):
+            rows = np.setdiff1d(all_rows, val_rows)
+            norm = OutputNormalizer.fit(y[rows])
+            assert np.array_equal(fx, x[rows]) and np.array_equal(fc, c[rows])
+            assert np.array_equal(fy, norm.transform(y[rows]))
+            assert np.array_equal(vx, x[val_rows]) and np.array_equal(vc, c[val_rows])
+            assert np.array_equal(vy, norm.transform(y[val_rows]))
+            differs.append(not np.array_equal(fy, norm_all.transform(y[rows])))
+        # some fold holds out an extreme of y, so its targets tell the two
+        # normalizers apart
+        assert any(differs)
+        fx, fy, fc, val = final
+        assert val is None
+        assert np.array_equal(fx, x) and np.array_equal(fc, c)
+        assert np.array_equal(fy, norm_all.transform(y))
+
     def test_final_epochs_below_one_rejected(self, rng):
         x = rng.random((12, 2))
         with pytest.raises(ValueError, match="final_epochs must be at least 1"):
@@ -668,8 +706,6 @@ class TestExplicitPasses:
                 dropout=dropout, objective_loss=loss,
             )
             model = JointSurrogate(GRAD_SPACE, 2, 2, cfg, RandomStream(3, "f32"))
-            model.params = {name: w.astype(f32) for name, w in model.params.items()}
-            flat, grad, grads = model._flat_parameters()
             seen = []
             backward = model._backward
 
@@ -679,12 +715,10 @@ class TestExplicitPasses:
                 return dh
 
             monkeypatch.setattr(model, "_backward", spy)
-            value = surrogate._train_step(
-                model, surrogate.Adam(flat, grad, 0.01), grads,
-                model._unit(x).astype(f32), y.astype(f32), c.astype(f32),
-                np.random.default_rng(5),
-            )
-            assert np.isfinite(value)
+            # one epoch of one batch: a non-finite loss would return 0 epochs
+            done, _ = surrogate._train_single(model, x, y, c, 1, cfg, np.random.default_rng(5))
+            assert done == 1 and len(seen) == 1
+            assert all(w.dtype == f32 for w in model.params.values())
             # the parameter gradients are written through out= views, which
             # cast silently; dh carries every backward intermediate instead
             (x_unit, blocks, h), dy, dc, dh = seen[0]
