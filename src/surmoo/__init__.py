@@ -18,36 +18,16 @@ _SUBMODULE = {
     for module, names in {
         "core": ("EvaluationRecord", "ParameterSpace", "ParetoArchive", "Provenance",
                  "RandomStream", "RunHistory", "is_feasible"),
-        "config": ("FeasolveConfig", "RunConfig", "SensitivityConfig", "SurrogateConfig"),
+        "config": ("FeasolveConfig", "RunConfig", "SensitivityConfig", "StopConfig",
+                   "SurrogateConfig"),
         "engine": ("RunResult", "run"),
         "problems": ("PROBLEM_REGISTRY", "ProblemDefinition", "get_problem"),
-        "stopping": ("StopConfig",),
         "surrogate": ("JointSurrogate",),
     }.items()
     for name in names
 }
 
-__all__ = [
-    "EvaluationRecord",
-    "FeasolveConfig",
-    "JointSurrogate",
-    "ParameterSpace",
-    "ParetoArchive",
-    "ProblemDefinition",
-    "PROBLEM_REGISTRY",
-    "Provenance",
-    "RandomStream",
-    "RunConfig",
-    "RunHistory",
-    "RunResult",
-    "SensitivityConfig",
-    "StopConfig",
-    "SurrogateConfig",
-    "get_problem",
-    "is_feasible",
-    "run",
-    "__version__",
-]
+__all__ = [*_SUBMODULE, "__version__"]
 
 
 def __getattr__(name):

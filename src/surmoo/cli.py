@@ -11,7 +11,6 @@ bench   list or describe registered benchmark problems
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 
@@ -23,8 +22,6 @@ from . import core, metrics, runio
 __all__ = ["main", "cmd_run", "cmd_report", "cmd_bench"]
 
 REPORT_METRICS = ("hv", "hv_auc", "igd", "epsilon", "coverage", "all")  # "all" reports the rest
-
-logger = logging.getLogger("surmoo")
 
 
 def cmd_run(config_path: str, seed: int | None, out_dir: str) -> int:
@@ -45,7 +42,7 @@ def cmd_run(config_path: str, seed: int | None, out_dir: str) -> int:
     try:
         result = engine.run(config)
     except Exception as exc:
-        logger.debug("run failed", exc_info=True)
+        engine.logger.debug("run failed", exc_info=True)
         print(f"error: run failed: {exc}", file=sys.stderr)
         return 1
     try:
@@ -125,11 +122,13 @@ def cmd_report(
             return 2
         ref_front = final_fronts[reference]
 
-    # normalized hypervolume of each run's front after each epoch
+    # normalized hypervolume of each run's front after each epoch, for a
+    # report that prints a hypervolume
+    wanted = list(REPORT_METRICS[:-1]) if metric == "all" else [metric]
     hv_series = {
         d: [metrics.normalized_hypervolume(f, context) if f.size else 0.0 for f in fronts]
         for d, fronts in all_fronts.items()
-    }
+    } if {"hv", "hv_auc"} & set(wanted) else {}
     rows: list[list[str]] = []
     if metric == "hv":
         header = ["epoch"] + list(run_dirs)
@@ -139,11 +138,10 @@ def cmd_report(
                 for d in run_dirs
             ])
     else:
-        wanted = list(REPORT_METRICS[:-1]) if metric == "all" else [metric]
         header = ["run"] + wanted
         for d in run_dirs:
             final = final_fronts.get(d, np.empty((0, 0)))
-            series = hv_series[d]
+            series = hv_series.get(d, [])
             values: dict[str, float] = {
                 "hv": series[-1] if series else float("nan"),
                 "hv_auc": metrics.hv_auc(series) if len(series) >= 2 else float("nan"),
@@ -260,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         if not args.verbose:
             return cmd_run(args.config, args.seed, args.out)
+        import logging  # only a run logs
+
+        logger = logging.getLogger("surmoo")
         handler = logging.StreamHandler()  # stderr
         level = logger.level
         logger.addHandler(handler)

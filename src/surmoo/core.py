@@ -4,16 +4,20 @@ run history, and deterministic random streams.
 `replay` rebuilds the history and archive epoch by epoch from an evaluation
 log alone; `engine.recompute_metrics` and `surmoo report` are built on it.
 
+The rules every module shares are written here once: feasibility (every
+constraint flag is 1; `feasible_rows`, `is_feasible`), viability (every
+objective finite; `EvaluationRecord.viable`), dominance (`dominance_matrix`)
+and the logistic sigmoid of the constraint logits (`expit`).
+
 All vector data is held in float64 numpy arrays; a candidate batch is an
 (N, n) array with one parameter vector per row. Objective vectors may
-contain NaN (marking a non-viable evaluation); such records are kept in the
-run history but are rejected by archives and must be filtered before any
-dominance computation.
+contain NaN or inf (marking a non-viable evaluation); such records are kept
+in the run history but are rejected by archives and must be filtered before
+any dominance computation.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,6 +33,7 @@ __all__ = [
     "replay",
     "RandomStream",
     "is_feasible",
+    "feasible_rows",
     "dominance_matrix",
     "nondominated_mask",
     "expit",
@@ -87,21 +92,29 @@ class ParameterSpace:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
 
-def expit(x):
+def expit(x, e=None):
     """Logistic sigmoid 1 / (1 + exp(-x)), from one numpy exp of -|x|, which
     cannot overflow: large |x| gives 1 or 0 without a warning, NaN stays NaN,
-    and a scalar gives a scalar. It differs from ``scipy.special.expit`` by
-    at most a few ulp. scipy is not used: importing ``scipy.special`` for
-    this one function cost 0.26 s and about 20 MB per run.
+    and a scalar gives a scalar. A caller that already holds
+    ``e = np.exp(-np.abs(x))`` (a softplus or BCE term) passes it in. It
+    differs from ``scipy.special.expit`` by at most a few ulp. scipy is not
+    used: importing ``scipy.special`` for this one function cost 0.26 s and
+    about 20 MB per run.
     """
-    e = np.exp(-np.abs(x))
+    if e is None:
+        e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def feasible_rows(flags) -> np.ndarray:
+    """True for each row of constraint flags (the last axis) whose flags are
+    all 1; a row without constraints is feasible."""
+    return np.all(np.asarray(flags) == 1, axis=-1)
+
+
 def is_feasible(flags) -> bool:
-    """True iff every constraint flag is 1. An empty vector is feasible."""
-    flags = np.asarray(flags)
-    return bool(np.all(flags == 1))
+    """True iff every flag of one constraint vector is 1 (`feasible_rows`)."""
+    return bool(feasible_rows(flags))
 
 
 def dominance_matrix(a, b) -> np.ndarray:
@@ -155,7 +168,7 @@ class EvaluationRecord:
         object.__setattr__(self, "provenance", Provenance(self.provenance))
         if self.epoch < 0:
             raise ValueError("epoch must be non-negative")
-        if not np.all(np.isin(self.constraints, (0, 1))):
+        if not ((self.constraints == 0) | (self.constraints == 1)).all():
             raise ValueError("constraint flags must be 0 or 1")
         for arr in (self.params, self.objectives, self.constraints):
             arr.setflags(write=False)
@@ -166,8 +179,9 @@ class EvaluationRecord:
 
     @property
     def viable(self) -> bool:
-        """False when any objective is NaN (non-viable simulation)."""
-        return not bool(np.any(np.isnan(self.objectives)))
+        """True when every objective is finite; a NaN (failed simulation) or
+        an infinite objective makes the record non-viable."""
+        return bool(np.isfinite(self.objectives).all())
 
 
 class ParetoArchive:
@@ -197,7 +211,7 @@ class ParetoArchive:
         """Insert ``rec`` if feasible, viable, and not dominated.
 
         Returns True when the record was added. Members dominated by the
-        new record are removed. Infeasible or NaN records are rejected.
+        new record are removed. Infeasible or non-viable records are rejected.
         """
         if not rec.feasible or not rec.viable:
             return False
@@ -318,6 +332,8 @@ class RandomStream:
     purpose: str = "root"
 
     def generator(self) -> np.random.Generator:
+        import hashlib  # loads OpenSSL; a log reader never draws
+
         digest = hashlib.sha256(self.purpose.encode("utf-8")).digest()
         words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
         return np.random.default_rng(np.random.SeedSequence([self.seed & _SEED_MASK, *words]))

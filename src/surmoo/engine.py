@@ -55,6 +55,7 @@ from .core import (
     Provenance,
     RandomStream,
     RunHistory,
+    feasible_rows,
     replay,
 )
 from .evaluator import evaluate_batch
@@ -165,7 +166,7 @@ def _select_parents(
     infeasible."""
     space, q = problem.space, problem.n_objectives
     members, objs = x.reshape(-1, space.dim), y.reshape(-1, q)
-    feas = np.all(c == 1, axis=1)
+    feas = feasible_rows(c)
     if members.shape[0]:
         keep = moea.rank_population(members, objs, feas).order[:count]
         members, objs, feas = members[keep], objs[keep], feas[keep]

@@ -109,9 +109,10 @@ def loss_constraint_logits(c_logits, gamma: float = 2.0, alpha: float = 0.25):
     logits)."""
     # -log sigmoid(z) = softplus(-z); 1 - sigmoid(z) = sigmoid(-z)
     neg = -np.asarray(c_logits, dtype=float)
-    sig = expit(neg)
+    e = np.exp(-np.abs(neg))
+    sig = expit(neg, e)
     weight = sig**gamma * alpha
-    softplus = np.maximum(neg, 0.0) + np.log1p(np.exp(-np.abs(neg)))
+    softplus = np.maximum(neg, 0.0) + np.log1p(e)
     inv = 1.0 / neg.size
     d_sig = inv * softplus * alpha * gamma * sig ** (gamma - 1)
     d_neg = d_sig * sig * (1.0 - sig) + inv * weight * sig

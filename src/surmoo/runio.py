@@ -10,7 +10,8 @@ suggestion, and so is a value that does not convert to its field's type,
 with its dotted key.
 
 Results are written as newline-delimited JSON records (one evaluation per
-line; NaN objectives are serialized as null for language neutrality) plus a
+line; NaN and infinite objectives are serialized as null, which keeps the
+log standard JSON and reads back as NaN, still non-viable) plus a
 per-epoch metrics CSV. Floats serialize via their shortest round-trip
 decimal representation, so re-parsing a log reproduces the values
 bit-exactly. The optional `sensitivity.csv` (a row per sub-block and
@@ -213,7 +214,7 @@ def config_to_dict(config: RunConfig) -> dict:
 
 
 def _json_vector(values: np.ndarray) -> list:
-    return [None if np.isnan(v) else float(v) for v in np.asarray(values, dtype=float)]
+    return [float(v) if np.isfinite(v) else None for v in np.asarray(values, dtype=float)]
 
 
 def _record_line(rec: EvaluationRecord) -> str:

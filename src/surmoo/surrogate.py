@@ -292,9 +292,8 @@ class JointSurrogate:
             g = g @ p[f"block{i}.fc2.w"].T
             if mask1 is not None:
                 g = g * mask1
-            # softplus' = expit(u), from the forward's exp(-|u|) by the
-            # operations of `core.expit`
-            g = g * (np.where(u >= 0, 1.0, e) / (1.0 + e)) if softplus else g * (u > 0.0)
+            # softplus' = expit(u), from the forward's exp(-|u|)
+            g = g * expit(u, e) if softplus else g * (u > 0.0)
             dense(f"block{i}.fc1", z, g)
             g = g @ p[f"block{i}.fc1.w"].T
             if grads is not None:
@@ -474,11 +473,12 @@ def _composite_loss(y_out, c_out, y_targets, c_targets, kind: str, grad: bool):
         value, dy = _objective_loss(y_out, y_targets, kind, grad)
     if c_out is not None:
         inv = 1.0 / c_out.size
-        bce = np.maximum(c_out, 0.0) - c_out * c_targets + np.log1p(np.exp(-np.abs(c_out)))
+        e = np.exp(-np.abs(c_out))
+        bce = np.maximum(c_out, 0.0) - c_out * c_targets + np.log1p(e)
         bce_value = bce.sum(dtype=np.float64) * inv
         value = bce_value if value is None else value + bce_value
         if grad:
-            dc = inv * (expit(c_out) - c_targets)
+            dc = inv * (expit(c_out, e) - c_targets)
     return float(value), dy, dc
 
 

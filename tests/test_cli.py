@@ -16,11 +16,11 @@ import surmoo
 
 from surmoo import engine, runio
 from surmoo.cli import cmd_bench, cmd_report, cmd_run, main
+from surmoo.config import StopConfig
 from surmoo.core import EvaluationRecord, ParetoArchive, RunHistory
 from surmoo.core import EpochMetrics
 from surmoo.engine import RunConfig, RunResult, run
 from surmoo.problems import get_problem
-from surmoo.stopping import StopConfig
 from surmoo.runio import (
     ConfigError,
     build_run_config,
@@ -488,6 +488,25 @@ class TestLogs:
         assert row == asdict(metrics)
         assert [type(v) for v in row.values()] == [int, int, float, int, float, str, int, float]
 
+    def test_non_finite_objectives_are_written_as_null(self, tmp_path):
+        # json.dumps writes inf as Infinity, which is not JSON
+        history = RunHistory()
+        objectives = np.array([np.nan, np.inf, -np.inf, 0.5])
+        history.append(EvaluationRecord(np.zeros(1), objectives, np.zeros(0), 0, "init"))
+        config = RunConfig(
+            problem="two_sphere", population_size=2, initial_samples=1, sampler="mc", epochs=1
+        )
+        result = RunResult(config, get_problem("two_sphere"), history, ParetoArchive())
+        out = write_run_directory(result, tmp_path / "run")
+
+        def not_json(name):
+            raise ValueError(f"{name} is not JSON")
+
+        (line,) = (out / "evaluations.ndjson").read_text().splitlines()
+        assert json.loads(line, parse_constant=not_json)["objectives"] == [None, None, None, 0.5]
+        (back,) = read_evaluations(out)
+        assert np.isnan(back.objectives[:3]).all() and not back.viable
+
     def test_truncated_last_line_detected(self, tmp_path):
         run_dir = synthetic_run_dir(tmp_path, "trunc", [[1.0, 2.0]])
         path = tmp_path / "trunc" / "evaluations.ndjson"
@@ -592,6 +611,25 @@ class TestCmdReport:
         assert cmd_report([str(not_a_dir)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "metric, calls",
+        [("igd", 0), ("epsilon", 0), ("coverage", 0), ("hv", 3), ("hv_auc", 3), ("all", 3)],
+    )
+    def test_hypervolumes_only_for_a_metric_that_prints_them(
+        self, tmp_path, capsys, monkeypatch, metric, calls
+    ):
+        run_dir = synthetic_run_dir(tmp_path, "spied", [[1.0, 2.0], [2.0, 1.0]])  # 3 epochs
+        seen = []
+        hypervolume = surmoo.metrics.normalized_hypervolume
+
+        def spy(*args):
+            seen.append(args)
+            return hypervolume(*args)
+
+        monkeypatch.setattr(surmoo.metrics, "normalized_hypervolume", spy)
+        assert cmd_report([run_dir], metric=metric) == 0
+        assert len(seen) == calls
+
     def test_unwritable_output_exits_2_after_the_table(self, tmp_path, capsys):
         run_dir = synthetic_run_dir(tmp_path, "filed", [[1.0, 2.0]])
         target = tmp_path / "missing" / "table.csv"
@@ -644,15 +682,17 @@ class TestMainEntry:
         assert logging.getLogger("surmoo").handlers == []
 
 
-# the scipy, surmoo and yaml modules loaded by a bare `import surmoo`, and
-# after `surmoo.cli` ran the command given as arguments, if any
+# the scipy, surmoo, yaml, hashlib and logging modules loaded by a bare
+# `import surmoo`, and after `surmoo.cli` ran the command given as arguments,
+# if any; hashlib loads OpenSSL, and a run loads it through numpy.random
 MODULES_PROBE = """\
 import json, sys
+WATCHED = ("scipy", "surmoo", "yaml", "hashlib", "logging")
 import surmoo
 bare = list(sys.modules)
 from surmoo import cli
 status = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-watched = lambda names: sorted(m for m in names if m.startswith(("scipy", "surmoo", "yaml")))
+watched = lambda names: sorted(m for m in names if m.startswith(WATCHED))
 print(json.dumps({"import surmoo": watched(bare), "loaded": watched(sys.modules), "status": status}))
 """
 
@@ -661,7 +701,8 @@ LOAD_CONFIG_PROBE = """\
 import json, sys, surmoo
 from surmoo import runio
 runio.load_config(sys.argv[1])
-print(json.dumps({"loaded": sorted(m for m in sys.modules if m.startswith("surmoo")), "status": 0}))
+loaded = sorted(m for m in sys.modules if m.startswith(("surmoo", "hashlib", "logging")))
+print(json.dumps({"loaded": loaded, "status": 0}))
 """
 
 SURROGATE_STACK = {"surmoo.surrogate", "surmoo.feasolve", "surmoo.sensitivity"}
@@ -748,6 +789,7 @@ class TestStartup:
         loaded = _modules_loaded(str(config), probe=LOAD_CONFIG_PROBE)["loaded"]
         assert "surmoo.config" in loaded
         assert OPTIMIZER.isdisjoint(loaded)
+        assert {"hashlib", "logging"}.isdisjoint(loaded)
 
     def test_surrogate_off_run_leaves_the_surrogate_stack_unloaded(self, tmp_path):
         config = write_config(tmp_path, MINIMAL_CONFIG + "  enabled: false\n")
@@ -785,15 +827,15 @@ class TestStartup:
         assert "surmoo.engine" not in loaded
 
     def test_every_exported_name_is_its_defining_modules_object(self):
-        from surmoo import config, core, problems, stopping, surrogate
+        from surmoo import config, core, problems, surrogate
 
         defined_in = {
             core: ["EvaluationRecord", "ParameterSpace", "ParetoArchive", "Provenance",
                    "RandomStream", "RunHistory", "is_feasible"],
-            config: ["FeasolveConfig", "RunConfig", "SensitivityConfig", "SurrogateConfig"],
+            config: ["FeasolveConfig", "RunConfig", "SensitivityConfig", "StopConfig",
+                     "SurrogateConfig"],
             engine: ["RunResult", "run"],
             problems: ["PROBLEM_REGISTRY", "ProblemDefinition", "get_problem"],
-            stopping: ["StopConfig"],
             surrogate: ["JointSurrogate"],
         }
         names = [name for names in defined_in.values() for name in names]

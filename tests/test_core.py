@@ -14,6 +14,7 @@ from surmoo.core import (
     RunHistory,
     dominance_matrix,
     expit,
+    feasible_rows,
     is_feasible,
     nondominated_mask,
 )
@@ -36,6 +37,15 @@ class TestFeasibility:
 
     def test_empty_product(self):
         assert is_feasible([])
+
+    def test_rows(self):
+        assert feasible_rows([[1, 1], [1, 0], [0, 0]]).tolist() == [True, False, False]
+        assert feasible_rows(np.empty((2, 0))).tolist() == [True, True]
+
+    @pytest.mark.parametrize("flags", [[2], [1, -1]])
+    def test_flags_other_than_0_and_1_rejected(self, flags):
+        with pytest.raises(ValueError, match="0 or 1"):
+            make_record([1.0], flags)
 
 
 def oracle_expit(x: float) -> float:
@@ -272,6 +282,11 @@ class TestRunHistory:
         history.append(make_record([1.0], constraints=[1]))
         assert len(history.viable_records()) == 2
         assert len(history.feasible_records()) == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_objective_is_not_viable(self, value):
+        assert make_record([1.0, 2.0]).viable
+        assert not make_record([value, 2.0]).viable
 
 
 class TestRandomStream:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from surmoo import engine, surrogate
+from surmoo.config import StopConfig
 from surmoo.core import EvaluationRecord, ParetoArchive, RandomStream, RunHistory
 from surmoo.engine import (
     RunConfig,
@@ -18,7 +19,6 @@ from surmoo.engine import (
 from surmoo.feasolve import FeasolveConfig
 from surmoo.moea import rank_population
 from surmoo.problems import get_problem
-from surmoo.stopping import StopConfig
 from surmoo.surrogate import SurrogateConfig
 from surmoo.surrogate import train as train_surrogate
 
@@ -282,6 +282,46 @@ class TestFallback:
             for epoch, n in ((0, 2), (1, 4))
             for i in range(n)
         ]
+
+    @pytest.mark.parametrize(
+        "problem, params, dim, bound, surrogate",
+        [
+            # the inf nadir of a surrogate-off run divided inf by inf
+            ("two_sphere", {"n": 1}, 0, 0.7, SurrogateConfig(enabled=False)),
+            # inf targets stopped every fit at epoch 0
+            ("tnk", {}, 0, 2.5, SurrogateConfig(mode="c+o", **TINY_SURROGATE)),
+        ],
+    )
+    def test_infinite_objectives_are_non_viable(self, monkeypatch, problem, params, dim, bound,
+                                                surrogate):
+        def blowing_up(name, **kwargs):
+            base = get_problem(name, **kwargs)
+
+            def evaluate(x):
+                f, c = base.evaluate(x)
+                return (np.array([np.inf, *f[1:]]) if x[dim] > bound else f), c
+
+            return replace(base, evaluate=evaluate)
+
+        fits = []
+
+        def recording_train(x, y, *args, **kwargs):
+            fits.append(y)
+            return train_surrogate(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "get_problem", blowing_up)
+        monkeypatch.setattr(engine, "train_surrogate", recording_train)
+        config = small_config(problem=problem, problem_params=params, initial_samples=30,
+                              population_size=10, surrogate=surrogate)
+        result = run(config)
+        records = result.history.records
+        infinite = [r for r in records if np.isinf(r.objectives).any()]
+        assert infinite and not any(r.viable for r in infinite)
+        assert len(result.history.viable_records()) == len(records) - len(infinite)
+        assert all(np.isfinite(m.hv_norm) for m in result.history.epoch_metrics)
+        assert np.isfinite(result.archive.objectives()).all()
+        assert all(np.isfinite(y).all() for y in fits)
+        assert bool(fits) == surrogate.enabled
 
     def test_each_fit_logs_its_training_schedule(self, caplog, monkeypatch):
         fits = []

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from surmoo.stopping import STOP_METRICS, StopConfig
+from surmoo.config import STOP_METRICS, StopConfig
 
 
 class TestParsing:
