@@ -210,7 +210,7 @@ def make_feasible(
     """Steer the (N, n) candidate rows ``x`` by descent on the frozen
     surrogate.
 
-    ``train_objectives`` (history objective values, NaN-free) feed the
+    ``train_objectives`` (history objective values, finite) feed the
     dynamic nadir of the objective target; ``train_inputs`` feed the
     exploration distance term. Uses Adam, or plain SGD when the
     non-negativity target runs alone. Returns the refined rows, a new array

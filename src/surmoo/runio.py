@@ -16,9 +16,10 @@ per-epoch metrics CSV. Floats serialize via their shortest round-trip
 decimal representation, so re-parsing a log reproduces the values
 bit-exactly. The optional `sensitivity.csv` (a row per sub-block and
 parameter) and `traces.ndjson` (a line per sub-block, descent step and
-candidate) are written from `RunResult.blocks`. Each row carries a `sub`
-field after its epoch, the sub-block it came from, so the four sub-blocks of
-a dynamic-sampling epoch stay apart.
+candidate) are written from `RunResult.blocks`; the traces' predicted
+objectives and feasibilities also write every non-finite value as null.
+Each row carries a `sub` field after its epoch, the sub-block it came from,
+so the four sub-blocks of a dynamic-sampling epoch stay apart.
 """
 
 from __future__ import annotations

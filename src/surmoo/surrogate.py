@@ -581,7 +581,7 @@ def train(
     stream: RandomStream,
     final_epochs: int | None = None,
 ) -> tuple[JointSurrogate, TrainingSchedule]:
-    """Fit the joint surrogate on NaN-free evaluated rows: parameters ``x``,
+    """Fit the joint surrogate on finite evaluated rows: parameters ``x``,
     objectives ``y`` and constraint flags ``c`` (0/1), one row per
     evaluation, as `RunHistory.viable_arrays` returns them.
 
@@ -606,7 +606,7 @@ def train(
     x, y, c = _filter_training_data(x, y, c, config)
     n = x.shape[0]
     if n < 2 * config.folds:
-        raise ValueError(f"need at least {2 * config.folds} NaN-free records, got {n}")
+        raise ValueError(f"need at least {2 * config.folds} finite records, got {n}")
     e_max, patience = epoch_budget(n)
 
     fold_chunks = np.array_split(np.arange(n), config.folds) if final_epochs is None else []
