@@ -3,13 +3,16 @@ layout, which `runio` reads through `dataclasses.fields`. Loads no optimizer.
 
 The `stop` section, `StopConfig`, is the dynamic stop rule. A run stops after
 an epoch once each of a metric's last ``window`` per-epoch values has reached
-``threshold``. The epoch-0 snapshot of the initial design counts as a value,
-but only an optimization epoch can end the run. The direction is fixed by the
-metric: ``hv``, ``feasible_count`` and ``evals`` grow as a run goes on and
-stop at or above the threshold; ``ecov``, the share of the front that is new
-this epoch, and ``nrmse`` stop at or below it. Fewer than ``window`` values,
-or a NaN among them, never stop a run. Without a metric the run uses every
-epoch.
+``threshold``. The values are the run's `core.EpochMetrics` records, the rows
+of `metrics.csv`, so a stop can be recomputed from disk: ``hv`` reads the
+``hv_norm`` field, ``evals`` reads ``cumulative_evals``, and every other
+metric the field of its own name. The epoch-0 snapshot of the initial design
+counts as a value, but only an optimization epoch can end the run. The
+direction is fixed by the metric: ``hv``, ``feasible_count`` and ``evals``
+grow as a run goes on and stop at or above the threshold; ``ecov``, the share
+of the front that is new this epoch, and ``nrmse`` stop at or below it. Fewer
+than ``window`` values, or a NaN among them, never stop a run. Without a
+metric the run uses every epoch.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ MODES = ("o", "c", "c+o")
 OBJECTIVE_LOSSES = ("mse", "huber", "log_cosh", "weighted_log_cosh", "distance_mse", "relative")
 STOP_METRICS = ("hv", "feasible_count", "nrmse", "ecov", "evals")
 _AT_OR_ABOVE = ("hv", "feasible_count", "evals")
+_STOP_FIELDS = {"hv": "hv_norm", "evals": "cumulative_evals"}  # the others: same name
 TARGETS = ("objective", "constraint", "distance", "zero")
 
 
@@ -52,13 +56,14 @@ class StopConfig:
         if not math.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
 
-    def reached(self, series: dict[str, list[float]]) -> bool:
-        """Whether the metric's last ``window`` values in ``series`` (metric
-        name to per-epoch values) have all reached the threshold; a NaN
+    def reached(self, metrics: list) -> bool:
+        """Whether the metric's values in the last ``window`` of the run's
+        `core.EpochMetrics` records have all reached the threshold; a NaN
         compares false, so it never has."""
         if self.metric is None:
             return False
-        values = series[self.metric][-self.window:]
+        name = _STOP_FIELDS.get(self.metric, self.metric)
+        values = [getattr(m, name) for m in metrics[-self.window:]]
         if len(values) < self.window:
             return False
         if self.metric in _AT_OR_ABOVE:

@@ -164,12 +164,14 @@ class EvaluationRecord:
     def __post_init__(self):
         object.__setattr__(self, "params", np.asarray(self.params, dtype=float))
         object.__setattr__(self, "objectives", np.asarray(self.objectives, dtype=float))
-        object.__setattr__(self, "constraints", np.asarray(self.constraints, dtype=np.int8))
         object.__setattr__(self, "provenance", Provenance(self.provenance))
         if self.epoch < 0:
             raise ValueError("epoch must be non-negative")
-        if not ((self.constraints == 0) | (self.constraints == 1)).all():
-            raise ValueError("constraint flags must be 0 or 1")
+        # checked before the cast, which would turn 0.7 into 0 and fail on 257
+        flags = np.asarray(self.constraints)
+        if not ((flags == 0) | (flags == 1)).all():
+            raise ValueError(f"constraint flags must be 0 or 1, not {flags.tolist()}")
+        object.__setattr__(self, "constraints", flags.astype(np.int8))
         for arr in (self.params, self.objectives, self.constraints):
             arr.setflags(write=False)
 
@@ -236,7 +238,9 @@ class ParetoArchive:
 
 @dataclass
 class EpochMetrics:
-    """Per-epoch snapshot stored alongside the evaluation log."""
+    """The one per-epoch record: `metrics.csv` holds a column per field, and
+    the stop rule (`config.StopConfig`) reads it. The log determines four
+    columns (`engine.recompute_metrics`)."""
 
     epoch: int
     cumulative_evals: int
@@ -246,6 +250,7 @@ class EpochMetrics:
     mode: str
     feasolve_steps: int
     wall_seconds: float
+    ecov: float  # share of the front the last one does not weakly dominate
 
 
 class RunHistory:

@@ -13,9 +13,11 @@ of adding evaluations.
 
 `_sub_block` runs one sub-block, from the fit to the evaluation, and returns
 a `SubBlock` record of it (see that class) with its model; `run` keeps the
-records in `RunResult.blocks` and reads each epoch's mode, descent steps and
-NRMSE from them. The model stays out of the record, so a run keeps only the
-models that ``save_surrogates`` asks for. The surrogate stack (`surrogate`,
+records in `RunResult.blocks`, and `_snapshot` reads each epoch's mode,
+descent steps and NRMSE from them into its `EpochMetrics`. The columns the
+log determines come from `_log_columns`, which `recompute_metrics` replays.
+The model stays out of the record, so a run keeps only the models that
+``save_surrogates`` asks for. The surrogate stack (`surrogate`,
 `feasolve`, `sensitivity`) loads on the first fit: training and sensitivity
 go through this module's delegates `train_surrogate` and
 `compute_elasticities`, which tests and tracing patch.
@@ -119,31 +121,32 @@ def select_surrogate_mode(flags: np.ndarray, configured: str) -> str:
 
 
 def recompute_metrics(records) -> list[dict]:
-    """Replay the derivable metric columns from an evaluation log alone.
-
-    Reproduces epoch, cumulative_evals, hv_norm, and feasible_count exactly
-    as the engine recorded them: each epoch's hypervolume is normalized by
-    the nadir of the feasible history seen so far.
-    """
-    return [
-        {
-            "epoch": epoch,
-            "cumulative_evals": len(history),
-            "hv_norm": _archive_hv(archive, history),
-            "feasible_count": len(history.feasible_records()),
-        }
-        for epoch, history, archive in replay(records)
-    ]
+    """Replay the `EpochMetrics` columns an evaluation log determines: a row
+    per epoch of epoch, cumulative_evals, hv_norm, feasible_count and ecov,
+    from `_log_columns`, which the engine recorded them with."""
+    rows, front = [], None
+    for epoch, history, archive in replay(records):
+        columns, front = _log_columns(history, archive, front)
+        rows.append({"epoch": epoch, **columns})
+    return rows
 
 
-def _archive_hv(archive: ParetoArchive, history: RunHistory) -> float:
-    """The archive's hypervolume, normalized by the feasible history's
-    nadir; 0 when nothing feasible has been found."""
+def _log_columns(history: RunHistory, archive: ParetoArchive, prev_front):
+    """The `EpochMetrics` columns the log determines after an epoch, and the
+    epoch's front (None while the archive is empty), the next epoch's
+    ``prev_front``. ``hv_norm`` is normalized by the nadir of the feasible
+    history so far; ``ecov`` is 1 for the first front, NaN without one."""
     feasible = history.feasible_records()
-    if not feasible or len(archive) == 0:
-        return 0.0
-    context = shared_normalization([np.array([r.objectives for r in feasible])])
-    return normalized_hypervolume(archive.objectives(), context)
+    front = archive.objectives() if len(archive) else None
+    if front is None:  # the archive holds feasible records only
+        hv_norm, ecov = 0.0, float("nan")
+    else:
+        context = shared_normalization([np.array([r.objectives for r in feasible])])
+        hv_norm = normalized_hypervolume(front, context)
+        ecov = 1.0 if prev_front is None else 1.0 - set_coverage(prev_front, front)
+    columns = dict(cumulative_evals=len(history), hv_norm=hv_norm,
+                   feasible_count=len(feasible), ecov=ecov)
+    return columns, front
 
 
 def train_surrogate(*args, **kwargs):
@@ -213,16 +216,12 @@ def run(config: RunConfig) -> RunResult:
     history = RunHistory()
     archive = ParetoArchive()
     result = RunResult(config, problem, history, archive)
-    series: dict[str, list[float]] = {
-        key: [] for key in ("hv", "feasible_count", "nrmse", "ecov", "evals")
-    }
 
     start = time.perf_counter()
     design = get_sampler(config.sampler)(problem.space, config.initial_samples, root.child("init"))
     provenances = [Provenance.INIT] * design.shape[0]
     _evaluate_and_log(problem, design, provenances, 0, history, archive, config.workers)
-    _snapshot(history, archive, series, 0, float("nan"), "-", 0, start, prev_front=None)
-    prev_front = archive.objectives() if len(archive) else None
+    front = _snapshot(history, archive, 0, [], "-", start, prev_front=None)
 
     for epoch in range(1, config.epochs + 1):
         epoch_start = time.perf_counter()
@@ -251,14 +250,8 @@ def run(config: RunConfig) -> RunResult:
         if config.save_surrogates and model is not None:
             result.surrogates.append((epoch, model))
 
-        # a sub-block whose fit failed makes the whole epoch's mode "none"
-        _snapshot(
-            history, archive, series, epoch, _epoch_nrmse(blocks),
-            mode if all(b.schedule is not None for b in blocks) else "none",
-            sum(b.descent_steps for b in blocks), epoch_start, prev_front,
-        )
-        prev_front = archive.objectives() if len(archive) else None
-        if config.stop.reached(series):
+        front = _snapshot(history, archive, epoch, blocks, mode, epoch_start, front)
+        if config.stop.reached(history.epoch_metrics):
             logger.info("dynamic stop %s satisfied after epoch %d", config.stop, epoch)
             break
     return result
@@ -387,45 +380,25 @@ def _usable_targets(targets, model: JointSurrogate):
     return tuple(usable)
 
 
-def _epoch_nrmse(blocks: list[SubBlock]) -> float:
+def _snapshot(history, archive, epoch, blocks, mode, epoch_start, prev_front):
+    """Record the epoch's metrics from its sub-blocks ``blocks`` (none for
+    the initial design) and return its front (see `_log_columns`). The mode
+    is ``mode`` unless a sub-block's fit failed, which makes it "none";
+    ``wall_seconds`` runs from ``epoch_start`` (a `time.perf_counter`
+    reading) to after the hypervolume and coverage."""
     pairs = [pair for block in blocks for pair in block.objective_pairs]
-    if len(pairs) < 2:
-        return float("nan")
-    y_true = np.array([p[0] for p in pairs])
-    y_pred = np.array([p[1] for p in pairs])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return nrmse(y_true, y_pred)
-
-
-def _snapshot(history, archive, series, epoch, nrmse_value, mode, feasolve_steps,
-              epoch_start, prev_front):
-    """Record the epoch's metrics; ``wall_seconds`` runs from ``epoch_start``
-    (a `time.perf_counter` reading) to after the hypervolume and coverage."""
-    hv_value = _archive_hv(archive, history)
-    feasible_count = len(history.feasible_records())
-    current_front = archive.objectives() if len(archive) else None
-    # ecov: the share of the front that the previous front does not weakly
-    # dominate, so 0 once the front has stopped moving
-    if current_front is None:
-        ecov = float("nan")
-    elif prev_front is None:
-        ecov = 1.0
-    else:
-        ecov = 1.0 - set_coverage(prev_front, current_front)
-    metrics = EpochMetrics(
+    nrmse_value = float("nan")
+    if len(pairs) >= 2:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            nrmse_value = nrmse(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+    columns, front = _log_columns(history, archive, prev_front)
+    history.snapshot(EpochMetrics(
         epoch=epoch,
-        cumulative_evals=len(history),
-        hv_norm=hv_value,
-        feasible_count=feasible_count,
         nrmse=nrmse_value,
-        mode=mode,
-        feasolve_steps=feasolve_steps,
+        mode=mode if all(b.schedule is not None for b in blocks) else "none",
+        feasolve_steps=sum(b.descent_steps for b in blocks),
         wall_seconds=time.perf_counter() - epoch_start,
-    )
-    history.snapshot(metrics)
-    series["hv"].append(hv_value)
-    series["feasible_count"].append(float(feasible_count))
-    series["nrmse"].append(nrmse_value)
-    series["ecov"].append(ecov)
-    series["evals"].append(float(len(history)))
+        **columns,
+    ))
+    return front

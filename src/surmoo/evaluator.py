@@ -42,7 +42,7 @@ def _run_one(problem: ProblemDefinition, params: np.ndarray) -> EvaluationResult
             error = f"{type(first).__name__}: {first}"
     return EvaluationResult(
         objectives=np.asarray(objectives, dtype=float),
-        constraints=np.asarray(constraints, dtype=np.int8),
+        constraints=np.asarray(constraints),  # `EvaluationRecord` checks and casts
         wall_time=time.perf_counter() - start,
         error=error,
     )

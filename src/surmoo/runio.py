@@ -12,9 +12,12 @@ with its dotted key.
 Results are written as newline-delimited JSON records (one evaluation per
 line; NaN and infinite objectives are serialized as null, which keeps the
 log standard JSON and reads back as NaN, still non-viable) plus a
-per-epoch metrics CSV. Floats serialize via their shortest round-trip
-decimal representation, so re-parsing a log reproduces the values
-bit-exactly. The optional `sensitivity.csv` (a row per sub-block and
+per-epoch metrics CSV with a column per `core.EpochMetrics` field: epoch,
+cumulative_evals, hv_norm, feasible_count, nrmse, mode, feasolve_steps,
+wall_seconds and ecov. A CSV written before ecov was recorded, with exactly
+the first eight columns, reads with ecov NaN. Floats serialize via their
+shortest round-trip decimal representation, so re-parsing a log reproduces
+the values bit-exactly. The optional `sensitivity.csv` (a row per sub-block and
 parameter) and `traces.ndjson` (a line per sub-block, descent step and
 candidate) are written from `RunResult.blocks`; the traces' predicted
 objectives and feasibilities also write every non-finite value as null.
@@ -318,7 +321,7 @@ def read_evaluations(run_dir) -> list[EvaluationRecord]:
                     EvaluationRecord(
                         params=np.array(payload["params"], dtype=float),
                         objectives=np.array(objectives, dtype=float),
-                        constraints=np.array(payload["constraints"], dtype=np.int8),
+                        constraints=payload["constraints"],
                         epoch=int(payload["epoch"]),
                         provenance=payload["provenance"],
                     )
@@ -339,19 +342,24 @@ def read_evaluations(run_dir) -> list[EvaluationRecord]:
 
 def read_metrics(run_dir) -> list[dict]:
     """Parse a metrics CSV; a row that does not hold one value of the right
-    type per column raises ``ValueError`` with its line number."""
+    type per column raises ``ValueError`` with its line number. A CSV with
+    every column but ecov, the last, was written before ecov was recorded:
+    it reads with ecov NaN."""
     path = Path(run_dir) / METRICS_FILE
     rows: list[dict] = []
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != METRICS_COLUMNS:
-            raise ValueError(f"{path}: unexpected metrics header {header}")
+        header = tuple(fh.readline().strip().split(","))
+        fields, missing = METRICS_FIELDS, {}
+        if header == METRICS_COLUMNS[:-1]:
+            fields, missing = METRICS_FIELDS[:-1], {"ecov": math.nan}
+        elif header != METRICS_COLUMNS:
+            raise ValueError(f"{path}: unexpected metrics header {list(header)}")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
-                values = zip(METRICS_FIELDS, line.strip().split(","), strict=True)
-                row = {f.name: _PARSERS[f.type](v) for f, v in values}
+                values = zip(fields, line.strip().split(","), strict=True)
+                row = {f.name: _PARSERS[f.type](v) for f, v in values} | missing
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad metrics row ({exc})") from None
             rows.append(row)

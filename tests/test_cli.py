@@ -70,7 +70,9 @@ def synthetic_run_dir(tmp_path, name, objective_rows, epochs=2):
             )
     for epoch in range(epochs + 1):
         history.snapshot(
-            EpochMetrics(epoch, (epoch + 1) * len(objective_rows), 0.0, 0, float("nan"), "o", 0, 0.0)
+            EpochMetrics(
+                epoch, (epoch + 1) * len(objective_rows), 0.0, 0, float("nan"), "o", 0, 0.0, 1.0
+            )
         )
     config = RunConfig(problem="two_sphere", population_size=max(2, len(objective_rows)),
                        initial_samples=len(objective_rows), sampler="mc", epochs=epochs)
@@ -288,6 +290,28 @@ class TestCmdRun:
         assert rows[0]["cumulative_evals"] == 10
         assert rows[-1]["cumulative_evals"] == 10 + 2 * 8
 
+    def test_stop_is_recomputed_from_metrics_csv(self, tmp_path):
+        # metrics.csv holds every input of the stop rule, ecov among them:
+        # read off its rows, the rule first holds at the last one
+        config = write_config(tmp_path, """\
+problem: two_sphere
+problem_params: {n: 2}
+seed: 3
+epochs: 12
+population_size: 8
+initial_samples: 10
+surrogate: {enabled: false}
+stop: {metric: ecov, window: 2, threshold: 0.5}
+""")
+        out = tmp_path / "out"
+        assert cmd_run(str(config), None, str(out)) == 0
+        rule = load_config(config).stop
+        rows = [EpochMetrics(**row) for row in read_metrics(out)]
+        assert rows[-1].epoch < 12
+        # epoch 0 counts as a value, but only an optimization epoch stops
+        held = [rule.reached(rows[:k]) for k in range(2, len(rows) + 1)]
+        assert held == [False] * (len(held) - 1) + [True]
+
     def test_same_seed_identical_logs(self, tmp_path):
         config = write_config(tmp_path)
         cmd_run(str(config), None, str(tmp_path / "a"))
@@ -460,7 +484,7 @@ class TestLogs:
         history.append(
             EvaluationRecord(values, np.array([np.nan, 0.1 + 0.2]), np.array([1], dtype=np.int8), 0, "init")
         )
-        history.snapshot(EpochMetrics(0, 1, 0.1, 0, float("nan"), "-", 0, 0.0))
+        history.snapshot(EpochMetrics(0, 1, 0.1, 0, float("nan"), "-", 0, 0.0, float("nan")))
         config = RunConfig(
             problem="two_sphere", population_size=2, initial_samples=1, sampler="mc", epochs=1
         )
@@ -475,18 +499,19 @@ class TestLogs:
         # a float field is written as the repr of its float, even when it
         # holds an int, and each column parses back to its field's type
         history = RunHistory()
-        metrics = EpochMetrics(2, 41, 1, 7, 1e-17, "c+o", 12, np.float64(0.1 + 0.2))
+        metrics = EpochMetrics(2, 41, 1, 7, 1e-17, "c+o", 12, np.float64(0.1 + 0.2), 0)
         history.snapshot(metrics)
         config = RunConfig(problem="two_sphere", population_size=2, initial_samples=1, sampler="mc")
         result = RunResult(config, get_problem("two_sphere"), history, ParetoArchive())
         out = write_run_directory(result, tmp_path / "run")
         assert (out / "metrics.csv").read_text().splitlines() == [
-            "epoch,cumulative_evals,hv_norm,feasible_count,nrmse,mode,feasolve_steps,wall_seconds",
-            "2,41,1.0,7,1e-17,c+o,12,0.30000000000000004",
+            "epoch,cumulative_evals,hv_norm,feasible_count,nrmse,mode,feasolve_steps,wall_seconds,"
+            "ecov",
+            "2,41,1.0,7,1e-17,c+o,12,0.30000000000000004,0.0",
         ]
         (row,) = read_metrics(out)
         assert row == asdict(metrics)
-        assert [type(v) for v in row.values()] == [int, int, float, int, float, str, int, float]
+        assert [type(v) for v in row.values()] == [int, int, float, int, float, str, int, float, float]
 
     def test_non_finite_objectives_are_written_as_null(self, tmp_path):
         # json.dumps writes inf as Infinity, which is not JSON
@@ -520,13 +545,18 @@ class TestLogs:
         [
             ("evaluations.ndjson", '{"epoch": 3, "provenance": "moea", "objectives": [1.0]}'),
             ("evaluations.ndjson", "[1, 2]"),
+            (
+                "evaluations.ndjson",
+                '{"epoch": 3, "provenance": "moea", "params": [0.5, 0.5], '
+                '"objectives": [1.0, 2.0], "constraints": [257]}',
+            ),
             ("metrics.csv", "3,1"),
         ],
     )
     def test_damaged_line_is_reported_with_its_number(self, tmp_path, capsys, name, damaged_line):
-        # a record without params, a line that is not an object and a short
-        # metrics row, each reported by path and line rather than as a bare
-        # KeyError or TypeError
+        # a record without params, a line that is not an object, a flag that
+        # is neither 0 nor 1 and a short metrics row, each reported by path
+        # and line rather than as a bare KeyError, TypeError or OverflowError
         run_dir = synthetic_run_dir(tmp_path, "damaged", [[1.0, 2.0]])
         path = tmp_path / "damaged" / name
         lineno = len(path.read_text().splitlines()) + 1
@@ -557,6 +587,37 @@ class TestLogs:
             read_evaluations(run_dir)
         assert cmd_report([run_dir]) == 2
         assert message in capsys.readouterr().err
+
+    def test_metrics_csv_written_before_ecov_reads_with_ecov_nan(self, tmp_path, capsys):
+        run_dir = synthetic_run_dir(tmp_path, "old", [[1.0, 2.0]])
+        path = tmp_path / "old" / "metrics.csv"
+        lines = path.read_text().splitlines()
+        assert lines[0].endswith(",wall_seconds,ecov")
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        rows = read_metrics(run_dir)
+        assert [row["epoch"] for row in rows] == [0, 1, 2]
+        assert all(list(row)[-1] == "ecov" and np.isnan(row["ecov"]) for row in rows)
+        assert cmd_report([run_dir]) == 0
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "epoch,cumulative_evals,hv_norm,feasible_count,nrmse,mode,feasolve_steps",
+            "ecov,epoch,cumulative_evals,hv_norm,feasible_count,nrmse,mode,feasolve_steps,"
+            "wall_seconds",
+            "epoch,cumulative_evals,hv_norm,feasible_count,nrmse,mode,feasolve_steps,"
+            "wall_seconds,ecov,extra",
+        ],
+    )
+    def test_any_other_metrics_header_is_rejected(self, tmp_path, capsys, header):
+        run_dir = synthetic_run_dir(tmp_path, "other", [[1.0, 2.0]])
+        path = tmp_path / "other" / "metrics.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("".join(line + "\n" for line in [header, *lines[1:]]))
+        with pytest.raises(ValueError, match="unexpected metrics header"):
+            read_metrics(run_dir)
+        assert cmd_report([run_dir]) == 2
+        assert "unexpected metrics header" in capsys.readouterr().err
 
     def test_records_are_one_json_object_per_line(self, tmp_path):
         run_dir = synthetic_run_dir(tmp_path, "lines", [[1.0, 2.0], [2.0, 1.0]])

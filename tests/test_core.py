@@ -42,10 +42,17 @@ class TestFeasibility:
         assert feasible_rows([[1, 1], [1, 0], [0, 0]]).tolist() == [True, False, False]
         assert feasible_rows(np.empty((2, 0))).tolist() == [True, True]
 
-    @pytest.mark.parametrize("flags", [[2], [1, -1]])
+    # checked before the int8 cast, which would read 0.7 as 0, 1.9 as 1 and
+    # NaN as 0, and raise OverflowError on 257
+    @pytest.mark.parametrize("flags", [[2], [1, -1], [0.7, 1.9], [257], [1, np.nan], [1, None]])
     def test_flags_other_than_0_and_1_rejected(self, flags):
         with pytest.raises(ValueError, match="0 or 1"):
-            make_record([1.0], flags)
+            EvaluationRecord(np.zeros(2), np.ones(1), flags, 0, "init")
+
+    @pytest.mark.parametrize("flags", [[1.0, 0.0], [True, False], np.array([1, 0], dtype=np.int64)])
+    def test_whole_flags_of_any_type_are_stored_as_int8(self, flags):
+        rec = EvaluationRecord(np.zeros(2), np.ones(1), flags, 0, "init")
+        assert rec.constraints.dtype == np.int8 and rec.constraints.tolist() == [1, 0]
 
 
 def oracle_expit(x: float) -> float:

@@ -152,13 +152,25 @@ class TestArchiveAndMetrics:
         assert got == expected
 
     def test_recompute_metrics_round_trip(self):
-        result = run(small_config(epochs=3))
+        # every column the log determines, exactly, on a run whose epochs
+        # hold four fitted sub-blocks and feasolve candidates each
+        config = small_config(
+            problem="tnk", problem_params={}, epochs=3, population_size=8, initial_samples=30,
+            sampler="sobol", generations=2, dynamic_sampling=True,
+            surrogate=SurrogateConfig(
+                mode="c+o", learning_rate=0.02, dropout=(0.0, 0.0), **TINY_SURROGATE
+            ),
+            feasolve=FeasolveConfig(enabled=True, max_iters=25),
+        )
+        result = run(config)
+        metrics = result.history.epoch_metrics
+        assert [m.mode for m in metrics] == ["-", "c+o", "c+o", "c+o"]
+        assert all(m.feasolve_steps for m in metrics[1:])
         rows = recompute_metrics(result.history.records)
-        for row, m in zip(rows, result.history.epoch_metrics):
-            assert row["epoch"] == m.epoch
-            assert row["cumulative_evals"] == m.cumulative_evals
-            assert row["feasible_count"] == m.feasible_count
-            assert row["hv_norm"] == pytest.approx(m.hv_norm, rel=1e-12, abs=1e-15)
+        columns = ["epoch", "cumulative_evals", "hv_norm", "feasible_count", "ecov"]
+        assert [list(row) for row in rows] == [columns] * len(metrics)
+        # assert_equal counts NaN equal to NaN
+        np.testing.assert_equal(rows, [{c: getattr(m, c) for c in columns} for m in metrics])
 
     def test_wall_seconds_include_the_hypervolume(self, monkeypatch):
         delay = 0.05
@@ -602,8 +614,7 @@ class TestSnapshotCoverage:
 
     def _ecov(self, epochs):
         history, archive = RunHistory(), ParetoArchive()
-        series = {name: [] for name in ("hv", "feasible_count", "nrmse", "ecov", "evals")}
-        prev_front = None
+        front = None
         for epoch, rows in enumerate(epochs):
             for objectives, feasible in rows:
                 rec = EvaluationRecord(
@@ -612,12 +623,11 @@ class TestSnapshotCoverage:
                 )
                 history.append(rec)
                 archive.insert(rec)
-            engine._snapshot(
-                history, archive, series, epoch, float("nan"), "-", 0,
-                time.perf_counter(), prev_front,
-            )
-            prev_front = archive.objectives() if len(archive) else None
-        return series["ecov"]
+            front = engine._snapshot(history, archive, epoch, [], "-", time.perf_counter(), front)
+        ecov = [m.ecov for m in history.epoch_metrics]
+        # the replay of the log gives the same values, NaN included
+        np.testing.assert_equal([row["ecov"] for row in recompute_metrics(history.records)], ecov)
+        return ecov
 
     def test_epoch_that_adds_nothing_reads_zero(self):
         ecov = self._ecov([

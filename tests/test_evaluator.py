@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from surmoo.core import EvaluationRecord
 from surmoo.evaluator import evaluate_batch
 from surmoo.problems import ProblemDefinition, make_two_sphere
 
@@ -87,3 +88,16 @@ class TestEvaluateBatch:
     def test_wall_time_recorded(self, rng):
         results = evaluate_batch(make_two_sphere(2), rng.random((2, 2)))
         assert all(r.wall_time >= 0.0 for r in results)
+
+    def test_constraint_flags_reach_the_record_unconverted(self):
+        # the record checks them before its cast; an int8 cast here turned
+        # a flag of 0.7 into a recorded 0
+        base = make_two_sphere(2)
+        problem = ProblemDefinition(
+            name="fractional_flag", space=base.space, n_objectives=2, n_constraints=1,
+            evaluate=lambda x: (base.evaluate(x)[0], np.array([0.7])),
+        )
+        (result,) = evaluate_batch(problem, np.full((1, 2), 0.5))
+        assert result.constraints.tolist() == [0.7]
+        with pytest.raises(ValueError, match="0 or 1"):
+            EvaluationRecord(np.full(2, 0.5), result.objectives, result.constraints, 1, "moea")
