@@ -27,9 +27,13 @@ population_size / 4 candidates each, and the surrogate is refit on the
 grown history before each one. The K CV folds that choose the training
 epoch count, the mean of their best-validation epochs, run only in the
 epoch's first sub-block whose fit succeeds (normally sub-block 0); each
-later sub-block retrains the final model from scratch on all its viable rows
-for that count, and its schedule's fold lists are empty. Without dynamic
-sampling every fit runs the folds.
+later sub-block fits the final model on all its viable rows, and its
+schedule's fold lists are empty. Such a fit starts from the weights of the
+model the sub-block before it fitted and trains a quarter of that count
+(`surrogate.WARM_START_FRACTION`); after a sub-block whose fit failed it
+starts fresh and trains the whole count. The count is always the folds'
+own, so the quarters never compound. Without dynamic sampling every fit
+runs the folds.
 
 If surrogate training fails in an epoch (for example, too few viable
 records), the epoch falls back to one plain NSGA-II variation step on the
@@ -238,12 +242,13 @@ def run(config: RunConfig) -> RunResult:
                     MIN_CONSTRAINT_PATTERNS,
                 )
         blocks: list[SubBlock] = []
+        model = None
         for sub in range(config.sub_blocks):
             # the epoch's first fitted block: later fits reuse its epoch count
             fitted = next((b for b in blocks if b.schedule is not None), None)
             block, model = _sub_block(
                 config, problem, history, archive, mode, epoch, sub,
-                epoch_stream.child(f"sub{sub}"), fitted,
+                epoch_stream.child(f"sub{sub}"), fitted, model,
             )
             blocks.append(block)
         result.blocks += blocks
@@ -257,12 +262,14 @@ def run(config: RunConfig) -> RunResult:
     return result
 
 
-def _sub_block(config, problem, history, archive, mode, epoch, sub, stream, fitted):
+def _sub_block(config, problem, history, archive, mode, epoch, sub, stream, fitted, previous):
     """Fit the surrogate in ``mode`` ("none": no fit) on the viable history,
     take sensitivities, generate candidates on the surrogate (plain variation
     without a model), descend, and evaluate them. ``fitted`` is the epoch's
     first block whose fit succeeded, None before it: a fit without one runs
-    the CV folds, a fit with one reuses its epoch count. Returns the block's
+    the CV folds, a fit with one reuses its epoch count and starts from
+    ``previous``, the model of the epoch's sub-block before this one (None
+    if that sub-block fitted none, or there is none). Returns the block's
     `SubBlock` and its model, None without a fit."""
     space = problem.space
     # one snapshot serves training, sensitivity, parents and descent
@@ -270,10 +277,12 @@ def _sub_block(config, problem, history, archive, mode, epoch, sub, stream, fitt
     model = schedule = s_bar = trace = None
     if mode != "none":
         cfg = replace(config.surrogate, mode=mode)
+        start = None if fitted is None else previous
         try:
             model, schedule = train_surrogate(
                 x, y, c, space, cfg, stream.child("train"),
                 final_epochs=None if fitted is None else fitted.schedule.final_epochs,
+                start=start,
             )
         except Exception as exc:
             logger.warning(
@@ -288,6 +297,8 @@ def _sub_block(config, problem, history, archive, mode, epoch, sub, stream, fitt
                 )
             else:
                 source = f"folds reused from sub-block {fitted.sub}"
+                if start is not None:
+                    source += f", warm start from sub-block {sub - 1}"
             logger.info(
                 "epoch %d sub-block %d: surrogate mode %s fitted on %d viable "
                 "records; %s, final epochs %d",

@@ -50,6 +50,8 @@ ADAM_EPS = 1e-8
 # a Python float, not np.log(2.0): a float64 scalar would promote float32
 # arrays to float64 under numpy 2's promotion rules
 LOG_2 = float(np.log(2.0))
+# a warm-started fit trains this share of the epoch count it is given
+WARM_START_FRACTION = 0.25
 
 
 def epoch_budget(n_samples: int) -> tuple[int, int]:
@@ -64,8 +66,10 @@ class TrainingSchedule:
     holds the epochs each CV fold ran, ``fold_best_epochs`` the epoch of each
     fold's last validation improvement (0 if none), and ``final_epochs`` the
     rounded mean of the best epochs, for which the returned model trained on
-    all rows. Empty fold lists mean no fold ran in this fit: ``final_epochs``
-    was passed in, reused from an earlier fit of the same epoch."""
+    all rows. Empty fold lists mean no fold ran in this fit: the epoch count
+    was passed in, reused from an earlier fit of the same epoch, and
+    ``final_epochs`` is the count this fit trained, that one for a fresh
+    start and `WARM_START_FRACTION` of it for a warm start."""
 
     e_max: int
     patience: int
@@ -341,8 +345,9 @@ class JointSurrogate:
     # ------------------------------------------------------------------
 
     def load_weight_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Set every weight from ``arrays`` (keyed like ``params``), as float64."""
-        self.params = {name: np.asarray(arrays[name], dtype=np.float64) for name in self.params}
+        """Set every weight to a float64 copy of its array in ``arrays``
+        (keyed like ``params``), so no two models share a weight array."""
+        self.params = {name: np.array(arrays[name], dtype=np.float64) for name in self.params}
 
 
 class InputPass:
@@ -553,13 +558,16 @@ def _train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, pa
     return epochs, best
 
 
-def _fit(x, y, c, rows, epochs, space, config, stream, val_rows=None, patience=None):
-    """One `_train_single` fit of a fresh model on ``rows`` of (x, y, c),
+def _fit(x, y, c, rows, epochs, space, config, stream, val_rows=None, patience=None, start=None):
+    """One `_train_single` fit of a new model on ``rows`` of (x, y, c),
     validated on ``val_rows`` if given. The weights are drawn from
-    ``stream.child("init")`` and the batches from ``stream.child("epochs")``;
-    the normalizer is fitted on the objectives of ``rows`` alone. Returns
-    (model, epochs run, best epoch)."""
+    ``stream.child("init")``, then replaced by copies of ``start``'s if it
+    is given, and the batches come from ``stream.child("epochs")``; the
+    normalizer and Adam start fresh either way, the normalizer fitted on the
+    objectives of ``rows`` alone. Returns (model, epochs run, best epoch)."""
     model = JointSurrogate(space, y.shape[1], c.shape[1], config, stream.child("init"))
+    if start is not None:
+        model.load_weight_arrays(start.params)
     norm = model.out_norm = OutputNormalizer.fit(y[rows]) if model.has_objective_head else None
 
     def take(r):  # (x, targets, c) of rows r; without an objective head, no targets
@@ -580,6 +588,7 @@ def train(
     config: SurrogateConfig,
     stream: RandomStream,
     final_epochs: int | None = None,
+    start: JointSurrogate | None = None,
 ) -> tuple[JointSurrogate, TrainingSchedule]:
     """Fit the joint surrogate on finite evaluated rows: parameters ``x``,
     objectives ``y`` and constraint flags ``c`` (0/1), one row per
@@ -592,17 +601,27 @@ def train(
     for that mean count, not for the later epochs at which patience stopped
     the folds. Given ``final_epochs``, no fold runs: the final model trains
     for that many epochs, from the same ``stream`` draws as after the folds,
-    and the schedule's fold lists are empty. The engine cross-validates once
-    per dynamic-sampling epoch and passes the count on to the epoch's later
-    fits.
+    and the schedule's fold lists are empty. Given also ``start``, a trained
+    model of the same ``config``, the final model starts from copies of its
+    weights instead of fresh ones and trains ``max(1, round(final_epochs *
+    WARM_START_FRACTION))`` epochs, the count its schedule reports. The
+    engine cross-validates once per dynamic-sampling epoch and passes the
+    count on to the epoch's later fits, each of which starts from the model
+    of the sub-block before it when that sub-block fitted one.
 
-    Every fit, fold or final, is one `_fit` call: a fresh model whose
+    Every fit, fold or final, is one `_fit` call: a new model whose
     normalizer sees that fit's training rows only. Fits train in float32
     (see `_train_single`); the returned model's weights are float64, each
-    one a float32 value.
+    one a float32 value, so a warm start copies them exactly.
     """
     if final_epochs is not None and final_epochs < 1:
         raise ValueError(f"final_epochs must be at least 1, got {final_epochs}")
+    if start is not None:
+        if final_epochs is None:
+            raise ValueError("a warm start needs final_epochs")
+        if start.config != config:
+            raise ValueError("a warm start needs a model of the same config")
+        final_epochs = max(1, int(round(final_epochs * WARM_START_FRACTION)))
     x, y, c = _filter_training_data(x, y, c, config)
     n = x.shape[0]
     if n < 2 * config.folds:
@@ -620,7 +639,9 @@ def train(
 
     if final_epochs is None:
         final_epochs = max(1, int(round(float(np.mean(bests)))))
-    model, _, _ = _fit(x, y, c, slice(None), final_epochs, space, config, stream.child("final"))
+    model, _, _ = _fit(
+        x, y, c, slice(None), final_epochs, space, config, stream.child("final"), start=start
+    )
     model.load_weight_arrays(model.params)  # float64 for inference
     schedule = TrainingSchedule(e_max, patience, stops, bests, final_epochs)
     return model, schedule

@@ -338,8 +338,8 @@ class TestFallback:
     def test_each_fit_logs_its_training_schedule(self, caplog, monkeypatch):
         fits = []
 
-        def recording_train(x, y, c, space, cfg, stream, final_epochs=None):
-            model, schedule = train_surrogate(x, y, c, space, cfg, stream, final_epochs)
+        def recording_train(x, y, c, space, cfg, stream, final_epochs=None, start=None):
+            model, schedule = train_surrogate(x, y, c, space, cfg, stream, final_epochs, start)
             fits.append((len(x), cfg.mode, schedule))
             return model, schedule
 
@@ -367,8 +367,11 @@ class TestFallback:
                 ) in line
             else:
                 assert schedule.fold_stop_epochs == schedule.fold_best_epochs == []
-                assert schedule.final_epochs == fits[0][2].final_epochs
-                assert "; folds reused from sub-block 0, final epochs" in line
+                assert schedule.final_epochs == max(1, round(fits[0][2].final_epochs / 4))
+                assert (
+                    f"; folds reused from sub-block 0, warm start from sub-block {sub - 1}, "
+                    "final epochs"
+                ) in line
             assert line.endswith(f"final epochs {schedule.final_epochs}")
 
     def test_surrogate_disabled_runs_plain_loop(self):
@@ -439,13 +442,71 @@ class TestCrossValidationOncePerEpoch:
             f"epoch 1 sub-block {sub}" for sub in (1, 2, 3)
         ]
         assert "; fold stop epochs [" in lines[0] and "], best epochs [" in lines[0]
-        assert all("; folds reused from sub-block 1, final epochs" in line for line in lines[1:])
+        assert [line.split("; ")[1].split(", final")[0] for line in lines[1:]] == [
+            f"folds reused from sub-block 1, warm start from sub-block {sub}" for sub in (1, 2)
+        ]
         assert result.history.epoch_metrics[1].mode == "none"
 
     def test_every_epoch_without_dynamic_sampling_cross_validates(self, monkeypatch):
         folds_per_fit = spy_folds_per_fit(monkeypatch)
         run(small_config(epochs=3, surrogate=self.SURROGATE))
         assert folds_per_fit() == [3, 3, 3]
+
+
+def spy_fits(monkeypatch, fail=()):
+    """Spy on `engine.train_surrogate`. The returned list gets, per call in
+    call order, a dict of the ``start`` and ``final_epochs`` it was passed
+    and the model and schedule it returned; calls whose index is in ``fail``
+    raise instead, and record None for both."""
+    fits = []
+
+    def spy(*args, start=None, **kwargs):
+        fit = dict(start=start, final_epochs=kwargs["final_epochs"], model=None, schedule=None)
+        fits.append(fit)
+        if len(fits) - 1 in fail:
+            raise RuntimeError("diverged")
+        fit["model"], fit["schedule"] = train_surrogate(*args, start=start, **kwargs)
+        return fit["model"], fit["schedule"]
+
+    monkeypatch.setattr(engine, "train_surrogate", spy)
+    return fits
+
+
+class TestWarmStart:
+    SURROGATE = SurrogateConfig(mode="o", blocks=1, block_dim=4, learning_rate=0.1)
+
+    def test_each_later_sub_block_starts_from_the_one_before(self, monkeypatch):
+        fits = spy_fits(monkeypatch)
+        run(small_config(dynamic_sampling=True, population_size=8, surrogate=self.SURROGATE))
+        subs = engine.DYNAMIC_SUB_BLOCKS
+        assert len(fits) == 2 * subs
+        for epoch in range(2):
+            first, *later = fits[epoch * subs:(epoch + 1) * subs]
+            assert first["start"] is None and first["final_epochs"] is None
+            full = first["schedule"].final_epochs
+            for before, fit in zip([first, *later], later):
+                assert fit["start"] is before["model"]
+                assert fit["final_epochs"] == full
+                assert fit["schedule"].final_epochs == max(1, round(full / 4))
+
+    def test_failed_fit_makes_the_next_fit_fresh_for_the_whole_count(self, monkeypatch):
+        fits = spy_fits(monkeypatch, fail=(1,))
+        run(small_config(
+            epochs=1, dynamic_sampling=True, population_size=8, surrogate=self.SURROGATE
+        ))
+        first, failed, fresh, warm = fits
+        full = first["schedule"].final_epochs
+        assert failed["start"] is first["model"]
+        assert fresh["start"] is None and fresh["final_epochs"] == full
+        assert fresh["schedule"].final_epochs == full
+        assert fresh["schedule"].fold_stop_epochs == []
+        assert warm["start"] is fresh["model"] and warm["final_epochs"] == full
+        assert warm["schedule"].final_epochs == max(1, round(full / 4))
+
+    def test_fits_without_dynamic_sampling_start_fresh(self, monkeypatch):
+        fits = spy_fits(monkeypatch)
+        run(small_config(epochs=3, surrogate=self.SURROGATE))
+        assert [(fit["start"], fit["final_epochs"]) for fit in fits] == [(None, None)] * 3
 
 
 class TestSubBlockRecords:

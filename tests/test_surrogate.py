@@ -257,6 +257,56 @@ class TestTraining:
         for name, w in full.params.items():
             assert np.array_equal(reused.params[name], w), name
 
+    @pytest.mark.parametrize("final_epochs", [1, 2, 6, 10, 41])
+    def test_warm_start_trains_a_quarter_from_the_start_weights(
+        self, rng, monkeypatch, final_epochs
+    ):
+        space = unit_space(2)
+        x = rng.random((24, 2))
+        y = np.hstack([x.sum(axis=1, keepdims=True), x[:, :1] * 3.0])
+        c = (x[:, :1] > 0.4).astype(np.int8)
+        cfg = SurrogateConfig(mode="c+o", blocks=1, block_dim=8, learning_rate=0.05)
+        rows = rows_from(x, y, c)
+        start, schedule = train(*rows, space, cfg, RandomStream(4, "start"), final_epochs=3)
+        before = {name: w.copy() for name, w in start.params.items()}
+
+        calls = []
+
+        def spy(model, *args, **kwargs):
+            calls.append((dict(model.params), args[3], kwargs.get("val")))
+            return single(model, *args, **kwargs)
+
+        single = surrogate._train_single
+        monkeypatch.setattr(surrogate, "_train_single", spy)
+        warm, warm_schedule = train(
+            *rows, space, cfg, RandomStream(4, "warm"), final_epochs=final_epochs, start=start
+        )
+        quarter = max(1, round(final_epochs / 4))
+        [(first, epochs, val)] = calls  # no fold: one unvalidated fit
+        assert val is None and epochs == quarter
+        assert warm_schedule == TrainingSchedule(
+            schedule.e_max, schedule.patience, [], [], quarter
+        )
+        assert first.keys() == start.params.keys()
+        for name, w in first.items():
+            assert w.dtype == np.float64 and np.array_equal(w, start.params[name]), name
+            assert not np.shares_memory(w, start.params[name]), name
+        for name, w in start.params.items():  # the start model is left as it was
+            assert w.tobytes() == before[name].tobytes(), name
+            assert warm.params[name].dtype == np.float64, name
+        assert warm.out_norm.state() == OutputNormalizer.fit(rows[1]).state()
+
+    def test_warm_start_needs_final_epochs_and_the_same_config(self, rng):
+        x = rng.random((12, 2))
+        rows = rows_from(x, x[:, :1])
+        cfg = SurrogateConfig(mode="o", blocks=1, block_dim=4)
+        start, _ = train(*rows, unit_space(2), cfg, RandomStream(0), final_epochs=2)
+        with pytest.raises(ValueError, match="a warm start needs final_epochs"):
+            train(*rows, unit_space(2), cfg, RandomStream(0), start=start)
+        other = SurrogateConfig(mode="o", blocks=1, block_dim=4, learning_rate=0.5)
+        with pytest.raises(ValueError, match="a warm start needs a model of the same config"):
+            train(*rows, unit_space(2), other, RandomStream(0), final_epochs=2, start=start)
+
     def test_each_fit_normalizes_with_its_own_training_rows(self, rng, monkeypatch):
         # a fold's normalizer sees its training rows only, never its
         # validation rows; the final fit's sees every row
