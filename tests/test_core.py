@@ -91,6 +91,31 @@ class TestExpit:
         assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
         assert value == oracle_expit(0.25)
 
+    @staticmethod
+    def where_expit(x):
+        """The sigmoid with its numerator chosen by np.where, the form
+        `expit`'s select replaces."""
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_select_equals_where_form_bit_for_bit(self, dtype):
+        mag = np.geomspace(1e-3, 800.0, 50_001)
+        special = [0.0, np.inf, np.nan, 1e38, 1e-45, 1e-300]
+        x = np.concatenate([mag, -mag, special, np.negative(special)]).astype(dtype)
+        got, want = expit(x), self.where_expit(x)
+        assert got.dtype == want.dtype == dtype
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        assert np.array_equal(got.view(bits), want.view(bits))
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.float32])
+    @pytest.mark.parametrize("value", [0.25, -3.0, 0.0, -0.0, 40.0, -800.0, np.inf, -np.inf, np.nan])
+    def test_select_equals_where_form_on_scalars(self, kind, value):
+        x = kind(value)
+        got, want = expit(x), self.where_expit(x)
+        assert type(got) is type(want) and np.ndim(got) == 0
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
 
 def dominates(a, b) -> bool:
     """The dominance relation on one pair, through the program's kernel."""
