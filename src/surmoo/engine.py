@@ -35,9 +35,10 @@ starts fresh and trains the whole count. The count is always the folds'
 own, so the quarters never compound. Without dynamic sampling every fit
 runs the folds.
 
-If surrogate training fails in an epoch (for example, too few viable
-records), the epoch falls back to one plain NSGA-II variation step on the
-same parents, ranked by their true values, and the event is logged. Both
+If surrogate training raises ValueError in an epoch (too few viable
+records, or an unusable config), the epoch falls back to one plain NSGA-II
+variation step on the same parents, ranked by their true values, and the
+event is logged; any other exception from the fit ends the run. Both
 epoch kinds draw children from `moea.offspring`. Every failed evaluation is
 logged too, with its epoch, candidate index and error.
 """
@@ -284,7 +285,7 @@ def _sub_block(config, problem, history, archive, mode, epoch, sub, stream, fitt
                 final_epochs=None if fitted is None else fitted.schedule.final_epochs,
                 start=start,
             )
-        except Exception as exc:
+        except ValueError as exc:  # too few finite records, or an unusable config
             logger.warning(
                 "epoch %d: surrogate training failed (%s); "
                 "falling back to no-surrogate variation", epoch, exc,

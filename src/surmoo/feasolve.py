@@ -5,9 +5,11 @@ built from up to four targets: a hypervolume-style objective term against a
 dynamic nadir, binary focal cross-entropy pushing constraint probabilities
 toward all-feasible, a pairwise-distance exploration term, and a
 non-negativity penalty. When several targets are active their gradients are
-rescaled to the L2 norm of the first before summing. Coordinates are clipped
-to the bounds after every step; descent stops at the iteration cap or when
-the trailing loss window plateaus.
+rescaled to the L2 norm of the first before summing. The candidates are
+stepped in place by `surrogate.Adam`, the optimizer training uses (plain SGD
+when the non-negativity target runs alone), and clipped to the bounds after
+every step; descent stops at the iteration cap or when the trailing loss
+window plateaus.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .config import TARGETS, FeasolveConfig
 from .core import expit
 from .moea import RankedPopulation
-from .surrogate import InputPass, JointSurrogate
+from .surrogate import Adam, InputPass, JointSurrogate
 
 __all__ = [
     "DescentTrace",
@@ -212,12 +214,13 @@ def make_feasible(
 
     ``train_objectives`` (history objective values, finite) feed the
     dynamic nadir of the objective target; ``train_inputs`` feed the
-    exploration distance term. Uses Adam, or plain SGD when the
-    non-negativity target runs alone. Returns the refined rows, a new array
-    (``x`` is not written to), and the full descent trace.
+    exploration distance term. The rows are stepped in place, as one flat
+    vector, by `surrogate.Adam`, or by plain SGD when the non-negativity
+    target runs alone. Returns the refined rows, a new array (``x`` is not
+    written to), and the full descent trace.
     """
     space = model.space
-    x = np.array(x, dtype=float)
+    x = np.array(x, dtype=float)  # a fresh C-ordered copy, stepped in place
     train_y = (
         np.atleast_2d(np.asarray(train_objectives, dtype=float))
         if train_objectives is not None and np.size(train_objectives)
@@ -230,9 +233,8 @@ def make_feasible(
     )
 
     use_sgd = cfg.targets == ("zero",)
-    m_state = np.zeros_like(x)
-    v_state = np.zeros_like(x)
-    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    grad = np.empty_like(x)
+    adam = Adam(x.reshape(-1), grad.reshape(-1), cfg.learning_rate)
 
     trace = DescentTrace()
     losses: list[float] = []
@@ -254,15 +256,11 @@ def make_feasible(
 
         combined = balance_gradients(list(grads)) if len(grads) > 1 else grads[0]
         if use_sgd:
-            x = x - cfg.learning_rate * combined
+            x -= cfg.learning_rate * combined
         else:
-            t = step + 1
-            m_state = beta1 * m_state + (1.0 - beta1) * combined
-            v_state = beta2 * v_state + (1.0 - beta2) * combined * combined
-            m_hat = m_state / (1.0 - beta1**t)
-            v_hat = v_state / (1.0 - beta2**t)
-            x = x - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + adam_eps)
-        x = np.clip(x, space.lower, space.upper)
+            grad[...] = combined
+            adam.step()
+        np.clip(x, space.lower, space.upper, out=x)
 
         if _plateaued(losses, cfg.plateau_window, cfg.plateau_ratio):
             trace.terminated_early = True

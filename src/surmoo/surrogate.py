@@ -5,23 +5,24 @@ evaluations with cross-validated automatic epoch selection.
 Training, prediction, feasibility descent and sensitivity analysis run on
 explicit passes: a hand-written forward pass that caches its activations,
 and a hand-written backward pass that writes every parameter gradient into
-one flat gradient vector (with closed-form output gradients for the BCE term
-and each objective loss) and returns the gradient at the input projection's
-output, from which `InputPass` takes input gradients without computing any
-parameter gradient. The weights are plain arrays in ``params``; while a
-fit runs they are views of one flat parameter vector, which one vectorized
-Adam step updates. Each array operation is the one the tape form,
-`autodiff.surrogate_forward`, records, in the tape's order, so on float64
-arrays the explicit passes agree with it bit for bit; this module does not
-import the tape. The passes and Adam keep the dtype they are given. Every
-fit trains in float32, with float64 loss sums, and `train` upcasts the
-weights of the model it returns to float64, so prediction, input gradients
-and checkpoints run in float64 on float32-representable weights. Residual
-blocks use layer normalization (not batch statistics), so a row's
-prediction and input gradient do not depend on the rest of its batch, up to
-rounding: BLAS picks its accumulation order per batch shape, so they may
-differ in the last bit. The default hidden activation is softplus so
-gradients are smooth everywhere; a ReLU mode is available.
+one flat gradient vector (with closed-form output gradients for the BCE
+term and each objective loss) and returns the gradient at the input
+projection's output, from which `InputPass`, the pass `predict` also runs,
+takes input gradients without computing any parameter gradient. The weights
+are plain arrays in ``params``; while a fit runs they are views of one flat
+parameter vector, which one vectorized Adam step updates. Each array
+operation is the one the tape form, `autodiff.surrogate_forward`, records,
+in the tape's order, so on float64 arrays the explicit passes agree with it
+bit for bit; this module does not import the tape. The passes and Adam keep
+the dtype they are given. Every fit trains in float32, with float64 loss
+sums, and `train` upcasts the weights of the model it returns to float64,
+so prediction, input gradients and checkpoints run in float64 on
+float32-representable weights. Residual blocks use layer normalization (not
+batch statistics), so a row's prediction and input gradient do not depend
+on the rest of its batch, up to rounding: BLAS picks its accumulation order
+per batch shape, so they may differ in the last bit. The default hidden
+activation is softplus so gradients are smooth everywhere; a ReLU mode is
+available.
 """
 
 from __future__ import annotations
@@ -125,17 +126,12 @@ class OutputNormalizer:
             unit = shared
         return self.y_min + unit * self.col_span
 
-    def inverse_pullback(self, targets: np.ndarray):
-        """(values, pullback): `inverse` with the shared rescale taken as a
-        product with its reciprocal (so a value can differ from it in the
-        last bit), and the map of a gradient g at the values to the one at
-        the targets, g * col_span * (1 / shared_span) * exp(targets)."""
-        unit, scale = np.expm1(targets), 1.0
-        if self.shared_span > 0.0:
-            scale = 1.0 / self.shared_span
-            unit = (unit - self.shared_min) * scale
-        slope = np.exp(targets)
-        return unit * self.col_span + self.y_min, lambda g: g * self.col_span * scale * slope
+    def pullback(self, targets: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The gradient at ``targets`` of a scalar whose gradient at
+        ``inverse(targets)`` is ``g``: g * col_span * (1 / shared_span) *
+        exp(targets), the middle factor 1 for a zero shared span."""
+        scale = 1.0 / self.shared_span if self.shared_span > 0.0 else 1.0
+        return g * self.col_span * scale * np.exp(targets)
 
     def state(self) -> dict:
         return {"y_min": self.y_min.tolist(), "y_max": self.y_max.tolist()}
@@ -331,16 +327,7 @@ class JointSurrogate:
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Denormalized objective predictions and constraint probabilities."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y_out, c_out, _ = self._forward(self._unit(x))
-        return self._predictions(y_out, c_out)
-
-    def _predictions(self, y_out, c_out):
-        y_pred = None
-        if y_out is not None:
-            y_pred = self.out_norm.inverse(y_out) if self.out_norm else y_out
-        c_pred = expit(c_out) if c_out is not None else None
-        return y_pred, c_pred
+        return InputPass(self, x).predictions()
 
     # ------------------------------------------------------------------
 
@@ -352,27 +339,33 @@ class JointSurrogate:
 
 class InputPass:
     """One explicit forward pass on parameter-space rows, kept for any
-    number of input gradients. ``y`` holds the denormalized objectives and
-    ``c_logits`` the constraint logits (None for an absent head), ``x_unit``
-    the rows in the unit box."""
+    number of input gradients. ``y`` holds the denormalized objectives,
+    `OutputNormalizer.inverse` of the head's output ``y_out``, which are the
+    objectives `JointSurrogate.predict` returns; ``c_logits`` holds the
+    constraint logits (None for an absent head), ``x_unit`` the rows in the
+    unit box."""
 
     def __init__(self, model: JointSurrogate, x: np.ndarray):
         self.model = model
         self.x_unit = model._unit(np.atleast_2d(np.asarray(x, dtype=float)))
         self.y_out, self.c_logits, self._cache = model._forward(self.x_unit)
-        self.y, self._pullback = self.y_out, None
+        self.y = self.y_out
         if self.y_out is not None and model.out_norm is not None:
-            self.y, self._pullback = model.out_norm.inverse_pullback(self.y_out)
+            self.y = model.out_norm.inverse(self.y_out)
 
     def predictions(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """What `JointSurrogate.predict` returns for the same rows."""
-        return self.model._predictions(self.y_out, self.c_logits)
+        """``y`` and the constraint probabilities, what
+        `JointSurrogate.predict` returns for the same rows."""
+        return self.y, (expit(self.c_logits) if self.c_logits is not None else None)
 
     def gradient(self, dy: np.ndarray | None = None, dc: np.ndarray | None = None) -> np.ndarray:
         """Gradient with respect to the rows of a scalar whose gradients
-        with respect to ``y`` and ``c_logits`` are ``dy`` and ``dc``."""
-        if dy is not None and self._pullback is not None:
-            dy = self._pullback(dy)
+        with respect to ``y`` and ``c_logits`` are ``dy`` and ``dc``. ``dy``
+        is pulled back to ``y_out`` by `OutputNormalizer.pullback` before
+        the backward pass."""
+        norm = self.model.out_norm
+        if dy is not None and norm is not None:
+            dy = norm.pullback(self.y_out, dy)
         dh = self.model._backward(self._cache, dy, dc)
         return (dh @ self.model.params["proj.w"].T) * (1.0 / self.model.space.span)
 
@@ -383,7 +376,9 @@ class InputPass:
 
 
 class Adam:
-    """Adam over one flat parameter vector, updated in place.
+    """Adam over one flat parameter vector, updated in place: the weights of
+    a fit (`_train_single`) and the candidate rows of a descent
+    (`feasolve.make_feasible`) both step through it.
 
     The update runs chunk by chunk through two preallocated buffers, so the
     slices of one chunk stay in a core's L2 cache across the dozen

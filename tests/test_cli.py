@@ -446,6 +446,19 @@ stop: {metric: ecov, window: 2, threshold: 0.5}
         assert failures[0].exc_info[0] is FloatingPointError
         assert not (tmp_path / "out").exists()
 
+    def test_programming_error_in_the_fit_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        # only a ValueError from the fit falls back to a no-surrogate epoch
+        def wrong_call(*args, **kwargs):
+            raise TypeError("train() got an unexpected keyword argument 'start'")
+
+        monkeypatch.setattr(engine, "train_surrogate", wrong_call)
+        path = write_config(tmp_path)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run(load_config(path))
+        assert cmd_run(str(path), None, str(tmp_path / "out")) == 1
+        assert "error: run failed: train() got an unexpected" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_that_is_a_directory_exits_2(self, tmp_path, capsys):
         assert cmd_run(str(tmp_path), None, str(tmp_path / "out")) == 2
         assert "error:" in capsys.readouterr().err

@@ -426,7 +426,7 @@ class TestCrossValidationOncePerEpoch:
         def fail_first(*args, **kwargs):
             tries.append(kwargs["final_epochs"])
             if len(tries) == 1:
-                raise RuntimeError("diverged")
+                raise ValueError("diverged")
             return train_surrogate(*args, **kwargs)
 
         monkeypatch.setattr(engine, "train_surrogate", fail_first)
@@ -464,7 +464,7 @@ def spy_fits(monkeypatch, fail=()):
         fit = dict(start=start, final_epochs=kwargs["final_epochs"], model=None, schedule=None)
         fits.append(fit)
         if len(fits) - 1 in fail:
-            raise RuntimeError("diverged")
+            raise ValueError("diverged")
         fit["model"], fit["schedule"] = train_surrogate(*args, start=start, **kwargs)
         return fit["model"], fit["schedule"]
 
@@ -555,7 +555,7 @@ class TestSubBlockRecords:
         def fail_first(*args, **kwargs):
             tries.append(None)
             if len(tries) == 1:
-                raise RuntimeError("diverged")
+                raise ValueError("diverged")
             return train_surrogate(*args, **kwargs)
 
         monkeypatch.setattr(engine, "train_surrogate", fail_first)

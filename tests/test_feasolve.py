@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from surmoo import autodiff
+from surmoo import autodiff, feasolve
 from surmoo.core import ParameterSpace, RandomStream
 from surmoo.feasolve import (
     DescentTrace,
@@ -283,6 +283,28 @@ class TestMakeFeasible:
             grad = -2.0 * max(-y, 0.0) * 8.0
             x = min(max(x - 0.01 * grad, 0.0), 1.0)
         assert out[0, 0] == pytest.approx(x, rel=1e-12)
+
+
+    def test_traced_objectives_are_the_ones_the_objective_target_read(self, monkeypatch, rng):
+        read = []
+
+        def spy(y_pred, *args):
+            read.append(np.array(y_pred))
+            return loss_objective(y_pred, *args)
+
+        monkeypatch.setattr(feasolve, "loss_objective", spy)
+        space = ParameterSpace(("a", "b", "c"), [0.0, -1.0, 2.0], [2.0, 1.0, 5.0])
+        cfg = SurrogateConfig(mode="c+o", blocks=2, block_dim=8)
+        model = JointSurrogate(space, 2, 2, cfg, RandomStream(3, "map"))
+        model.out_norm = OutputNormalizer.fit(rng.uniform(0.3, 7.0, (20, 2)))
+        x = space.lower + rng.random((24, 3)) * space.span
+        start = x.copy()
+        fs_cfg = FeasolveConfig(targets=("objective", "constraint"), max_iters=20)
+        _, trace = make_feasible(x, model, fs_cfg, rng.uniform(0.3, 7.0, (20, 2)))
+        assert np.array_equal(x, start)  # the rows passed in are not stepped
+        assert len(read) == len(trace) == 20
+        for step, y in zip(trace.steps, read):
+            assert step.pred_objectives.tobytes() == y.tobytes()
 
 
 class TestHybridSplit:

@@ -112,15 +112,13 @@ class TestOutputNormalizer:
         [([0.0, 1.0, 2.0], [10.0, 4.0, 7.0]), ([3.0, 1.0], [3.0, 9.0]), ([7.0, 0.0], [7.0, 3.0])],
         ids=["plain", "degenerate_column", "zero_shared_span"],
     )
-    def test_inverse_pullback_matches_inverse_and_finite_differences(self, rng, y_min, y_max):
+    def test_pullback_matches_central_differences_of_inverse(self, rng, y_min, y_max):
         norm = OutputNormalizer(np.array(y_min), np.array(y_max))
         t = rng.uniform(0.0, 2.5, size=(6, len(y_min)))
-        values, pullback = norm.inverse_pullback(t)
-        assert np.allclose(values, norm.inverse(t), rtol=1e-14, atol=0.0)
         g = rng.normal(size=t.shape)
         h = 1e-6
         fd = (norm.inverse(t + h) - norm.inverse(t - h)) / (2 * h) * g
-        assert np.allclose(pullback(g), fd, rtol=1e-6, atol=1e-9)
+        assert np.allclose(norm.pullback(t, g), fd, rtol=1e-6, atol=1e-9)
 
 
 class TestEpochBudget:
@@ -398,6 +396,18 @@ class TestPrediction:
         batch = InputPass(model, pts)
         assert batch.gradient(dy=np.ones_like(batch.y)).dtype == np.float64
         assert batch.gradient(dc=np.ones_like(batch.c_logits)).dtype == np.float64
+
+    def test_input_pass_objectives_are_what_predict_returns(self, rng):
+        space = ParameterSpace(("a", "b", "c"), [0.0, -1.0, 2.0], [2.0, 1.0, 5.0])
+        cfg = SurrogateConfig(mode="c+o", blocks=2, block_dim=8)
+        model = JointSurrogate(space, 3, 2, cfg, RandomStream(5, "map"))
+        model.out_norm = OutputNormalizer.fit(rng.uniform(0.3, 7.0, (20, 3)))
+        x = space.lower + rng.random((200, 3)) * space.span
+        y, c = model.predict(x)
+        batch = InputPass(model, x)
+        assert batch.y.tobytes() == y.tobytes()
+        by, bc = batch.predictions()
+        assert by.tobytes() == y.tobytes() and bc.tobytes() == c.tobytes()
 
     def test_inference_deterministic(self, rng):
         model = self._trained(rng)
