@@ -104,7 +104,7 @@ def expit(x, e=None):
     if e is None:
         e = np.exp(-np.abs(x))
     # numerator 1 where x >= 0, else e: as e <= 1, the maximum of e and the
-    # 0/1 flag picks it, in e's dtype, without np.where's 3-operand select
+    # 0/1 flag is that value, in e's dtype
     return np.maximum(e, x >= 0) / (1.0 + e)
 
 

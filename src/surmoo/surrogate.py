@@ -340,10 +340,11 @@ class JointSurrogate:
 class InputPass:
     """One explicit forward pass on parameter-space rows, kept for any
     number of input gradients. ``y`` holds the denormalized objectives,
-    `OutputNormalizer.inverse` of the head's output ``y_out``, which are the
-    objectives `JointSurrogate.predict` returns; ``c_logits`` holds the
+    `OutputNormalizer.inverse` of the head's output ``y_out``: the
+    objectives `JointSurrogate.predict` returns. ``c_logits`` holds the
     constraint logits (None for an absent head), ``x_unit`` the rows in the
-    unit box."""
+    unit box. `gradient` takes a gradient with respect to ``y`` back to
+    ``y_out`` by `OutputNormalizer.pullback`, then runs the backward pass."""
 
     def __init__(self, model: JointSurrogate, x: np.ndarray):
         self.model = model
@@ -360,9 +361,7 @@ class InputPass:
 
     def gradient(self, dy: np.ndarray | None = None, dc: np.ndarray | None = None) -> np.ndarray:
         """Gradient with respect to the rows of a scalar whose gradients
-        with respect to ``y`` and ``c_logits`` are ``dy`` and ``dc``. ``dy``
-        is pulled back to ``y_out`` by `OutputNormalizer.pullback` before
-        the backward pass."""
+        with respect to ``y`` and ``c_logits`` are ``dy`` and ``dc``."""
         norm = self.model.out_norm
         if dy is not None and norm is not None:
             dy = norm.pullback(self.y_out, dy)
