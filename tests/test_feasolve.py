@@ -284,7 +284,6 @@ class TestMakeFeasible:
             x = min(max(x - 0.01 * grad, 0.0), 1.0)
         assert out[0, 0] == pytest.approx(x, rel=1e-12)
 
-
     def test_traced_objectives_are_the_ones_the_objective_target_read(self, monkeypatch, rng):
         read = []
 
