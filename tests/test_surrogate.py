@@ -112,7 +112,7 @@ class TestOutputNormalizer:
         [([0.0, 1.0, 2.0], [10.0, 4.0, 7.0]), ([3.0, 1.0], [3.0, 9.0]), ([7.0, 0.0], [7.0, 3.0])],
         ids=["plain", "degenerate_column", "zero_shared_span"],
     )
-    def test_pullback_matches_central_differences_of_inverse(self, rng, y_min, y_max):
+    def test_inverse_pullback_matches_inverse_and_finite_differences(self, rng, y_min, y_max):
         norm = OutputNormalizer(np.array(y_min), np.array(y_max))
         t = rng.uniform(0.0, 2.5, size=(6, len(y_min)))
         g = rng.normal(size=t.shape)
