@@ -28,7 +28,7 @@ __all__ = ["RunConfig", "StopConfig", "SensitivityConfig", "SurrogateConfig", "F
 
 DYNAMIC_SUB_BLOCKS = 4
 MODES = ("o", "c", "c+o")
-OBJECTIVE_LOSSES = ("mse", "huber", "log_cosh", "weighted_log_cosh", "distance_mse", "relative")
+OBJECTIVE_LOSSES = ("mse", "huber", "log_cosh", "weighted_log_cosh", "distance_mse")
 STOP_METRICS = ("hv", "feasible_count", "nrmse", "ecov", "evals")
 _AT_OR_ABOVE = ("hv", "feasible_count", "evals")
 _STOP_FIELDS = {"hv": "hv_norm", "evals": "cumulative_evals"}  # the others: same name

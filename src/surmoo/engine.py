@@ -307,12 +307,16 @@ def _sub_block(config, problem, history, archive, mode, epoch, sub, stream, fitt
             )
 
     eta = np.full(space.dim, moea.ETA_DEFAULT)
-    if model is not None and config.sensitivity.enabled and model.has_objective_head:
-        from .sensitivity import indices_from_sensitivity, invert_indices
-        s_bar = compute_elasticities(model, x)
-        eta = indices_from_sensitivity(s_bar)
-        if config.sensitivity.inverted:
-            eta = invert_indices(eta)
+    if model is not None and config.sensitivity.enabled:
+        if model.has_objective_head:
+            from .sensitivity import indices_from_sensitivity, invert_indices
+            s_bar = compute_elasticities(model, x)
+            eta = indices_from_sensitivity(s_bar)
+            if config.sensitivity.inverted:
+                eta = invert_indices(eta)
+        else:
+            logger.info("epoch %d sub-block %d: sensitivity skipped: surrogate mode %s has "
+                        "no objective head", epoch, sub, mode)
 
     n_sub = config.population_size // config.sub_blocks
     parents, parent_objs, parent_feas = _select_parents(

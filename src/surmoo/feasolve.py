@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import TARGETS, FeasolveConfig
 from .core import expit
+from .metrics import shared_normalization
 from .moea import RankedPopulation
 from .surrogate import Adam, InputPass, JointSurrogate
 
@@ -70,17 +71,19 @@ class DescentTrace:
 def loss_objective(y_pred, train_objectives, reference_factor: float = 1.1):
     """Negated dominated-hypervolume proxy against a dynamic nadir.
 
-    nadir_j is the max of the batch predictions and the training history per
+    Both sides are first shifted as hypervolume shifts them, by
+    `metrics.shared_normalization` of the training objectives. nadir_j is
+    then the max of the batch predictions and the training history per
     objective; each candidate contributes the product over objectives of
     max(r - y_ij / (nadir_j + eps), 0). Returns (value, gradient with
     respect to ``y_pred``); the gradient also flows through the nadir, split
     equally between rows tied at the batch maximum, and halved where that
     maximum ties the training maximum.
     """
-    y = np.atleast_2d(np.asarray(y_pred, dtype=float))
-    train_max = np.atleast_2d(np.asarray(train_objectives, dtype=float)).max(axis=0)
+    train = shared_normalization([train_objectives])  # nadir: the shifted training max
+    y = np.atleast_2d(np.asarray(y_pred, dtype=float)) - train.shift
     batch_max = y.max(axis=0)
-    den = np.maximum(batch_max, train_max) + EPS
+    den = np.maximum(batch_max, train.nadir) + EPS
     margin = reference_factor - y / den
     live = margin > 0.0
     clamped = margin * live
@@ -97,7 +100,7 @@ def loss_objective(y_pred, train_objectives, reference_factor: float = 1.1):
         g = g * clamped[:, j]
     d_scaled = -(d_clamped * live)
     d_den = (-d_scaled * y / (den * den)).sum(axis=0)
-    d_max = d_den * ((batch_max > train_max) + 0.5 * (batch_max == train_max))
+    d_max = d_den * ((batch_max > train.nadir) + 0.5 * (batch_max == train.nadir))
     at_max = y == batch_max
     dy = d_scaled / den + d_max * at_max / at_max.sum(axis=0, keepdims=True)
     return float(-prefix[-1].sum()), dy

@@ -455,10 +455,6 @@ def _objective_loss(pred: np.ndarray, targets: np.ndarray, kind: str, grad: bool
             return value, None
         g = inv if w is None else inv * w
         return value, (g + g / (1.0 + e) * e * -2.0) * np.sign(r)
-    if kind == "relative":
-        w = 1.0 / (np.abs(targets) + 1e-12)
-        value = (a * w).sum(dtype=np.float64) * inv
-        return value, (inv * w * np.sign(r) if grad else None)
     raise ValueError(f"unknown objective loss {kind!r}")
 
 

@@ -336,6 +336,13 @@ stop: {metric: ecov, window: 2, threshold: 0.5}
         assert status == 2
         assert "did you mean" in capsys.readouterr().err
 
+    def test_deleted_objective_loss_is_a_config_error(self, tmp_path, capsys):
+        bad = write_config(tmp_path, MINIMAL_CONFIG + "  objective_loss: relative\n")
+        assert cmd_run(str(bad), None, str(tmp_path / "out")) == 2
+        kinds = "('mse', 'huber', 'log_cosh', 'weighted_log_cosh', 'distance_mse')"
+        assert f"objective_loss must be one of {kinds}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_workers_is_a_config_error(self, tmp_path, capsys):
         bad = write_config(tmp_path, MINIMAL_CONFIG + "workers: 0\n")
         status = cmd_run(str(bad), None, str(tmp_path / "out"))

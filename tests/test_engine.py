@@ -777,6 +777,34 @@ class TestFeasolveIntegration:
         assert all(m.mode == "c" for m in surrogate_epochs)
         assert any(m.feasolve_steps > 0 for m in surrogate_epochs)
 
+    def test_sensitivity_without_objective_head_is_skipped_and_logged(self, caplog):
+        sensitivity = SensitivityConfig(enabled=True)
+        config = self._feasolve_config(
+            problem="srn",
+            surrogate=SurrogateConfig(mode="c", **TINY_SURROGATE),
+            feasolve=FeasolveConfig(enabled=True, targets=("constraint",), max_iters=25),
+            sensitivity=sensitivity,
+        )
+        with caplog.at_level("INFO", logger="surmoo"):
+            result = run(config)
+        lines = [r.getMessage() for r in caplog.records if "sensitivity" in r.getMessage()]
+        fitted = [b for b in result.blocks if b.schedule is not None]
+        assert fitted and all(b.s_bar is None for b in result.blocks)
+        assert lines == [
+            f"epoch {b.epoch} sub-block {b.sub}: sensitivity skipped: surrogate mode c "
+            "has no objective head" for b in fitted
+        ]
+        # BNH falls back to mode o, which has an objective head
+        caplog.clear()
+        bnh = self._feasolve_config(
+            surrogate=SurrogateConfig(mode="c", **TINY_SURROGATE), sensitivity=sensitivity
+        )
+        with caplog.at_level("INFO", logger="surmoo"):
+            result = run(bnh)
+        assert [m.mode for m in result.history.epoch_metrics[1:]] == ["o", "o"]
+        assert all(b.s_bar is not None for b in result.blocks)
+        assert not any("sensitivity" in r.getMessage() for r in caplog.records)
+
     def test_sensitivity_snapshots_recorded(self):
         config = self._feasolve_config(sensitivity=SensitivityConfig(enabled=True))
         result = run(config)

@@ -33,11 +33,11 @@ class TestLossObjective:
         assert value == pytest.approx(-(0.1**2), rel=1e-9)
 
     def test_ratio_beyond_reference_clamps_to_zero(self):
-        # the dynamic nadir tracks the batch maximum, so a ratio over 1.1 can
-        # only arise with negative scales; the clamp zeroes that contribution
-        train_y = np.array([[-1.0]])
-        value = loss_objective(np.array([[-2.0], [-0.2]]), train_y)[0]
-        assert value == pytest.approx(-(1.1 - 1.0), rel=1e-6)
+        # the dynamic nadir tracks the batch maximum, so a ratio beyond the
+        # reference needs a factor below 1; the clamp zeroes that contribution
+        train_y = np.array([[1.0]])
+        value = loss_objective(np.array([[2.0], [0.5]]), train_y, 0.9)[0]
+        assert value == pytest.approx(-(0.9 - 0.25), rel=1e-9)
 
     def test_hand_case(self):
         train_y = np.array([[1.0, 1.0]])
@@ -54,6 +54,20 @@ class TestLossObjective:
         # batch max 2.0 exceeds the training max, so nadir = 2.0
         value = loss_objective(np.array([[2.0], [1.0]]), train_y)[0]
         assert value == pytest.approx(-((1.1 - 1.0) + (1.1 - 0.5)), rel=1e-9)
+
+    @pytest.mark.parametrize("c", [-100.0, -0.5])
+    def test_shift_by_hypervolume_rule(self, c, rng):
+        # the training minima are 0, so hypervolume shifts train + c back by c
+        # and the loss reads the same values: at y = 1.5 the nadir is 3 and
+        # each margin 0.6, so the gradient is 0.6 / 3 per objective
+        train_y = np.array([[0.0, 3.0], [3.0, 0.0], [1.0, 1.0]])
+        y = np.vstack([[1.5, 1.5], rng.uniform(-0.5, 3.5, (6, 2))])
+        value, grad = loss_objective(y, train_y)
+        shifted_value, shifted_grad = loss_objective(y + c, train_y + c)
+        assert shifted_value == pytest.approx(value, abs=1e-9)
+        assert np.allclose(shifted_grad, grad, rtol=0.0, atol=1e-9)
+        one = loss_objective(y[:1] + c, train_y + c)[1]
+        assert np.allclose(one, [[0.2, 0.2]], rtol=0.0, atol=1e-9)
 
 
 def logit(p):
@@ -157,12 +171,12 @@ class TestClosedFormGradients:
         assert grad[0, 0] + grad[1, 0] == pytest.approx(fd, rel=1e-6)
 
     def test_objective_gradient_exact_with_zero_factor(self):
-        # row 0 lies beyond the reference in objective 1 (a negative nadir
-        # scales it to 10), so its product has a zero factor: both of its
+        # row 0 lies beyond the 0.9 reference in objective 1 (0.95 of the
+        # training nadir), so its product has a zero factor: both of its
         # gradients are exactly zero, not 0/0, and row 1 is unaffected
-        y = np.array([[0.5, -2.0], [1.0, -0.2]])
-        value, grad = loss_objective(y, np.array([[1.0, -0.2]]))
-        assert value == pytest.approx(-(0.1 * 0.1), rel=1e-9)
+        y = np.array([[0.5, 0.95], [0.4, 0.2]])
+        value, grad = loss_objective(y, np.array([[1.0, 1.0]]), 0.9)
+        assert value == pytest.approx(-(0.5 * 0.7), rel=1e-9)
         assert np.array_equal(grad[0], [0.0, 0.0])
         assert np.all(np.isfinite(grad)) and np.all(grad[1] != 0.0)
 
@@ -267,6 +281,20 @@ class TestMakeFeasible:
         out, trace = make_feasible(start, model, fs_cfg, train_inputs=start)
         assert trace.steps[0].loss == 0.0
         assert np.array_equal(out, start)
+
+    def test_objectives_below_zero_descend_like_positive_ones(self, rng):
+        # the predictions x - 2 are never positive; shifted as hypervolume
+        # shifts them, the rows still move downhill at about the learning
+        # rate per step, as they do for x + 1
+        x_train = rng.random((20, 2))
+        start = np.array([[0.5, 0.5], [0.7, 0.3]])
+        cfg = FeasolveConfig(targets=("objective",), max_iters=20, learning_rate=0.01)
+        for bias in (1.0, -2.0):
+            model = affine_model(unit_space(2), np.eye(2), [bias, bias])
+            model.out_norm = None
+            out, trace = make_feasible(start, model, cfg, x_train + bias, x_train)
+            assert len(trace) == 20
+            assert np.all((out - start > -0.21) & (out - start < -0.19)), bias
 
     def test_sgd_used_for_zero_only_target(self):
         space = unit_space(1)

@@ -577,8 +577,6 @@ def tape_objective_loss(pred, targets, kind):
         return log_cosh.mean()
     if kind == "distance_mse":
         return (r * r * Tensor(1.0 / (1.0 + np.abs(targets)))).mean()
-    if kind == "relative":
-        return (r.abs() * Tensor(1.0 / (np.abs(targets) + 1e-12))).mean()
     raise ValueError(kind)
 
 
