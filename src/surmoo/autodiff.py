@@ -156,20 +156,6 @@ class Tensor:
     # elementwise functions
     # ------------------------------------------------------------------
 
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def backward(g):
-            self._accumulate(g * out_data)
-
-        return self._make(out_data, (self,), backward)
-
-    def log1p(self):
-        def backward(g):
-            self._accumulate(g / (1.0 + self.data))
-
-        return self._make(np.log1p(self.data), (self,), backward)
-
     def softplus(self):
         out_data = np.maximum(self.data, 0.0) + np.log1p(np.exp(-np.abs(self.data)))
 
@@ -177,22 +163,6 @@ class Tensor:
             self._accumulate(g * expit(self.data))
 
         return self._make(out_data, (self,), backward)
-
-    def relu(self):
-        mask = self.data > 0.0
-
-        def backward(g):
-            self._accumulate(g * mask)
-
-        return self._make(self.data * mask, (self,), backward)
-
-    def abs(self):
-        sign = np.sign(self.data)
-
-        def backward(g):
-            self._accumulate(g * sign)
-
-        return self._make(np.abs(self.data), (self,), backward)
 
     # ------------------------------------------------------------------
     # reductions
@@ -263,11 +233,10 @@ def surrogate_forward(model, params, x, train=False, dropout_rng=None):
     x_unit = (x - Tensor(model.space.lower)) * Tensor(1.0 / model.space.span)
     h = x_unit @ p["proj.w"] + p["proj.b"]
     p1, p2 = cfg.dropout
-    softplus = cfg.activation == "softplus"
     for i in range(cfg.blocks):
         z = layer_norm(h, p[f"block{i}.ln_scale"], p[f"block{i}.ln_shift"], LAYER_NORM_EPS)
         u = z @ p[f"block{i}.fc1.w"] + p[f"block{i}.fc1.b"]
-        a = _dropout(u.softplus() if softplus else u.relu(), p1, train, dropout_rng)
+        a = _dropout(u.softplus(), p1, train, dropout_rng)
         o = a @ p[f"block{i}.fc2.w"] + p[f"block{i}.fc2.b"]
         h = h + _dropout(o, p2, train, dropout_rng)
     y_out = h @ p["head_obj.w"] + p["head_obj.b"] if model.has_objective_head else None

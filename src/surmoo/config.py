@@ -1,6 +1,10 @@
 """`RunConfig` and its sections, with their checks: the one home of the config
 layout, which `runio` reads through `dataclasses.fields`. Loads no optimizer.
 
+`SurrogateConfig` sets the surrogate's size and schedule, not its recipe:
+every fit trains a softplus network on every viable row, with MSE on the
+output normalizer's targets plus mean BCE on the constraint logits.
+
 The `stop` section, `StopConfig`, is the dynamic stop rule. A run stops after
 an epoch once each of a metric's last ``window`` per-epoch values has reached
 ``threshold``. The values are the run's `core.EpochMetrics` records, the rows
@@ -24,11 +28,10 @@ from .problems import check_problem_params
 from .sampling import check_design_size
 
 __all__ = ["RunConfig", "StopConfig", "SensitivityConfig", "SurrogateConfig", "FeasolveConfig",
-           "DYNAMIC_SUB_BLOCKS", "MODES", "OBJECTIVE_LOSSES", "STOP_METRICS", "TARGETS"]
+           "DYNAMIC_SUB_BLOCKS", "MODES", "STOP_METRICS", "TARGETS"]
 
 DYNAMIC_SUB_BLOCKS = 4
 MODES = ("o", "c", "c+o")
-OBJECTIVE_LOSSES = ("mse", "huber", "log_cosh", "weighted_log_cosh", "distance_mse")
 STOP_METRICS = ("hv", "feasible_count", "nrmse", "ecov", "evals")
 _AT_OR_ABOVE = ("hv", "feasible_count", "evals")
 _STOP_FIELDS = {"hv": "hv_norm", "evals": "cumulative_evals"}  # the others: same name
@@ -82,20 +85,12 @@ class SurrogateConfig:
     learning_rate: float = 0.001
     batch_size: int = 2048
     folds: int = 3
-    activation: str = "softplus"
-    objective_loss: str = "mse"
-    outlier_threshold: float | None = None
-    exclude_infeasible: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.blocks < 1 or self.block_dim < 1:
             raise ValueError("blocks and block_dim must be positive")
-        if self.activation not in ("softplus", "relu"):
-            raise ValueError("activation must be 'softplus' or 'relu'")
-        if self.objective_loss not in OBJECTIVE_LOSSES:
-            raise ValueError(f"objective_loss must be one of {OBJECTIVE_LOSSES}")
         self.dropout = tuple(float(p) for p in self.dropout)
         if len(self.dropout) != 2 or not all(0.0 <= p < 1.0 for p in self.dropout):
             raise ValueError("dropout must hold two probabilities in [0, 1)")
@@ -103,8 +98,6 @@ class SurrogateConfig:
             raise ValueError("need folds >= 2, batch_size >= 1, hidden_multiplier * block_dim >= 1")
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.outlier_threshold is not None:
-            self.outlier_threshold = float(self.outlier_threshold)
 
     @property
     def hidden_dim(self) -> int:

@@ -11,7 +11,6 @@ stored in the problem metadata.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,6 +59,8 @@ def make_two_sphere(
 
     The Pareto set is exactly the segment [a, b].
     """
+    if n < 1:
+        raise ValueError("two_sphere needs at least 1 dimension")
     a = np.full(n, 0.25) if a is None else np.asarray(a, dtype=float)
     b = np.full(n, 0.75) if b is None else np.asarray(b, dtype=float)
     if a.shape != (n,) or b.shape != (n,):
@@ -232,9 +233,12 @@ def get_problem(name: str, **params) -> ProblemDefinition:
 
 def check_problem_params(name: str, params: dict) -> None:
     """Raise ``ValueError`` unless ``name`` is a registered problem whose
-    factory takes ``params`` as keyword arguments. Nothing is built: the
-    factory checks the values when a run builds the problem."""
+    factory builds a problem from ``params``: it must take them as keyword
+    arguments, and its own checks must accept their values. The problem is
+    built and dropped (microseconds for every registered one), so a bad
+    value fails the config, not the run."""
+    factory = _factory(name)
     try:
-        inspect.signature(_factory(name)).bind(**params)
-    except TypeError as exc:
+        factory(**params)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"problem_params rejected by {name!r}: {exc}") from None

@@ -144,8 +144,8 @@ def _field_value(f: dataclasses.Field, value, lines: dict[tuple, int], path: tup
     factory) is copied, a list becomes a tuple, and a scalar goes through
     ``int`` or ``float``; a boolean must be written as one, a number must
     not be one, and an int field takes no fractional float. A float field,
-    an entry of a float list (``dropout``) and an optional float
-    (``outlier_threshold``, ``threshold``) must be finite."""
+    an entry of a float list (``dropout``) and the optional float
+    ``threshold`` must be finite."""
     default = f.default if f.default_factory is MISSING else f.default_factory()
     if dataclasses.is_dataclass(default) or isinstance(default, dict):
         value = {} if value is None else value

@@ -5,10 +5,10 @@ evaluations with cross-validated automatic epoch selection.
 Training, prediction, feasibility descent and sensitivity analysis run on
 explicit passes: a hand-written forward pass that caches its activations,
 and a hand-written backward pass that writes every parameter gradient into
-one flat gradient vector (with closed-form output gradients for the BCE
-term and each objective loss) and returns the gradient at the input
-projection's output, from which `InputPass`, the pass `predict` also runs,
-takes input gradients without computing any parameter gradient. The weights
+one flat gradient vector (with closed-form output gradients for the MSE
+and BCE terms) and returns the gradient at the input projection's output,
+from which `InputPass`, the pass `predict` also runs, takes input gradients
+without computing any parameter gradient. The weights
 are plain arrays in ``params``; while a fit runs they are views of one flat
 parameter vector, which one vectorized Adam step updates. Each array
 operation is the one the tape form, `autodiff.surrogate_forward`, records,
@@ -20,9 +20,8 @@ so prediction, input gradients and checkpoints run in float64 on
 float32-representable weights. Residual blocks use layer normalization (not
 batch statistics), so a row's prediction and input gradient do not depend
 on the rest of its batch, up to rounding: BLAS picks its accumulation order
-per batch shape, so they may differ in the last bit. The default hidden
-activation is softplus so gradients are smooth everywhere; a ReLU mode is
-available.
+per batch shape, so they may differ in the last bit. The hidden activation
+is softplus, so input gradients are smooth everywhere.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import MODES, OBJECTIVE_LOSSES, SurrogateConfig
+from .config import SurrogateConfig
 from .core import ParameterSpace, RandomStream, expit
 
 __all__ = [
@@ -48,9 +47,6 @@ __all__ = [
 
 LAYER_NORM_EPS = 1e-5
 ADAM_EPS = 1e-8
-# a Python float, not np.log(2.0): a float64 scalar would promote float32
-# arrays to float64 under numpy 2's promotion rules
-LOG_2 = float(np.log(2.0))
 # a warm-started fit trains this share of the epoch count it is given
 WARM_START_FRACTION = 0.25
 
@@ -226,7 +222,6 @@ class JointSurrogate:
         divided by the count, as ``ndarray.mean`` computes them.
         """
         p = self.params
-        softplus = self.config.activation == "softplus"
         p1, p2 = self.config.dropout if dropout_rng is not None else (0.0, 0.0)
         d = self.config.block_dim
         h = x_unit @ p["proj.w"] + p["proj.b"]
@@ -238,12 +233,8 @@ class JointSurrogate:
             x_hat = centered / sigma
             z = x_hat * p[f"block{i}.ln_scale"] + p[f"block{i}.ln_shift"]
             u = z @ p[f"block{i}.fc1.w"] + p[f"block{i}.fc1.b"]
-            e = None
-            if softplus:
-                e = np.exp(-np.abs(u))
-                a = np.maximum(u, 0.0) + np.log1p(e)
-            else:
-                a = u * (u > 0.0)
+            e = np.exp(-np.abs(u))
+            a = np.maximum(u, 0.0) + np.log1p(e)
             mask1 = mask2 = None
             if p1 > 0.0:
                 mask1 = np.divide(dropout_rng.random(a.shape) >= p1, 1.0 - p1, dtype=a.dtype)
@@ -269,7 +260,6 @@ class JointSurrogate:
         respect to the output of the input projection. Without ``grads`` it
         computes only that returned gradient, as input gradients need."""
         p = self.params
-        softplus = self.config.activation == "softplus"
         d = self.config.block_dim
         x_unit, blocks, h = cache
 
@@ -293,7 +283,7 @@ class JointSurrogate:
             if mask1 is not None:
                 g = g * mask1
             # softplus' = expit(u), from the forward's exp(-|u|)
-            g = g * expit(u, e) if softplus else g * (u > 0.0)
+            g = g * expit(u, e)
             dense(f"block{i}.fc1", z, g)
             g = g @ p[f"block{i}.fc1.w"].T
             if grads is not None:
@@ -424,48 +414,20 @@ class Adam:
             self.flat[c] -= step
 
 
-def _objective_loss(pred: np.ndarray, targets: np.ndarray, kind: str, grad: bool):
-    """Mean objective loss over all entries and, when ``grad`` is set, its
-    gradient with respect to ``pred`` in closed form (else None)."""
-    r = pred - targets
-    inv = 1.0 / r.size
-    if kind in ("mse", "distance_mse"):
-        w = 1.0 / (1.0 + np.abs(targets)) if kind == "distance_mse" else None
-        sq = r * r
-        value = (sq if w is None else sq * w).sum(dtype=np.float64) * inv
-        if not grad:
-            return value, None
-        g = (inv if w is None else inv * w) * r
-        return value, g + g
-    a = np.abs(r)
-    if kind == "huber":
-        # quadratic within |r| <= 1, linear outside
-        mask = (a <= 1.0).astype(r.dtype)
-        value = (r * r * 0.5 * mask + (a - 0.5) * (1.0 - mask)).sum(dtype=np.float64) * inv
-        if not grad:
-            return value, None
-        g = inv * mask * 0.5 * r
-        return value, (g + g) + inv * (1.0 - mask) * np.sign(r)
-    if kind in ("log_cosh", "weighted_log_cosh"):
-        w = 1.0 / (np.abs(targets) + 1.0) if kind == "weighted_log_cosh" else None
-        e = np.exp(a * -2.0)
-        log_cosh = a + np.log1p(e) - LOG_2
-        value = (log_cosh if w is None else log_cosh * w).sum(dtype=np.float64) * inv
-        if not grad:
-            return value, None
-        g = inv if w is None else inv * w
-        return value, (g + g / (1.0 + e) * e * -2.0) * np.sign(r)
-    raise ValueError(f"unknown objective loss {kind!r}")
-
-
-def _composite_loss(y_out, c_out, y_targets, c_targets, kind: str, grad: bool):
-    """Objective loss plus mean BCE on the constraint logits, for the heads
-    that exist. Returns (loss, d loss / d y_out, d loss / d c_out); the
-    gradients are None where a head is absent or ``grad`` is unset."""
+def _composite_loss(y_out, c_out, y_targets, c_targets, grad: bool):
+    """Mean squared error on the normalized objectives plus mean BCE on the
+    constraint logits, for the heads that exist. Returns (loss, d loss /
+    d y_out, d loss / d c_out); the gradients are None where a head is
+    absent or ``grad`` is unset."""
     value = None
     dy = dc = None
     if y_out is not None:
-        value, dy = _objective_loss(y_out, y_targets, kind, grad)
+        r = y_out - y_targets
+        inv = 1.0 / r.size
+        value = (r * r).sum(dtype=np.float64) * inv
+        if grad:
+            dy = inv * r
+            dy = dy + dy
     if c_out is not None:
         inv = 1.0 / c_out.size
         e = np.exp(-np.abs(c_out))
@@ -475,20 +437,6 @@ def _composite_loss(y_out, c_out, y_targets, c_targets, kind: str, grad: bool):
         if grad:
             dc = inv * (expit(c_out, e) - c_targets)
     return float(value), dy, dc
-
-
-def _filter_training_data(x, y, c, cfg: SurrogateConfig):
-    if cfg.exclude_infeasible and c.shape[1] > 0:
-        keep = c.sum(axis=1) > 0.0  # drop samples violating every constraint
-        x, y, c = x[keep], y[keep], c[keep]
-    if cfg.outlier_threshold is not None and y.shape[0] > 1:
-        logged = np.log1p(np.maximum(y, -1.0 + 1e-12))
-        std = logged.std(axis=0)
-        std = np.where(std > 0.0, std, 1.0)
-        z = (logged - logged.mean(axis=0)) / std
-        keep = np.all(np.abs(z) <= cfg.outlier_threshold, axis=1)
-        x, y, c = x[keep], y[keep], c[keep]
-    return x, y, c
 
 
 def _train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, patience=None):
@@ -526,16 +474,14 @@ def _train_single(model, x, y_targets, c_targets, epochs, cfg, rng, val=None, pa
         batches = np.split(rng.permutation(n), range(size, n, size)) if n > size else [slice(None)]
         for idx in batches:
             y_out, c_out, cache = model._forward(x_unit[idx], rng)
-            value, dy, dc = _composite_loss(
-                y_out, c_out, y_targets[idx], c_targets[idx], cfg.objective_loss, grad=True
-            )
+            value, dy, dc = _composite_loss(y_out, c_out, y_targets[idx], c_targets[idx], grad=True)
             if not np.isfinite(value):
                 return done, best
             model._backward(cache, dy, dc, grads)
             opt.step()
         if val is not None:
             y_out, c_out, _ = model._forward(vx_unit)
-            vloss, _, _ = _composite_loss(y_out, c_out, vy, vc, cfg.objective_loss, grad=False)
+            vloss, _, _ = _composite_loss(y_out, c_out, vy, vc, grad=False)
             if not np.isfinite(vloss):
                 return done + 1, best
             if vloss < best_val:
@@ -612,7 +558,6 @@ def train(
         if start.config != config:
             raise ValueError("a warm start needs a model of the same config")
         final_epochs = max(1, int(round(final_epochs * WARM_START_FRACTION)))
-    x, y, c = _filter_training_data(x, y, c, config)
     n = x.shape[0]
     if n < 2 * config.folds:
         raise ValueError(f"need at least {2 * config.folds} finite records, got {n}")
@@ -659,9 +604,18 @@ def save_checkpoint(model: JointSurrogate, path) -> None:
 
 
 def load_checkpoint(path) -> JointSurrogate:
+    """The model `save_checkpoint` wrote to ``path``. A checkpoint of an
+    older version loads too: its training-only config keys are dropped, and
+    one whose ``activation`` is not softplus is refused, since this model's
+    forward pass would predict wrongly from its weights."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
         cfg_dict = dict(meta["config"])
+        activation = cfg_dict.pop("activation", "softplus")
+        if activation != "softplus":
+            raise ValueError(f"checkpoint {path} has activation {activation!r}; only softplus loads")
+        for key in ("objective_loss", "outlier_threshold", "exclude_infeasible"):
+            cfg_dict.pop(key, None)
         cfg_dict["dropout"] = tuple(cfg_dict["dropout"])
         config = SurrogateConfig(**cfg_dict)
         space = ParameterSpace(

@@ -188,13 +188,14 @@ class TestConfigLoading:
     def test_exponent_floats_load_as_floats(self, tmp_path):
         # YAML 1.1 reads 1e-3 (no dot) as a string; every section converts it
         text = MINIMAL_CONFIG.replace("epochs: 2", "epochs: 1") + (
-            "  learning_rate: 1e-3\n  outlier_threshold: 1e+1\n"
+            "  learning_rate: 1e-3\n"
             "feasolve:\n  learning_rate: 1e-3\n"
+            "stop:\n  metric: hv\n  threshold: 1e+1\n"
         )
         config = load_config(write_config(tmp_path, text))
         assert config.surrogate.learning_rate == 0.001
-        assert config.surrogate.outlier_threshold == 10.0
         assert config.feasolve.learning_rate == 0.001
+        assert config.stop.threshold == 10.0
         assert run(config).history.epoch_metrics[1].mode == "o"
 
     @pytest.mark.parametrize(
@@ -223,8 +224,8 @@ class TestConfigLoading:
             ("  blocks: 1", "  blocks: 1.5", "'surrogate.blocks' at line 10 must be of type int"),
             ("  mode: o", "  mode: o\n  learning_rate: yes",
              "'surrogate.learning_rate' at line 10 must be of type float, not True"),
-            ("  mode: o", "  mode: o\n  outlier_threshold: true",
-             "'surrogate.outlier_threshold' at line 10 must be a number, not True"),
+            ("epochs: 2", "epochs: 2\nstop:\n  metric: hv\n  threshold: yes",
+             "'stop.threshold' at line 7 must be a number, not True"),
             ("epochs: 2", "epochs: 2\nstop: {metric: hv, threshold: true}",
              "'stop.threshold' at line 5 must be a number, not True"),
         ],
@@ -240,8 +241,8 @@ class TestConfigLoading:
             ("surrogate", "learning_rate: .nan", "'surrogate.learning_rate' at line 13"),
             ("surrogate", "hidden_multiplier: .nan", "'surrogate.hidden_multiplier' at line 13"),
             ("surrogate", "dropout: [.nan, 0.0]", "'surrogate.dropout' at line 13"),
-            ("surrogate", "outlier_threshold: .nan", "'surrogate.outlier_threshold' at line 13"),
-            ("surrogate", "outlier_threshold: nan", "'surrogate.outlier_threshold' at line 13"),
+            ("stop", "threshold: .nan", "'stop.threshold' at line 14"),
+            ("stop", "threshold: nan", "'stop.threshold' at line 14"),
             ("feasolve", "learning_rate: .nan", "'feasolve.learning_rate' at line 14"),
             ("feasolve", "plateau_ratio: .nan", "'feasolve.plateau_ratio' at line 14"),
             ("feasolve", "reference_factor: .inf", "'feasolve.reference_factor' at line 14"),
@@ -336,11 +337,18 @@ stop: {metric: ecov, window: 2, threshold: 0.5}
         assert status == 2
         assert "did you mean" in capsys.readouterr().err
 
-    def test_deleted_objective_loss_is_a_config_error(self, tmp_path, capsys):
-        bad = write_config(tmp_path, MINIMAL_CONFIG + "  objective_loss: relative\n")
+    @pytest.mark.parametrize(
+        "entry",
+        ["objective_loss: mse", "activation: softplus", "outlier_threshold: 3.0",
+         "exclude_infeasible: false"],
+        ids=lambda entry: entry.split(":")[0],
+    )
+    def test_deleted_surrogate_key_is_a_config_error(self, tmp_path, capsys, entry):
+        # the config.yaml of an older run holds these keys at their defaults
+        bad = write_config(tmp_path, MINIMAL_CONFIG + f"  {entry}\n")
         assert cmd_run(str(bad), None, str(tmp_path / "out")) == 2
-        kinds = "('mse', 'huber', 'log_cosh', 'weighted_log_cosh', 'distance_mse')"
-        assert f"objective_loss must be one of {kinds}" in capsys.readouterr().err
+        key = entry.split(":")[0]
+        assert f"unknown config key 'surrogate.{key}' at line 13" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_zero_workers_is_a_config_error(self, tmp_path, capsys):
@@ -377,6 +385,11 @@ stop: {metric: ecov, window: 2, threshold: 0.5}
              "sampler 'slhc' with initial_samples 9: SLHC needs an even sample count"),
             ("{n: 2}", "{bogus: 2}",
              "problem_params rejected by 'two_sphere': .*unexpected keyword argument 'bogus'"),
+            ("{n: 2}", "{n: 0}",
+             "problem_params rejected by 'two_sphere': two_sphere needs at least 1 dimension"),
+            ("{n: 2}", "{n: 2.5}", "problem_params rejected by 'two_sphere': "),
+            ("problem: two_sphere", "problem: thin_band",
+             "problem_params rejected by 'thin_band': thin_band needs at least 3 dimensions"),
         ],
     )
     def test_unrunnable_config_is_a_config_error(self, tmp_path, capsys, old, new, match):
@@ -1037,10 +1050,6 @@ EVERY_KEY = {
         "learning_rate": 0.0005,
         "batch_size": 64,
         "folds": 4,
-        "activation": "relu",
-        "objective_loss": "huber",
-        "outlier_threshold": 3.0,
-        "exclude_infeasible": True,
     },
     "feasolve": {
         "enabled": True,

@@ -57,6 +57,10 @@ class TestTwoSphere:
         with pytest.raises(ValueError):
             make_two_sphere(2, a=np.zeros(2), b=np.zeros(2))
 
+    def test_needs_one_dimension(self):
+        with pytest.raises(ValueError, match="two_sphere needs at least 1 dimension"):
+            make_two_sphere(0)
+
 
 class TestThinBand:
     def test_center_is_feasible(self):
@@ -159,13 +163,20 @@ class TestRegistry:
     def test_params_forwarded(self):
         assert get_problem("thin_band", n=8).space.dim == 8
 
-    def test_param_check_builds_nothing(self, monkeypatch):
+    def test_param_check_builds_the_problem(self, monkeypatch):
+        built = []
+
         def factory(n: int = 2):
-            raise AssertionError("problem built by the parameter check")
+            if n < 1:
+                raise ValueError("probe needs n >= 1")
+            built.append(n)
 
         monkeypatch.setitem(PROBLEM_REGISTRY, "probe", factory)
         check_problem_params("probe", {"n": 3})
-        with pytest.raises(ValueError, match="problem_params rejected by 'probe'"):
+        assert built == [3]
+        with pytest.raises(ValueError, match="problem_params rejected by 'probe': .*'m'"):
             check_problem_params("probe", {"m": 3})
+        with pytest.raises(ValueError, match="problem_params rejected by 'probe': probe needs n >= 1"):
+            check_problem_params("probe", {"n": 0})
         with pytest.raises(ValueError, match="unknown problem 'nope'"):
             check_problem_params("nope", {})
