@@ -5,6 +5,10 @@ layout, which `runio` reads through `dataclasses.fields`. Loads no optimizer.
 every fit trains a softplus network on every viable row, with MSE on the
 output normalizer's targets plus mean BCE on the constraint logits.
 
+Descent, too, runs one recipe: Adam against hypervolume's reference with
+fixed focal constants (see `feasolve`). `FeasolveConfig` keeps ``targets``
+for ROADMAP item 13, and the step and stop rule that items 6 and 13 retune.
+
 The `stop` section, `StopConfig`, is the dynamic stop rule. A run stops after
 an epoch once each of a metric's last ``window`` per-epoch values has reached
 ``threshold``. The values are the run's `core.EpochMetrics` records, the rows
@@ -35,7 +39,7 @@ MODES = ("o", "c", "c+o")
 STOP_METRICS = ("hv", "feasible_count", "nrmse", "ecov", "evals")
 _AT_OR_ABOVE = ("hv", "feasible_count", "evals")
 _STOP_FIELDS = {"hv": "hv_norm", "evals": "cumulative_evals"}  # the others: same name
-TARGETS = ("objective", "constraint", "distance", "zero")
+TARGETS = ("objective", "constraint", "distance")
 
 
 @dataclass
@@ -112,9 +116,6 @@ class FeasolveConfig:
     learning_rate: float = 0.001
     plateau_window: int = 50
     plateau_ratio: float = 0.01
-    reference_factor: float = 1.1
-    focal_gamma: float = 2.0
-    focal_alpha: float = 0.25
     trace_samples: int = 0  # explorers replaced by trace re-anchoring points
 
     def __post_init__(self):

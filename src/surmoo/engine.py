@@ -388,7 +388,7 @@ def _feasolve_stage(candidates, model, config, x, y, epoch):
 def _usable_targets(targets, model: JointSurrogate):
     usable = []
     for t in targets:
-        if t in ("objective", "zero") and not model.has_objective_head:
+        if t == "objective" and not model.has_objective_head:
             continue
         if t == "constraint" and not model.has_constraint_head:
             continue

@@ -1,15 +1,15 @@
 """Gradient-based feasibility solving on the frozen surrogate.
 
 A candidate batch is refined by iterative descent against a composite loss
-built from up to four targets: a hypervolume-style objective term against a
-dynamic nadir, binary focal cross-entropy pushing constraint probabilities
-toward all-feasible, a pairwise-distance exploration term, and a
-non-negativity penalty. When several targets are active their gradients are
-rescaled to the L2 norm of the first before summing. The candidates are
-stepped in place by `surrogate.Adam`, the optimizer training uses (plain SGD
-when the non-negativity target runs alone), and clipped to the bounds after
-every step; descent stops at the iteration cap or when the trailing loss
-window plateaus.
+built from up to three targets: a hypervolume-style objective term against a
+dynamic nadir and hypervolume's own reference (`metrics.REFERENCE_FACTOR`),
+binary focal cross-entropy with fixed constants pushing constraint
+probabilities toward all-feasible, and a pairwise-distance exploration term.
+When several targets are active their gradients are rescaled to the L2 norm
+of the first before summing. The candidates are stepped in place by
+`surrogate.Adam`, the optimizer training uses, and clipped to the bounds
+after every step; descent stops at the iteration cap or when the trailing
+loss window plateaus.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import TARGETS, FeasolveConfig
+from .config import FeasolveConfig
 from .core import expit
-from .metrics import shared_normalization
+from .metrics import REFERENCE_FACTOR, shared_normalization
 from .moea import RankedPopulation
 from .surrogate import Adam, InputPass, JointSurrogate
 
@@ -30,7 +30,6 @@ __all__ = [
     "loss_objective",
     "loss_constraint_logits",
     "loss_distance",
-    "loss_zero",
     "balance_gradients",
     "make_feasible",
     "hybrid_epoch_split",
@@ -39,6 +38,8 @@ __all__ = [
 ]
 
 EPS = 1e-12
+FOCAL_GAMMA = 2.0  # the focal loss's constants (Lin et al., ICCV 2017)
+FOCAL_ALPHA = 0.25
 
 
 @dataclass
@@ -68,58 +69,58 @@ class DescentTrace:
 # operations the autodiff tape once recorded for it, in the tape's order.
 
 
-def loss_objective(y_pred, train_objectives, reference_factor: float = 1.1):
+def loss_objective(y_pred, train_objectives):
     """Negated dominated-hypervolume proxy against a dynamic nadir.
 
     Both sides are first shifted as hypervolume shifts them, by
     `metrics.shared_normalization` of the training objectives. nadir_j is
     then the max of the batch predictions and the training history per
     objective; each candidate contributes the product over objectives of
-    max(r - y_ij / (nadir_j + eps), 0). Returns (value, gradient with
-    respect to ``y_pred``); the gradient also flows through the nadir, split
-    equally between rows tied at the batch maximum, and halved where that
-    maximum ties the training maximum.
+    REFERENCE_FACTOR - y_ij / (nadir_j + eps). No factor reaches 0: the
+    shifted training nadir is at least 0, so nadir_j + eps is positive and
+    at least every shifted y_ij, each ratio is at most 1 in floating point
+    and each factor at least REFERENCE_FACTOR - 1. Returns (value, gradient
+    with respect to ``y_pred``); the gradient also flows through the nadir,
+    split equally between rows tied at the batch maximum, and halved where
+    that maximum ties the training maximum.
     """
     train = shared_normalization([train_objectives])  # nadir: the shifted training max
     y = np.atleast_2d(np.asarray(y_pred, dtype=float)) - train.shift
     batch_max = y.max(axis=0)
     den = np.maximum(batch_max, train.nadir) + EPS
-    margin = reference_factor - y / den
-    live = margin > 0.0
-    clamped = margin * live
+    margin = REFERENCE_FACTOR - y / den
     # the product folds left to right; each factor's gradient is the
     # product of the factors after it (folded from the right) times the
     # product of those before it
     prefix = [np.ones(y.shape[0])]
     for j in range(y.shape[1]):
-        prefix.append(prefix[-1] * clamped[:, j])
-    d_clamped = np.empty_like(y)
+        prefix.append(prefix[-1] * margin[:, j])
+    d_margin = np.empty_like(y)
     g = np.full(y.shape[0], -1.0)
     for j in reversed(range(y.shape[1])):
-        d_clamped[:, j] = g * prefix[j]
-        g = g * clamped[:, j]
-    d_scaled = -(d_clamped * live)
-    d_den = (-d_scaled * y / (den * den)).sum(axis=0)
+        d_margin[:, j] = g * prefix[j]
+        g = g * margin[:, j]
+    d_den = (d_margin * y / (den * den)).sum(axis=0)
     d_max = d_den * ((batch_max > train.nadir) + 0.5 * (batch_max == train.nadir))
     at_max = y == batch_max
-    dy = d_scaled / den + d_max * at_max / at_max.sum(axis=0, keepdims=True)
+    dy = -d_margin / den + d_max * at_max / at_max.sum(axis=0, keepdims=True)
     return float(-prefix[-1].sum()), dy
 
 
-def loss_constraint_logits(c_logits, gamma: float = 2.0, alpha: float = 0.25):
+def loss_constraint_logits(c_logits):
     """Mean binary focal cross-entropy against the all-feasible target, on
     logits z: per entry alpha * sigmoid(-z)^gamma * softplus(-z), which is
     -alpha * (1 - c)^gamma * log(c) at c = sigmoid(z) but stays finite for
-    saturated probabilities. Returns (value, gradient with respect to the
-    logits)."""
+    saturated probabilities; gamma and alpha are FOCAL_GAMMA and FOCAL_ALPHA.
+    Returns (value, gradient with respect to the logits)."""
     # -log sigmoid(z) = softplus(-z); 1 - sigmoid(z) = sigmoid(-z)
     neg = -np.asarray(c_logits, dtype=float)
     e = np.exp(-np.abs(neg))
     sig = expit(neg, e)
-    weight = sig**gamma * alpha
+    weight = sig**FOCAL_GAMMA * FOCAL_ALPHA
     softplus = np.maximum(neg, 0.0) + np.log1p(e)
     inv = 1.0 / neg.size
-    d_sig = inv * softplus * alpha * gamma * sig ** (gamma - 1)
+    d_sig = inv * softplus * FOCAL_ALPHA * FOCAL_GAMMA * sig ** (FOCAL_GAMMA - 1)
     d_neg = d_sig * sig * (1.0 - sig) + inv * weight * sig
     return float((weight * softplus).sum() * inv), -d_neg
 
@@ -138,16 +139,6 @@ def loss_distance(candidates_unit, train_unit):
     d_sq = -inv * np.where(positive, 0.5 / np.where(positive, dist, 1.0), 0.0)
     half = d_sq[:, :, None] * diff
     return float(-(dist.sum() * inv)), (half + half).sum(axis=1)
-
-
-def loss_zero(y_pred):
-    """Squared penalty for negative predicted objective values: the sum of
-    relu(-y)^2. Returns (value, gradient with respect to ``y_pred``,
-    -2 relu(-y))."""
-    neg = -np.asarray(y_pred, dtype=float)
-    live = neg > 0.0
-    short = neg * live
-    return float((short**2).sum()), -(2.0 * short * live)
 
 
 def balance_gradients(grads: list[np.ndarray]) -> np.ndarray:
@@ -169,8 +160,7 @@ def balance_gradients(grads: list[np.ndarray]) -> np.ndarray:
 def _target_gradient(
     target: str,
     batch: InputPass,
-    cfg: FeasolveConfig,
-    train_y: np.ndarray,
+    train_objectives: np.ndarray,
     train_unit: np.ndarray,
 ) -> tuple[float, np.ndarray | None]:
     """Value of one descent target at the current batch and, when it is
@@ -182,14 +172,11 @@ def _target_gradient(
     if target == "constraint":
         if batch.c_logits is None:
             raise ValueError("constraint target requires a constraint head")
-        value, dc = loss_constraint_logits(batch.c_logits, cfg.focal_gamma, cfg.focal_alpha)
+        value, dc = loss_constraint_logits(batch.c_logits)
     else:
         if batch.y is None:
-            raise ValueError(f"{target} target requires an objective head")
-        if target == "objective":
-            value, dy = loss_objective(batch.y, train_y, cfg.reference_factor)
-        else:
-            value, dy = loss_zero(batch.y)
+            raise ValueError("objective target requires an objective head")
+        value, dy = loss_objective(batch.y, train_objectives)
     if not np.isfinite(value):
         return value, None
     return value, batch.gradient(dy, dc)
@@ -209,33 +196,22 @@ def make_feasible(
     x: np.ndarray,
     model: JointSurrogate,
     cfg: FeasolveConfig,
-    train_objectives: np.ndarray | None = None,
-    train_inputs: np.ndarray | None = None,
+    train_objectives: np.ndarray,
+    train_inputs: np.ndarray,
 ) -> tuple[np.ndarray, DescentTrace]:
     """Steer the (N, n) candidate rows ``x`` by descent on the frozen
     surrogate.
 
-    ``train_objectives`` (history objective values, finite) feed the
-    dynamic nadir of the objective target; ``train_inputs`` feed the
-    exploration distance term. The rows are stepped in place, as one flat
-    vector, by `surrogate.Adam`, or by plain SGD when the non-negativity
-    target runs alone. Returns the refined rows, a new array (``x`` is not
-    written to), and the full descent trace.
+    The viable history feeds two targets: ``train_objectives`` (finite
+    objective values) the dynamic nadir of the objective target, and
+    ``train_inputs`` the exploration distance term. The rows are stepped in
+    place, as one flat vector, by `surrogate.Adam`. Returns the refined
+    rows, a new array (``x`` is not written to), and the full descent trace.
     """
     space = model.space
     x = np.array(x, dtype=float)  # a fresh C-ordered copy, stepped in place
-    train_y = (
-        np.atleast_2d(np.asarray(train_objectives, dtype=float))
-        if train_objectives is not None and np.size(train_objectives)
-        else np.zeros((1, model.q))
-    )
-    train_unit = (
-        model._unit(np.atleast_2d(np.asarray(train_inputs, dtype=float)))
-        if train_inputs is not None and np.size(train_inputs)
-        else np.zeros((1, space.dim))
-    )
+    train_unit = model._unit(np.atleast_2d(np.asarray(train_inputs, dtype=float)))
 
-    use_sgd = cfg.targets == ("zero",)
     grad = np.empty_like(x)
     adam = Adam(x.reshape(-1), grad.reshape(-1), cfg.learning_rate)
 
@@ -243,26 +219,19 @@ def make_feasible(
     losses: list[float] = []
     for step in range(cfg.max_iters):
         batch = InputPass(model, x)
-        values, grads = zip(
-            *(_target_gradient(t, batch, cfg, train_y, train_unit) for t in cfg.targets)
-        )
+        values, grads = zip(*(_target_gradient(t, batch, train_objectives, train_unit)
+                              for t in cfg.targets))
         if not np.all(np.isfinite(values)):
             trace.aborted = True
             break
         total_loss = sum(values)
 
         y_pred, c_pred = batch.predictions()
-        trace.steps.append(
-            TraceStep(step, x.copy(), total_loss, y_pred, c_pred)
-        )
+        trace.steps.append(TraceStep(step, x.copy(), total_loss, y_pred, c_pred))
         losses.append(total_loss)
 
-        combined = balance_gradients(list(grads)) if len(grads) > 1 else grads[0]
-        if use_sgd:
-            x -= cfg.learning_rate * combined
-        else:
-            grad[...] = combined
-            adam.step()
+        grad[...] = balance_gradients(list(grads)) if len(grads) > 1 else grads[0]
+        adam.step()
         np.clip(x, space.lower, space.upper, out=x)
 
         if _plateaued(losses, cfg.plateau_window, cfg.plateau_ratio):

@@ -12,6 +12,7 @@ stored in the problem metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -44,6 +45,13 @@ class ProblemDefinition:
     description: str = ""
 
 
+def _check_dimension(problem: str, n, least: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise ValueError(f"{problem} parameter n must be an integer, not {n!r}")
+    if n < least:
+        raise ValueError(f"{problem} needs at least {least} dimension" + "s" * (least > 1))
+
+
 def _unit_space(n: int) -> ParameterSpace:
     return ParameterSpace(
         tuple(f"x{j + 1}" for j in range(n)), np.zeros(n), np.ones(n)
@@ -59,8 +67,7 @@ def make_two_sphere(
 
     The Pareto set is exactly the segment [a, b].
     """
-    if n < 1:
-        raise ValueError("two_sphere needs at least 1 dimension")
+    _check_dimension("two_sphere", n, 1)
     a = np.full(n, 0.25) if a is None else np.asarray(a, dtype=float)
     b = np.full(n, 0.75) if b is None else np.asarray(b, dtype=float)
     if a.shape != (n,) or b.shape != (n,):
@@ -96,10 +103,13 @@ def make_thin_band(n: int = 6, nan_outside: float | None = None) -> ProblemDefin
 
     With ``nan_outside`` set, points with any coordinate outside
     [nan_outside, 1 - nan_outside] return NaN objectives, emulating
-    non-viable simulations.
+    non-viable simulations; it must lie in [0, 0.5), so the box keeps a core.
     """
-    if n < 3:
-        raise ValueError("thin_band needs at least 3 dimensions")
+    _check_dimension("thin_band", n, 3)
+    if nan_outside is not None and (isinstance(nan_outside, bool) or not (
+            isinstance(nan_outside, Real) and 0.0 <= nan_outside < 0.5)):
+        raise ValueError("thin_band parameter nan_outside must be None or a number in "
+                         f"[0, 0.5), not {nan_outside!r}")
     sphere = make_two_sphere(n)
 
     def evaluate(x: np.ndarray):

@@ -245,7 +245,7 @@ class TestConfigLoading:
             ("stop", "threshold: nan", "'stop.threshold' at line 14"),
             ("feasolve", "learning_rate: .nan", "'feasolve.learning_rate' at line 14"),
             ("feasolve", "plateau_ratio: .nan", "'feasolve.plateau_ratio' at line 14"),
-            ("feasolve", "reference_factor: .inf", "'feasolve.reference_factor' at line 14"),
+            ("feasolve", "learning_rate: .inf", "'feasolve.learning_rate' at line 14"),
         ],
     )
     def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, section, entry, match):
@@ -351,6 +351,24 @@ stop: {metric: ecov, window: 2, threshold: 0.5}
         assert f"unknown config key 'surrogate.{key}' at line 13" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("reference_factor: 1.1", "unknown config key 'feasolve.reference_factor' at line 14"),
+            ("focal_gamma: 2.0", "unknown config key 'feasolve.focal_gamma' at line 14"),
+            ("focal_alpha: 0.25", "unknown config key 'feasolve.focal_alpha' at line 14"),
+            ("targets: [zero]", "unknown descent targets: ['zero']"),
+        ],
+        ids=["reference_factor", "focal_gamma", "focal_alpha", "zero_target"],
+    )
+    def test_deleted_feasolve_setting_is_a_config_error(self, tmp_path, capsys, entry, message):
+        # descent runs one recipe: hypervolume's reference, fixed focal
+        # constants and no zero target; an older run's config.yaml holds the keys
+        bad = write_config(tmp_path, MINIMAL_CONFIG + f"feasolve:\n  {entry}\n")
+        assert cmd_run(str(bad), None, str(tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_workers_is_a_config_error(self, tmp_path, capsys):
         bad = write_config(tmp_path, MINIMAL_CONFIG + "workers: 0\n")
         status = cmd_run(str(bad), None, str(tmp_path / "out"))
@@ -390,6 +408,9 @@ stop: {metric: ecov, window: 2, threshold: 0.5}
             ("{n: 2}", "{n: 2.5}", "problem_params rejected by 'two_sphere': "),
             ("problem: two_sphere", "problem: thin_band",
              "problem_params rejected by 'thin_band': thin_band needs at least 3 dimensions"),
+            ("problem: two_sphere\nproblem_params: {n: 2}",
+             "problem: thin_band\nproblem_params: {n: 6, nan_outside: abc}",
+             "problem_params rejected by 'thin_band': thin_band parameter nan_outside must be"),
         ],
     )
     def test_unrunnable_config_is_a_config_error(self, tmp_path, capsys, old, new, match):
@@ -1058,9 +1079,6 @@ EVERY_KEY = {
         "learning_rate": 0.01,
         "plateau_window": 10,
         "plateau_ratio": 0.05,
-        "reference_factor": 1.2,
-        "focal_gamma": 1.5,
-        "focal_alpha": 0.5,
         "trace_samples": 3,
     },
     "sensitivity": {"enabled": True, "inverted": True},

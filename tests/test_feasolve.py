@@ -12,11 +12,11 @@ from surmoo.feasolve import (
     loss_constraint_logits,
     loss_distance,
     loss_objective,
-    loss_zero,
     make_feasible,
     select_diverse,
     trace_diversity_filter,
 )
+from surmoo.metrics import REFERENCE_FACTOR, shared_normalization
 from surmoo.moea import rank_population
 from surmoo.problems import get_problem
 from surmoo.sensitivity import compute_elasticities
@@ -31,13 +31,6 @@ class TestLossObjective:
         train_y = np.array([[1.0, 1.0]])
         value = loss_objective(np.array([[1.0, 1.0]]), train_y)[0]
         assert value == pytest.approx(-(0.1**2), rel=1e-9)
-
-    def test_ratio_beyond_reference_clamps_to_zero(self):
-        # the dynamic nadir tracks the batch maximum, so a ratio beyond the
-        # reference needs a factor below 1; the clamp zeroes that contribution
-        train_y = np.array([[1.0]])
-        value = loss_objective(np.array([[2.0], [0.5]]), train_y, 0.9)[0]
-        assert value == pytest.approx(-(0.9 - 0.25), rel=1e-9)
 
     def test_hand_case(self):
         train_y = np.array([[1.0, 1.0]])
@@ -69,6 +62,31 @@ class TestLossObjective:
         one = loss_objective(y[:1] + c, train_y + c)[1]
         assert np.allclose(one, [[0.2, 0.2]], rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_no_factor_falls_below_reference_minus_one(self, q, rng):
+        # why the loss needs no clamp: the dynamic nadir is at least every
+        # shifted prediction and positive, so each ratio is at most 1 and
+        # each factor at least REFERENCE_FACTOR - 1 > 0, whatever the sign
+        # and magnitude of the rows, beyond the training range included
+        def signed(shape):
+            return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-6.0, 8.0, shape)
+
+        for _ in range(200):
+            train_y = signed((int(rng.integers(1, 6)), q))
+            y = np.vstack([
+                signed((6, q)),
+                train_y.max(axis=0) + np.abs(signed((2, q))),
+                train_y.min(axis=0) - np.abs(signed((2, q))),
+            ])
+            value, grad = loss_objective(y, train_y)
+            train = shared_normalization([train_y])
+            shifted = y - train.shift
+            den = np.maximum(shifted.max(axis=0), train.nadir) + feasolve.EPS
+            factors = REFERENCE_FACTOR - shifted / den
+            assert factors.min() >= REFERENCE_FACTOR - 1.0
+            assert value == pytest.approx(-np.prod(factors, axis=1).sum(), rel=1e-12)
+            assert np.all(np.isfinite(grad))
+
 
 def logit(p):
     return np.log(p) - np.log1p(-p)
@@ -76,26 +94,28 @@ def logit(p):
 
 class TestLossConstraint:
     def test_confident_feasible_goes_to_zero(self):
-        value = loss_constraint_logits(logit(np.array([[1.0 - 1e-12]])), 2.0, 0.25)[0]
+        value = loss_constraint_logits(logit(np.array([[1.0 - 1e-12]])))[0]
         assert value == pytest.approx(0.0, abs=1e-9)
 
-    def test_degenerates_to_bce(self):
+    def test_degenerates_to_bce(self, monkeypatch):
+        monkeypatch.setattr(feasolve, "FOCAL_GAMMA", 0.0)
+        monkeypatch.setattr(feasolve, "FOCAL_ALPHA", 1.0)
         probs = np.array([[0.3, 0.8]])
-        value = loss_constraint_logits(logit(probs), gamma=0.0, alpha=1.0)[0]
+        value = loss_constraint_logits(logit(probs))[0]
         assert value == pytest.approx(-np.log(probs).mean(), rel=1e-9)
 
     def test_half_probability_entry(self):
-        value = loss_constraint_logits(np.array([[0.0]]), 2.0, 0.25)[0]
+        value = loss_constraint_logits(np.array([[0.0]]))[0]
         assert value == pytest.approx(0.25 * 0.25 * np.log(2.0), rel=1e-9)
 
     def test_logit_form_matches_probability_form(self, rng):
         logits = rng.normal(size=(4, 3))
         probs = 1.0 / (1.0 + np.exp(-logits))
-        value = loss_constraint_logits(logits, 2.0, 0.25)[0]
+        value = loss_constraint_logits(logits)[0]
         assert value == pytest.approx((0.25 * (1.0 - probs) ** 2 * -np.log(probs)).mean(), rel=1e-9)
 
     def test_saturated_logits_stay_finite(self):
-        value, grad = loss_constraint_logits(np.array([[-800.0, 800.0]]), 2.0, 0.25)
+        value, grad = loss_constraint_logits(np.array([[-800.0, 800.0]]))
         assert value == pytest.approx(0.25 * 800.0 / 2, rel=1e-12)
         assert np.all(np.isfinite(grad))
 
@@ -112,17 +132,6 @@ class TestLossDistance:
         assert value == pytest.approx(-0.5)
 
 
-class TestLossZero:
-    def test_nonnegative_predictions(self):
-        assert loss_zero(np.array([[0.0, 2.0]]))[0] == 0.0
-
-    def test_single_negative(self):
-        assert loss_zero(np.array([[-2.0]]))[0] == pytest.approx(4.0)
-
-    def test_mixed(self):
-        assert loss_zero(np.array([[-1.0, 3.0]]))[0] == pytest.approx(1.0)
-
-
 def fd_gradient(fn, x0, h=1e-6):
     grad = np.zeros_like(x0)
     for i in np.ndindex(x0.shape):
@@ -134,18 +143,20 @@ def fd_gradient(fn, x0, h=1e-6):
 
 
 CLOSED_FORMS = {
-    "objective": lambda y: loss_objective(y, np.array([[0.5, 2.5]]), 1.1),
-    "objective_extrapolated_nadir": lambda y: loss_objective(y, np.array([[0.1, 0.2]]), 1.3),
-    "constraint": lambda z: loss_constraint_logits(z, 2.0, 0.25),
-    "constraint_gamma": lambda z: loss_constraint_logits(z, 1.5, 0.6),
+    "objective": lambda y: loss_objective(y, np.array([[0.5, 2.5]])),
+    "objective_extrapolated_nadir": lambda y: loss_objective(y, np.array([[0.1, 0.2]])),
+    "constraint": loss_constraint_logits,
+    "constraint_gamma": loss_constraint_logits,  # at other focal constants
     "distance": lambda x: loss_distance(x, np.array([[0.1, 0.9], [0.5, 0.5], [0.7, 0.2]])),
-    "zero": lambda y: loss_zero(y),
 }
 
 
 class TestClosedFormGradients:
     @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
-    def test_matches_finite_differences(self, name, rng):
+    def test_matches_finite_differences(self, name, rng, monkeypatch):
+        if name == "constraint_gamma":
+            monkeypatch.setattr(feasolve, "FOCAL_GAMMA", 1.5)
+            monkeypatch.setattr(feasolve, "FOCAL_ALPHA", 0.6)
         fn = CLOSED_FORMS[name]
         for _ in range(5):
             x0 = rng.uniform(-1.0, 2.0, size=(4, 2))
@@ -169,16 +180,6 @@ class TestClosedFormGradients:
         fd = (loss_objective(y + h * direction, train_y)[0]
               - loss_objective(y - h * direction, train_y)[0]) / (2 * h)
         assert grad[0, 0] + grad[1, 0] == pytest.approx(fd, rel=1e-6)
-
-    def test_objective_gradient_exact_with_zero_factor(self):
-        # row 0 lies beyond the 0.9 reference in objective 1 (0.95 of the
-        # training nadir), so its product has a zero factor: both of its
-        # gradients are exactly zero, not 0/0, and row 1 is unaffected
-        y = np.array([[0.5, 0.95], [0.4, 0.2]])
-        value, grad = loss_objective(y, np.array([[1.0, 1.0]]), 0.9)
-        assert value == pytest.approx(-(0.5 * 0.7), rel=1e-9)
-        assert np.array_equal(grad[0], [0.0, 0.0])
-        assert np.all(np.isfinite(grad)) and np.all(grad[1] != 0.0)
 
     def test_distance_coincident_pair_adds_no_gradient(self):
         value, grad = loss_distance(np.array([[0.3, 0.3]]), np.array([[0.3, 0.3], [0.3, 0.7]]))
@@ -232,9 +233,7 @@ class TestMakeFeasible:
         model.out_norm = None
         start = np.array([[0.25, 0.5], [0.75, 0.25]])
         cfg = FeasolveConfig(targets=("objective",), plateau_window=50)
-        out, trace = make_feasible(
-            start, model, cfg, train_objectives=np.array([[3.0, 3.0]])
-        )
+        out, trace = make_feasible(start, model, cfg, np.array([[3.0, 3.0]]), start)
         assert np.array_equal(out, start)
         assert len(trace) == 50
         assert trace.terminated_early
@@ -244,7 +243,7 @@ class TestMakeFeasible:
         model = constraint_model(space, w=[4.0, -4.0])
         start = np.array([[0.5, 0.5]])
         cfg = FeasolveConfig(targets=("constraint",), max_iters=1000, learning_rate=0.01)
-        out, trace = make_feasible(start, model, cfg)
+        out, trace = make_feasible(start, model, cfg, np.ones((1, 2)), start)
         # logit grows with x1 and shrinks with x2: expect movement to (1, 0)
         assert out[0, 0] > 0.9
         assert out[0, 1] < 0.1
@@ -255,7 +254,7 @@ class TestMakeFeasible:
         model = constraint_model(space, w=[3.0, 3.0, 3.0], bias=-4.0)
         start = np.array([[0.2, 0.1, 0.3], [0.4, 0.2, 0.1]])
         cfg = FeasolveConfig(targets=("constraint",), max_iters=200, learning_rate=0.01)
-        _, trace = make_feasible(start, model, cfg)
+        _, trace = make_feasible(start, model, cfg, np.ones((1, 2)), start)
         first = trace.steps[0].pred_feasibility.mean()
         last = trace.steps[-1].pred_feasibility.mean()
         assert last > first
@@ -265,7 +264,7 @@ class TestMakeFeasible:
         model = constraint_model(space, w=[10.0, 10.0])
         start = np.array([[0.9, 0.95]])
         cfg = FeasolveConfig(targets=("constraint",), max_iters=300, learning_rate=0.05)
-        _, trace = make_feasible(start, model, cfg)
+        _, trace = make_feasible(start, model, cfg, np.ones((1, 2)), start)
         for entry in trace.steps:
             assert np.all(entry.candidates >= 0.0) and np.all(entry.candidates <= 1.0)
 
@@ -278,7 +277,7 @@ class TestMakeFeasible:
         model = JointSurrogate(space, 2, 2, cfg, RandomStream(0, "tnk"))
         start = np.array([[0.3, 0.7]])
         fs_cfg = FeasolveConfig(targets=("distance",), max_iters=3)
-        out, trace = make_feasible(start, model, fs_cfg, train_inputs=start)
+        out, trace = make_feasible(start, model, fs_cfg, np.ones((1, 2)), start)
         assert trace.steps[0].loss == 0.0
         assert np.array_equal(out, start)
 
@@ -296,22 +295,6 @@ class TestMakeFeasible:
             assert len(trace) == 20
             assert np.all((out - start > -0.21) & (out - start < -0.19)), bias
 
-    def test_sgd_used_for_zero_only_target(self):
-        space = unit_space(1)
-        model = affine_model(space, np.array([[8.0]]), [-4.0])
-        model.out_norm = None
-        start = np.array([[0.25]])  # prediction -2, pushes x upward
-        cfg = FeasolveConfig(targets=("zero",), max_iters=5, learning_rate=0.01,
-                             plateau_window=50)
-        out, trace = make_feasible(start, model, cfg)
-        # plain SGD steps: dL/dx = 2*relu(-y)*(-dy/dx) with dy/dx = 8
-        x = 0.25
-        for _ in range(5):
-            y = 8.0 * x - 4.0
-            grad = -2.0 * max(-y, 0.0) * 8.0
-            x = min(max(x - 0.01 * grad, 0.0), 1.0)
-        assert out[0, 0] == pytest.approx(x, rel=1e-12)
-
     def test_traced_objectives_are_the_ones_the_objective_target_read(self, monkeypatch, rng):
         read = []
 
@@ -327,7 +310,7 @@ class TestMakeFeasible:
         x = space.lower + rng.random((24, 3)) * space.span
         start = x.copy()
         fs_cfg = FeasolveConfig(targets=("objective", "constraint"), max_iters=20)
-        _, trace = make_feasible(x, model, fs_cfg, rng.uniform(0.3, 7.0, (20, 2)))
+        _, trace = make_feasible(x, model, fs_cfg, rng.uniform(0.3, 7.0, (20, 2)), start)
         assert np.array_equal(x, start)  # the rows passed in are not stepped
         assert len(read) == len(trace) == 20
         for step, y in zip(trace.steps, read):
@@ -437,7 +420,7 @@ def test_descent_and_sensitivity_never_run_the_tape(monkeypatch, rng):
     model.out_norm = OutputNormalizer.fit(rng.uniform(0.0, 5.0, (10, 2)))
     x = space.lower + rng.random((6, 3)) * space.span
     train_x = space.lower + rng.random((10, 3)) * space.span
-    fs_cfg = FeasolveConfig(targets=("objective", "constraint", "distance", "zero"), max_iters=5)
+    fs_cfg = FeasolveConfig(targets=("objective", "constraint", "distance"), max_iters=5)
     out, trace = make_feasible(
         x, model, fs_cfg, rng.uniform(0.0, 5.0, (10, 2)), train_x
     )

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,42 @@ class TestRegistry:
             check_problem_params("probe", {"n": 0})
         with pytest.raises(ValueError, match="unknown problem 'nope'"):
             check_problem_params("nope", {})
+
+    @pytest.mark.parametrize(
+        "name, params, bad",
+        [
+            ("thin_band", {"n": 6, "nan_outside": "abc"}, "nan_outside"),
+            ("thin_band", {"nan_outside": True}, "nan_outside"),
+            ("thin_band", {"nan_outside": 0.7}, "nan_outside"),
+            ("thin_band", {"nan_outside": 0.5}, "nan_outside"),
+            ("thin_band", {"nan_outside": -0.1}, "nan_outside"),
+            ("thin_band", {"nan_outside": float("nan")}, "nan_outside"),
+            ("two_sphere", {"n": 2.5}, "n"),
+            ("two_sphere", {"n": True}, "n"),
+            ("thin_band", {"n": 6.0}, "n"),
+            ("thin_band", {"n": True}, "n"),
+        ],
+        ids=str,
+    )
+    def test_bad_parameter_is_named_with_its_problem(self, name, params, bad):
+        # unchecked, a nan_outside of 'abc' fails every evaluation and one of
+        # 0.7 leaves no viable point, and both runs exit 0 with HV 0
+        kind = "an integer" if bad == "n" else "None or a number in [0, 0.5)"
+        expected = (f"problem_params rejected by '{name}': {name} parameter {bad} must be "
+                    f"{kind}, not {params[bad]!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            check_problem_params(name, params)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("thin_band", {"nan_outside": None}),
+            ("thin_band", {"nan_outside": 0}),
+            ("thin_band", {"nan_outside": 0.49}),
+            ("thin_band", {"n": np.int64(4), "nan_outside": np.float64(0.1)}),
+            ("two_sphere", {"n": np.int64(1)}),
+        ],
+        ids=str,
+    )
+    def test_good_parameter_is_accepted(self, name, params):
+        check_problem_params(name, params)
