@@ -127,6 +127,10 @@ class FeasolveConfig:
             raise ValueError("max_iters and plateau_window must be at least 1")
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be positive")
+        # no window's relative spread is below a ratio <= 0, so descent
+        # would run every one of max_iters steps
+        if not self.plateau_ratio > 0.0:
+            raise ValueError("plateau_ratio must be positive")
         self.targets = tuple(self.targets)
         if not self.targets:
             raise ValueError("at least one descent target is required")

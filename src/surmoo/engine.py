@@ -80,6 +80,7 @@ __all__ = [
     "RunResult",
     "SubBlock",
     "run",
+    "distinct_patterns",
     "select_surrogate_mode",
     "replay",
     "recompute_metrics",
@@ -116,13 +117,19 @@ class RunResult:
     surrogates: list[tuple[int, JointSurrogate]] = field(default_factory=list)
 
 
-def select_surrogate_mode(flags: np.ndarray, configured: str) -> str:
-    """Objective-only when the viable rows' constraint flags (see
-    `RunHistory.viable_arrays`) are absent or hold fewer than
-    ``MIN_CONSTRAINT_PATTERNS`` distinct rows; else the configured mode."""
-    if flags.size == 0 or len(np.unique(flags, axis=0)) < MIN_CONSTRAINT_PATTERNS:
-        return "o"
-    return configured
+def distinct_patterns(flags: np.ndarray) -> int:
+    """The number of distinct rows of 0.0/1.0 constraint flags (see
+    `RunHistory.viable_arrays`), counted as a set of row bytes: what
+    ``len(np.unique(flags, axis=0))`` counts, without importing ``numpy.ma``."""
+    return len({row.tobytes() for row in flags})
+
+
+def select_surrogate_mode(patterns: int, configured: str) -> str:
+    """Objective-only when the viable rows hold fewer than
+    ``MIN_CONSTRAINT_PATTERNS`` distinct constraint patterns (see
+    `distinct_patterns`; none when no row is viable or the problem is
+    unconstrained); else the configured mode."""
+    return "o" if patterns < MIN_CONSTRAINT_PATTERNS else configured
 
 
 def recompute_metrics(records) -> list[dict]:
@@ -233,14 +240,13 @@ def run(config: RunConfig) -> RunResult:
         epoch_stream = root.child(f"epoch{epoch}")
         mode = "none"
         if config.surrogate.enabled:
-            c = history.viable_arrays()[2]
-            mode = select_surrogate_mode(c, config.surrogate.mode)
+            patterns = distinct_patterns(history.viable_arrays()[2])
+            mode = select_surrogate_mode(patterns, config.surrogate.mode)
             if mode != config.surrogate.mode and problem.n_constraints:
                 logger.info(
                     "epoch %d: surrogate mode %s falls back to o: %d distinct "
                     "constraint patterns among viable records, fewer than %d",
-                    epoch, config.surrogate.mode, len(np.unique(c, axis=0)),
-                    MIN_CONSTRAINT_PATTERNS,
+                    epoch, config.surrogate.mode, patterns, MIN_CONSTRAINT_PATTERNS,
                 )
         blocks: list[SubBlock] = []
         model = None

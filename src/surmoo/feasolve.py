@@ -182,14 +182,43 @@ def _target_gradient(
     return value, batch.gradient(dy, dc)
 
 
+def _quartiles_and_median(values: list[float]) -> tuple[float, float, float]:
+    """``np.percentile(values, [75.0, 25.0])`` and ``np.median(values)``, bit
+    for bit (but for the sign of a zero), by their operations on one sort of
+    ``values``. A quartile's virtual index is ``(n - 1) * q``; between its
+    neighbours ``a`` and ``b`` a weight ``t`` below 0.5 gives
+    ``a + (b - a) * t``, and one of at least 0.5 ``b - (b - a) * (1 - t)``."""
+    s = sorted(values)
+    n = len(s)
+
+    def quantile(q: float) -> float:
+        index = (n - 1) * q
+        lo = int(index)
+        if lo >= n - 1:
+            return s[-1]
+        t = index - lo
+        a, b = s[lo], s[lo + 1]
+        return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+    half = n // 2
+    median = s[half] if n % 2 else (s[half - 1] + s[half]) / 2
+    return quantile(0.75), quantile(0.25), median
+
+
 def _plateaued(losses: list[float], window: int, ratio: float) -> bool:
+    """Whether the last ``window`` losses have plateaued: their interquartile
+    range is below ``ratio`` times the magnitude of their median (at least
+    EPS).
+
+    The quartiles and median come from `_quartiles_and_median`, not from
+    `np.percentile` and `np.median`: those cost about 66 µs a step, and
+    their first call in a process imports ``numpy.ma``, about 1.2 MB that
+    nothing else here uses.
+    """
     if len(losses) < window:
         return False
-    recent = np.array(losses[-window:])
-    q75, q25 = np.percentile(recent, [75.0, 25.0])
-    iqr = q75 - q25
-    median = np.median(recent)
-    return iqr / max(abs(median), EPS) < ratio
+    q75, q25, median = _quartiles_and_median(losses[-window:])
+    return (q75 - q25) / max(abs(median), EPS) < ratio
 
 
 def make_feasible(
@@ -290,6 +319,15 @@ def select_diverse(predictions: np.ndarray, k: int) -> np.ndarray:
     return np.nonzero(alive)[0]
 
 
+def _even_stride(count: int, target: int) -> np.ndarray:
+    """At most ``target`` indices into ``count`` items, evenly spread and
+    ascending, ``count - 1`` last: the rounded linspace never decreases, so
+    dropping its consecutive repeats is `np.unique`, which imports
+    ``numpy.ma``."""
+    idx = np.linspace(0, count - 1, target).round().astype(int)
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+
+
 def trace_diversity_filter(trace: DescentTrace, k: int, pool_cap: int = 512) -> np.ndarray:
     """Select k diverse parameter points along a descent trace.
 
@@ -306,11 +344,7 @@ def trace_diversity_filter(trace: DescentTrace, k: int, pool_cap: int = 512) -> 
         return np.empty((0, 0))
     batch = steps[0].candidates.shape[0]
     if batch * len(steps) > pool_cap:
-        target_steps = max(1, pool_cap // batch)
-        chosen = np.unique(
-            np.linspace(0, len(steps) - 1, target_steps).round().astype(int)
-        )
-        steps = [steps[i] for i in chosen]
+        steps = [steps[i] for i in _even_stride(len(steps), max(1, pool_cap // batch))]
     points: list[np.ndarray] = []
     preds: list[np.ndarray] = []
     for entry in steps:

@@ -40,6 +40,7 @@ __all__ = [
     "JointSurrogate",
     "InputPass",
     "epoch_budget",
+    "cv_folds",
     "train",
     "save_checkpoint",
     "load_checkpoint",
@@ -516,6 +517,14 @@ def _fit(x, y, c, rows, epochs, space, config, stream, val_rows=None, patience=N
     return model, stop, best
 
 
+def cv_folds(n: int, folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(training rows, validation rows) of each of ``folds`` CV folds over
+    ``n`` rows: the validation rows are `np.array_split`'s contiguous chunks,
+    and the training rows the ascending rest, which `np.setdiff1d` gives
+    too (it imports ``numpy.ma``)."""
+    return [(np.delete(np.arange(n), val), val) for val in np.array_split(np.arange(n), folds)]
+
+
 def train(
     x: np.ndarray,
     y: np.ndarray,
@@ -563,10 +572,9 @@ def train(
         raise ValueError(f"need at least {2 * config.folds} finite records, got {n}")
     e_max, patience = epoch_budget(n)
 
-    fold_chunks = np.array_split(np.arange(n), config.folds) if final_epochs is None else []
+    folds = cv_folds(n, config.folds) if final_epochs is None else []
     stops, bests = [], []
-    for f, val_idx in enumerate(fold_chunks):
-        rows = np.setdiff1d(np.arange(n), val_idx)
+    for f, (rows, val_idx) in enumerate(folds):
         fold = stream.child(f"fold{f}")
         _, stop, best = _fit(x, y, c, rows, e_max, space, config, fold, val_idx, patience)
         stops.append(max(stop, 1))

@@ -458,13 +458,16 @@ stop: {metric: ecov, window: 2, threshold: 0.5}
             ("surrogate", "learning_rate: 0.0", "learning_rate must be positive"),
             ("surrogate", "learning_rate: -0.01", "learning_rate must be positive"),
             ("feasolve", "learning_rate: -0.05", "learning_rate must be positive"),
+            ("feasolve", "plateau_ratio: 0", "plateau_ratio must be positive"),
+            ("feasolve", "plateau_ratio: -1", "plateau_ratio must be positive"),
         ],
     )
     def test_setting_that_cannot_fit_or_descend_is_a_config_error(
         self, tmp_path, capsys, section, entry, match
     ):
         # a run would exit 0 with any of these: every fit fails and falls back
-        # to plain NSGA-II, or a non-positive step trains or descends backwards
+        # to plain NSGA-II, a non-positive step trains or descends backwards,
+        # or no descent stops before max_iters as no spread is below the ratio
         text = MINIMAL_CONFIG.replace("  batch_size: 128\n", "")
         text += f"  {entry}\n" if section == "surrogate" else f"{section}:\n  {entry}\n"
         bad = write_config(tmp_path, text)
@@ -797,14 +800,15 @@ class TestMainEntry:
         assert logging.getLogger("surmoo").handlers == []
 
 
-# the scipy, surmoo, yaml, hashlib and logging modules loaded by a bare
-# `import surmoo`, and after `surmoo.cli` ran the command given as arguments,
-# if any, beyond those a bare `import numpy` loads; hashlib loads OpenSSL,
-# and a run loads it through numpy.random, which numpy 1.x imports eagerly
-# (through `secrets`), so under numpy 1.x surmoo cannot keep it unloaded
+# the scipy, surmoo, yaml, hashlib, logging and numpy.ma modules loaded by a
+# bare `import surmoo`, and after `surmoo.cli` ran the command given as
+# arguments, if any, beyond those a bare `import numpy` loads; hashlib loads
+# OpenSSL, and a run loads it through numpy.random, which numpy 1.x imports
+# eagerly (through `secrets`), so under numpy 1.x surmoo cannot keep it
+# unloaded; numpy 1.x imports numpy.ma eagerly too, numpy 2 on first use
 MODULES_PROBE = """\
 import json, sys
-WATCHED = ("scipy", "surmoo", "yaml", "hashlib", "logging")
+WATCHED = ("scipy", "surmoo", "yaml", "hashlib", "logging", "numpy.ma")
 import numpy
 with_numpy = set(sys.modules)
 import surmoo
@@ -933,6 +937,33 @@ class TestStartup:
         )["loaded"]
         assert OPTIMIZER <= set(loaded)
         assert "surmoo.autodiff" not in loaded
+
+    # numpy 2 imports numpy.ma, about 1.2 MB, on the first np.unique,
+    # np.setdiff1d, np.percentile or np.median; a run calls none of them.
+    # The second config's plateau window keeps every descent going for at
+    # least 300 steps of 2 rows, so its trace outgrows the 512-point pool
+    # and is thinned before the trace samples are drawn
+    @pytest.mark.parametrize(
+        "text",
+        [
+            JOINT_CONFIG,
+            JOINT_CONFIG.replace("population_size: 8", "population_size: 16").replace(
+                "feasolve: {enabled: true}", "feasolve: {enabled: true, "
+                "targets: [objective, constraint, distance], trace_samples: 2, plateau_window: 300}")
+            + "dynamic_sampling: true\nexport_traces: true\n",
+            JOINT_CONFIG.replace("problem: tnk", "problem: thin_band\n"
+                                 "problem_params: {n: 3, nan_outside: 0.05}"),
+        ],
+        ids=["joint", "dynamic_three_targets_traced", "thin_band_failed_evaluations"],
+    )
+    def test_surrogate_run_leaves_numpy_ma_unloaded(self, tmp_path, text):
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        loaded = _modules_loaded("run", "--config", str(config), "--out", str(out))["loaded"]
+        assert "surmoo.feasolve" in loaded
+        assert "numpy.ma" not in loaded
+        final = read_metrics(out)[-1]
+        assert final["mode"] == "c+o" and final["feasolve_steps"] > 0
 
     def test_invalid_config_exits_2_before_loading_the_engine(self, tmp_path):
         config = write_config(tmp_path, MINIMAL_CONFIG.replace("epochs: 2\n", "epochs: 0\n"))

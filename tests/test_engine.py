@@ -11,6 +11,7 @@ from surmoo.core import EvaluationRecord, ParetoArchive, RandomStream, RunHistor
 from surmoo.engine import (
     RunConfig,
     SensitivityConfig,
+    distinct_patterns,
     recompute_metrics,
     replay,
     run,
@@ -195,30 +196,44 @@ class TestArchiveAndMetrics:
         assert np.isnan(first.nrmse)
 
 
+def mode_for(flags, configured):
+    return select_surrogate_mode(distinct_patterns(flags), configured)
+
+
 class TestModeSelection:
     def test_single_pattern_falls_back(self):
         flags = flags_with_patterns([(1, 1)] * 5)
-        assert select_surrogate_mode(flags, "c+o") == "o"
+        assert mode_for(flags, "c+o") == "o"
 
     def test_two_patterns_fall_back(self):
         flags = flags_with_patterns([(1, 1), (0, 1), (1, 1)])
-        assert select_surrogate_mode(flags, "c+o") == "o"
+        assert mode_for(flags, "c+o") == "o"
 
     def test_three_patterns_keep_joint(self):
         flags = flags_with_patterns([(1, 1, 1), (1, 0, 1), (0, 1, 1)])
-        assert select_surrogate_mode(flags, "c+o") == "c+o"
-        assert select_surrogate_mode(flags, "c") == "c"
+        assert mode_for(flags, "c+o") == "c+o"
+        assert mode_for(flags, "c") == "c"
 
     def test_no_viable_record_gives_objective_only(self):
-        assert select_surrogate_mode(RunHistory().viable_arrays()[2], "c") == "o"
+        assert mode_for(RunHistory().viable_arrays()[2], "c") == "o"
 
     def test_unconstrained_problem_always_objective_only(self):
         flags = flags_with_patterns([(), (), ()])
-        assert select_surrogate_mode(flags, "c+o") == "o"
+        assert mode_for(flags, "c+o") == "o"
 
     def test_objective_only_config_unchanged(self):
         flags = flags_with_patterns([(1,), (0,)])
-        assert select_surrogate_mode(flags, "o") == "o"
+        assert mode_for(flags, "o") == "o"
+
+    # distinct_patterns stands in for len(np.unique(flags, axis=0)), which
+    # imports numpy.ma, in the mode choice and the fallback line
+    def test_distinct_patterns_counts_as_np_unique_does(self):
+        rng = np.random.default_rng(29)
+        cases = [RunHistory().viable_arrays()[2]]  # the (0, 0) array
+        cases += [flags_with_patterns(rng.integers(0, 2, size=(n, k)).tolist())
+                  for n in range(1, 41) for k in range(1, 5)]
+        for flags in cases:
+            assert distinct_patterns(flags) == len(np.unique(flags, axis=0)), flags
 
     def test_constrained_fallback_says_why_once_per_epoch(self, caplog):
         # BNH's box holds only the (1, 1) and (0, 1) constraint patterns

@@ -317,6 +317,50 @@ class TestMakeFeasible:
             assert step.pred_objectives.tobytes() == y.tobytes()
 
 
+def plateau_windows():
+    """Windows of length 1-80 at scales 1e-5 to 1e5: normal draws (negative
+    values), positive ones, draws with ties (zero among them), constant
+    windows and decaying loss curves."""
+    rng = np.random.default_rng(29)
+    for n in range(1, 81):
+        for scale in (1e-5, 1e-3, 1.0, 1e3, 1e5):
+            yield rng.normal(size=n) * scale
+            yield rng.random(n) * scale
+            yield rng.choice([-2.5, -1.0, 0.0, 0.5, 3.0], size=n) * scale
+            yield np.full(n, -0.3 * scale)
+            yield (1.0 + np.exp(-0.1 * np.arange(n)) + 1e-3 * rng.random(n)) * scale
+
+
+class TestPlateauRule:
+    # _quartiles_and_median stands in for np.percentile and np.median,
+    # which import numpy.ma; the stop decision reads its bits
+    def test_quartiles_and_median_match_numpy_bit_for_bit(self):
+        count = 0
+        for w in plateau_windows():
+            got = np.array(feasolve._quartiles_and_median(w.tolist()))
+            expected = np.array([*np.percentile(w, [75.0, 25.0]), np.median(w)])
+            assert got.tobytes() == expected.tobytes(), w
+            count += 1
+        assert count == 2000
+
+    def test_signed_zeros_compare_equal_to_numpy(self):
+        # the sort may order -0.0 and 0.0 otherwise than numpy's partition,
+        # so a zero's sign can differ; the stop rule reads an absolute median
+        # and a quartile difference, where it cannot
+        rng = np.random.default_rng(29)
+        for n in range(1, 41):
+            w = rng.choice([-0.0, 0.0, -1.5, 2.0], size=n)
+            got = feasolve._quartiles_and_median(w.tolist())
+            assert list(got) == [*np.percentile(w, [75.0, 25.0]), np.median(w)], w
+
+    def test_plateau_needs_a_full_window_below_the_ratio(self):
+        # quartiles 1.1 and 1.0 about a median of 1.05: a relative spread of 0.095
+        losses = [1.0, 1.1] * 25
+        assert not feasolve._plateaued(losses[:-1], 50, 0.1)
+        assert feasolve._plateaued(losses, 50, 0.1)
+        assert not feasolve._plateaued(losses, 50, 0.09)
+
+
 class TestHybridSplit:
     def _ranked(self, count):
         gen = np.random.default_rng(3)
@@ -385,6 +429,23 @@ class TestDiversityFilter:
         assert picks.shape == (2, 2)
         assert sorted(picks[:, 0].tolist()) == [0.5, 1.0]
 
+    # _even_stride drops the rounded linspace's consecutive repeats in
+    # place of np.unique, which imports numpy.ma
+    def test_even_stride_matches_np_unique(self):
+        for count in range(1, 301):
+            for target in range(1, 65):
+                expected = np.unique(np.linspace(0, count - 1, target).round().astype(int))
+                got = feasolve._even_stride(count, target)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_long_trace_is_thinned_to_the_pool_cap(self):
+        steps = [TraceStep(i, np.full((4, 2), i / 300), 1.0, np.full((4, 1), i / 300), None)
+                 for i in range(300)]
+        picks = trace_diversity_filter(DescentTrace(steps=steps), 1000, pool_cap=40)
+        # 10 steps of the 300, the last one included
+        assert picks.shape == (40, 2)
+        assert picks[-1, 0] == 299 / 300
+
     def test_trace_filter_oversized_k_returns_everything(self):
         steps = [TraceStep(0, np.array([[0.0, 0.0]]), 1.0, np.array([[0.0]]), None)]
         picks = trace_diversity_filter(DescentTrace(steps=steps), 5)
@@ -399,6 +460,12 @@ class TestConfig:
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError, match="unknown descent targets"):
             FeasolveConfig(targets=("objective", "bogus"))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, -1e-9])
+    def test_plateau_ratio_must_be_positive(self, value):
+        # no window is below a ratio <= 0: every descent ran max_iters steps
+        with pytest.raises(ValueError, match="plateau_ratio must be positive"):
+            FeasolveConfig(plateau_ratio=value)
 
     @pytest.mark.parametrize("value", [0, -5])
     @pytest.mark.parametrize("name", ["max_iters", "plateau_window"])

@@ -15,6 +15,7 @@ from surmoo.surrogate import (
     OutputNormalizer,
     SurrogateConfig,
     TrainingSchedule,
+    cv_folds,
     epoch_budget,
     load_checkpoint,
     save_checkpoint,
@@ -343,6 +344,18 @@ class TestTraining:
         assert val is None
         assert np.array_equal(fx, x) and np.array_equal(fc, c)
         assert np.array_equal(fy, norm_all.transform(y))
+
+    # cv_folds' np.delete stands in for np.setdiff1d, which imports numpy.ma
+    def test_cv_folds_match_array_split_and_setdiff1d(self):
+        for folds in range(2, 11):
+            for n in range(2 * folds, 301):
+                chunks = np.array_split(np.arange(n), folds)
+                got = cv_folds(n, folds)
+                assert len(got) == folds
+                for (rows, val), chunk in zip(got, chunks):
+                    expected = np.setdiff1d(np.arange(n), chunk)
+                    assert np.array_equal(val, chunk)
+                    assert rows.dtype == expected.dtype and np.array_equal(rows, expected)
 
     def test_final_epochs_below_one_rejected(self, rng):
         x = rng.random((12, 2))
