@@ -30,11 +30,15 @@ def cmd_run(config_path: str, seed: int | None, out_dir: str) -> int:
     except (runio.ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # refuse an --out that cannot become a directory now, not after the run
+    # refuse an --out that cannot become a directory now, not after the run,
+    # and one holding files: the run would overwrite only those it writes
     out = Path(out_dir)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         print(f"error: --out {out_dir}: {existing} is not a directory", file=sys.stderr)
+        return 2
+    if existing == out and any(out.iterdir()):
+        print(f"error: --out {out_dir}: {out} is not empty", file=sys.stderr)
         return 2
     if seed is not None:
         config.seed = seed
@@ -42,7 +46,7 @@ def cmd_run(config_path: str, seed: int | None, out_dir: str) -> int:
     try:
         result = engine.run(config)
     except Exception as exc:
-        engine.logger.debug("run failed", exc_info=True)
+        engine.log(engine.DEBUG, "run failed", exc_info=True)
         print(f"error: run failed: {exc}", file=sys.stderr)
         return 1
     try:
@@ -231,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="execute a configured optimization")
     p_run.add_argument("--config", required=True, help="YAML run configuration")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--out", required=True, help="run directory to create")
+    p_run.add_argument("--out", required=True, help="run directory to create (or an empty one)")
     p_run.add_argument(
         "-v", "--verbose", action="store_true",
         help="print the engine's INFO lines (fit schedules, mode fallbacks) to stderr",

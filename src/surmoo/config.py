@@ -20,7 +20,8 @@ direction is fixed by the metric: ``hv``, ``feasible_count`` and ``evals``
 grow as a run goes on and stop at or above the threshold; ``ecov``, the share
 of the front that is new this epoch, and ``nrmse`` stop at or below it. Fewer
 than ``window`` values, or a NaN among them, never stop a run. Without a
-metric the run uses every epoch.
+metric the run uses every epoch, and a ``threshold`` or a ``window`` other
+than 1 is rejected rather than ignored.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ class StopConfig:
         if self.metric is None:
             if self.threshold is not None:
                 raise ValueError("threshold needs a metric")
+            if self.window != 1:
+                raise ValueError("window needs a metric")
             return
         if self.metric not in STOP_METRICS:
             raise ValueError(f"metric must be one of {list(STOP_METRICS)}, not {self.metric!r}")

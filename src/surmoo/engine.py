@@ -40,12 +40,14 @@ records, or an unusable config), the epoch falls back to one plain NSGA-II
 variation step on the same parents, ranked by their true values, and the
 event is logged; any other exception from the fit ends the run. Both
 epoch kinds draw children from `moea.offspring`. Every failed evaluation is
-logged too, with its epoch, candidate index and error.
+logged too, with its epoch, candidate index and error. Every line goes
+through `log`, which imports `logging` only for a line that can reach a
+handler, so a quiet run never loads it.
 """
 
 from __future__ import annotations
 
-import logging
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -74,8 +76,6 @@ if TYPE_CHECKING:  # the surrogate stack loads on the first fit
     from .feasolve import DescentTrace
     from .surrogate import JointSurrogate, TrainingSchedule
 
-logger = logging.getLogger("surmoo")
-
 __all__ = [
     "RunResult",
     "SubBlock",
@@ -87,6 +87,19 @@ __all__ = [
 ]
 
 MIN_CONSTRAINT_PATTERNS = 3
+DEBUG, INFO, WARNING = 10, 20, 30  # `logging`'s level numbers
+
+
+def log(level: int, msg: str, *args, **kwargs) -> None:
+    """Send a line to the "surmoo" logger. An INFO or DEBUG line returns at
+    once while `logging` is not loaded: nothing can have set a level or
+    added a handler without importing it, and the root logger's default
+    level, WARNING, drops such a line. Any other line imports `logging`;
+    ``stacklevel=2`` keeps the caller's function and line in its record."""
+    if level <= INFO and "logging" not in sys.modules:
+        return
+    import logging
+    logging.getLogger("surmoo").log(level, msg, *args, stacklevel=2, **kwargs)
 
 
 @dataclass
@@ -206,9 +219,8 @@ def _evaluate_and_log(
     records = []
     for i, (result, provenance) in enumerate(zip(results, provenances)):
         if result.error is not None:
-            logger.warning(
-                "epoch %d: evaluation of candidate %d failed: %s", epoch, i, result.error
-            )
+            log(WARNING, "epoch %d: evaluation of candidate %d failed: %s",
+                epoch, i, result.error)
         rec = EvaluationRecord(
             params=params[i],
             objectives=result.objectives,
@@ -243,8 +255,8 @@ def run(config: RunConfig) -> RunResult:
             patterns = distinct_patterns(history.viable_arrays()[2])
             mode = select_surrogate_mode(patterns, config.surrogate.mode)
             if mode != config.surrogate.mode and problem.n_constraints:
-                logger.info(
-                    "epoch %d: surrogate mode %s falls back to o: %d distinct "
+                log(
+                    INFO, "epoch %d: surrogate mode %s falls back to o: %d distinct "
                     "constraint patterns among viable records, fewer than %d",
                     epoch, config.surrogate.mode, patterns, MIN_CONSTRAINT_PATTERNS,
                 )
@@ -264,7 +276,7 @@ def run(config: RunConfig) -> RunResult:
 
         front = _snapshot(history, archive, epoch, blocks, mode, epoch_start, front)
         if config.stop.reached(history.epoch_metrics):
-            logger.info("dynamic stop %s satisfied after epoch %d", config.stop, epoch)
+            log(INFO, "dynamic stop %s satisfied after epoch %d", config.stop, epoch)
             break
     return result
 
@@ -292,8 +304,8 @@ def _sub_block(config, problem, history, archive, mode, epoch, sub, stream, fitt
                 start=start,
             )
         except ValueError as exc:  # too few finite records, or an unusable config
-            logger.warning(
-                "epoch %d: surrogate training failed (%s); "
+            log(
+                WARNING, "epoch %d: surrogate training failed (%s); "
                 "falling back to no-surrogate variation", epoch, exc,
             )
         else:
@@ -306,8 +318,8 @@ def _sub_block(config, problem, history, archive, mode, epoch, sub, stream, fitt
                 source = f"folds reused from sub-block {fitted.sub}"
                 if start is not None:
                     source += f", warm start from sub-block {sub - 1}"
-            logger.info(
-                "epoch %d sub-block %d: surrogate mode %s fitted on %d viable "
+            log(
+                INFO, "epoch %d sub-block %d: surrogate mode %s fitted on %d viable "
                 "records; %s, final epochs %d",
                 epoch, sub, mode, len(x), source, schedule.final_epochs,
             )
@@ -321,8 +333,8 @@ def _sub_block(config, problem, history, archive, mode, epoch, sub, stream, fitt
             if config.sensitivity.inverted:
                 eta = invert_indices(eta)
         else:
-            logger.info("epoch %d sub-block %d: sensitivity skipped: surrogate mode %s has "
-                        "no objective head", epoch, sub, mode)
+            log(INFO, "epoch %d sub-block %d: sensitivity skipped: surrogate mode %s has "
+                "no objective head", epoch, sub, mode)
 
     n_sub = config.population_size // config.sub_blocks
     parents, parent_objs, parent_feas = _select_parents(
@@ -368,8 +380,8 @@ def _feasolve_stage(candidates, model, config, x, y, epoch):
         objs, feas = moea.ranking_inputs(model.predict, candidates)
         elite, explore = fs.hybrid_epoch_split(moea.rank_population(candidates, objs, feas))
     else:
-        logger.warning(
-            "epoch %d: no feasolve target usable in mode %r; skipping descent",
+        log(
+            WARNING, "epoch %d: no feasolve target usable in mode %r; skipping descent",
             epoch, model.config.mode,
         )
     if not targets or explore.shape[0] == 0:

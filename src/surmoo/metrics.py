@@ -74,7 +74,16 @@ def hypervolume(front, reference) -> float:
         return float(reference[0] - front[:, 0].min())
     if q == 2:
         return _hv2d(front, reference)
-    return _hv_sweep(np.unique(front, axis=0), reference)
+    return _hv_sweep(_unique_rows(front), reference)
+
+
+def _unique_rows(points: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``points`` in lexicographic order: what
+    ``np.unique(points, axis=0)`` returns, without importing ``numpy.ma``."""
+    rows = points[np.lexsort(points.T[::-1])]
+    keep = np.ones(rows.shape[0], dtype=bool)
+    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[keep]
 
 
 def _hv2d(points: np.ndarray, reference: np.ndarray) -> float:

@@ -434,6 +434,7 @@ stop: {metric: ecov, window: 2, threshold: 0.5}
             ("{metric: hv, window: 0, threshold: 0.5}", "window must be at least 1"),
             ("{metric: ecov, window: 3}", "metric 'ecov' needs a threshold"),
             ("{threshold: 0.5}", "threshold needs a metric"),
+            ("{window: 2}", "window needs a metric"),
             ("{metric: hv, threshold: .nan}", "'stop.threshold' at line 13 must be a finite"),
         ],
     )
@@ -521,6 +522,28 @@ stop: {metric: ecov, window: 2, threshold: 0.5}
         assert calls == []
         assert "is not a directory" in capsys.readouterr().err
         assert (tmp_path / "taken").read_text() == "keep me\n"
+
+    def test_out_holding_files_is_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # a second run into one --out used to exit 0 and leave the first
+        # run's files beside its own, config.yaml and logs from two runs
+        out = tmp_path / "out"
+        assert cmd_run(str(write_config(tmp_path)), None, str(out)) == 0
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(engine, "run", lambda config: calls.append(config))
+        text = MINIMAL_CONFIG.replace("problem_params: {n: 2}", "problem_params: {n: 3}")
+        other = write_config(tmp_path, text, name="other.yaml")
+        assert cmd_run(str(other), None, str(out)) == 2
+        assert calls == []
+        assert capsys.readouterr().err == f"error: --out {out}: {out} is not empty\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+    def test_empty_existing_out_is_used(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cmd_run(str(write_config(tmp_path)), None, str(out)) == 0
+        assert len(read_evaluations(out)) == 10 + 2 * 8
 
 
     def test_failed_write_after_the_run_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -856,6 +879,11 @@ sensitivity: {enabled: true}
 def _modules_loaded(*argv, probe=MODULES_PROBE, status=0) -> dict[str, list[str]]:
     """The watched modules that ``probe`` has loaded once it ran with
     ``argv``; the command must have exited with ``status``."""
+    return _run_probe(*argv, probe=probe, status=status)[0]
+
+
+def _run_probe(*argv, probe=MODULES_PROBE, status=0) -> tuple[dict[str, list[str]], str]:
+    """`_modules_loaded`, and what the probe wrote to stderr."""
     src = str(Path(surmoo.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
@@ -865,7 +893,7 @@ def _modules_loaded(*argv, probe=MODULES_PROBE, status=0) -> dict[str, list[str]
     )
     loaded = json.loads(done.stdout.strip().splitlines()[-1])
     assert loaded.pop("status") == status
-    return loaded
+    return loaded, done.stderr
 
 
 def _scipy_modules_loaded(*argv) -> list[str]:
@@ -964,6 +992,35 @@ class TestStartup:
         assert "numpy.ma" not in loaded
         final = read_metrics(out)[-1]
         assert final["mode"] == "c+o" and final["feasolve_steps"] > 0
+
+    # the engine imports logging only for a line that can reach a handler: a
+    # WARNING, or any line once -v, a test's caplog or the user's own setup
+    # has loaded logging. A quiet run's INFO lines would be dropped by the
+    # root logger's default level, so it loads none
+    @pytest.mark.parametrize(
+        "text", [JOINT_CONFIG, MINIMAL_CONFIG + "  enabled: false\n"], ids=["joint", "surrogate_off"]
+    )
+    def test_quiet_run_leaves_logging_unloaded(self, tmp_path, text):
+        config = write_config(tmp_path, text)
+        loaded = _modules_loaded(
+            "run", "--config", str(config), "--out", str(tmp_path / "out")
+        )["loaded"]
+        assert "surmoo.engine" in loaded
+        assert "logging" not in loaded
+
+    def test_failed_fit_warns_on_stderr_without_verbose(self, tmp_path):
+        # 4 initial records are too few to fit: logging's last-resort
+        # handler prints the WARNING, as before the engine loaded it lazily
+        text = JOINT_CONFIG.replace("seed: 3", "seed: 2").replace(
+            "initial_samples: 30", "initial_samples: 4")
+        loaded, err = _run_probe(
+            "run", "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "out")
+        )
+        assert err == (
+            "epoch 1: surrogate training failed (need at least 6 finite records, got 4); "
+            "falling back to no-surrogate variation\n"
+        )
+        assert "logging" in loaded["loaded"]
 
     def test_invalid_config_exits_2_before_loading_the_engine(self, tmp_path):
         config = write_config(tmp_path, MINIMAL_CONFIG.replace("epochs: 2\n", "epochs: 0\n"))

@@ -1,6 +1,7 @@
 import re
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +389,17 @@ class TestFallback:
                     "final epochs"
                 ) in line
             assert line.endswith(f"final epochs {schedule.final_epochs}")
+
+    # engine.log passes stacklevel=2: a record names the function that sent
+    # the line, not the helper
+    def test_log_records_keep_their_callers_function(self, caplog):
+        config = small_config(epochs=1, surrogate=SurrogateConfig(mode="o", **TINY_SURROGATE))
+        with caplog.at_level("INFO", logger="surmoo"):
+            run(config)
+        fits = [r for r in caplog.records if "fitted on" in r.getMessage()]
+        assert len(fits) == 1
+        assert fits[0].funcName == "_sub_block"
+        assert Path(fits[0].pathname).name == "engine.py"
 
     def test_surrogate_disabled_runs_plain_loop(self):
         result = run(small_config(surrogate=SurrogateConfig(enabled=False), epochs=3))

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import surmoo
 from surmoo.metrics import (
+    _hv_sweep,
+    _unique_rows,
     NormalizationContext,
     epsilon_additive,
     hv_auc,
@@ -63,6 +71,38 @@ class TestHypervolume:
         exact = hypervolume(front, ref)
         oracle = oracle_hypervolume_inclusion_exclusion(front, ref)
         assert exact == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+
+    # _unique_rows stands in for np.unique(front, axis=0), which imports
+    # numpy.ma, before the sweep of three or more objectives
+    def test_unique_rows_are_np_uniques_bytes(self):
+        rng = np.random.default_rng(30)
+        for k in range(1500):
+            q, n = int(rng.integers(3, 6)), int(rng.integers(1, 25))
+            ref = np.full(q, 1.1)
+            front = rng.uniform(-0.1, 1.2, (n, q))
+            if k % 2:  # shared coordinates, and -0.0 beside 0.0
+                front = np.round(front, 1)
+            if k % 3 == 0:  # repeated rows
+                front = front[rng.integers(0, n, size=n + int(rng.integers(0, n + 1)))]
+            expected = np.unique(np.minimum(front, ref), axis=0)
+            assert _unique_rows(np.minimum(front, ref)).tobytes() == expected.tobytes()
+            if k % 10 == 0:
+                assert hypervolume(front, ref) == _hv_sweep(expected, ref)
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="numpy 1.x imports numpy.ma with numpy")
+    def test_three_objective_hypervolume_leaves_numpy_ma_unloaded(self):
+        probe = (
+            "import sys\n"
+            "from surmoo.metrics import hypervolume\n"
+            "hypervolume([[0.1, 0.5, 0.9], [0.5, 0.1, 0.5], [0.1, 0.5, 0.9]], [1.0, 1.0, 1.0])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(surmoo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert done.stdout == "False\n"
 
     def test_monotone_under_insertion(self, rng):
         ref = np.full(3, 1.0)

@@ -41,6 +41,11 @@ class TestParsing:
         with pytest.raises(ValueError, match="threshold needs a metric"):
             StopConfig(threshold=0.5)
 
+    def test_window_without_metric_rejected(self):
+        # it used to load, and the run ignored it and used every epoch
+        with pytest.raises(ValueError, match="window needs a metric"):
+            StopConfig(window=2)
+
     @pytest.mark.parametrize(
         "threshold, match",
         [(math.nan, "threshold must be finite"), (-math.inf, "threshold must be finite"),
